@@ -182,37 +182,49 @@ def _masked(cost: np.ndarray) -> tuple[np.ndarray, float]:
     return masked, penalty
 
 
-def _refine_lexicographic(cost: np.ndarray, masked: np.ndarray, optimum: float):
+def _refine_lexicographic(cost: np.ndarray, masked: np.ndarray, optimum: float,
+                          rows, cols):
     """Find the lexicographically smallest optimal assignment.
 
     Fixes rows in ascending order, testing candidate columns in ascending
     order and keeping a candidate only when an optimal completion still
     exists (checked with a reduced solve).
+
+    `rows, cols` is an optimal assignment of `masked`, carried along as the
+    incumbent. A row whose incumbent column is feasible tests only the
+    columns left of it: the incumbent already completes that column
+    optimally, so it is accepted without a solve. A candidate that passes
+    its reduced solve makes that solve's assignment the incumbent of the
+    rows still free.
     """
     n, m = cost.shape
     tol = _TIE_RTOL * max(1.0, abs(optimum))
+    incumbent = dict(zip(rows.tolist(), cols.tolist()))
     fixed: list[tuple[int, int]] = []
     fixed_total = 0.0
     free_rows = list(range(n))
     free_cols = list(range(m))
 
-    def completion_total(rows_left, cols_left):
-        if not rows_left or not cols_left:
-            return 0.0
-        sub = masked[np.ix_(rows_left, cols_left)]
-        r, c = linear_sum_assignment(sub)
-        return float(sub[r, c].sum())
-
     for i in range(n):
-        chosen = None
+        chosen = incumbent.get(i)
+        if chosen is not None and cost[i, chosen] == INFEASIBLE:
+            chosen = None
+        limit = m if chosen is None else chosen
+        rows_left = [r for r in free_rows if r != i]
         for j in free_cols:
+            if j >= limit:
+                break
             if cost[i, j] == INFEASIBLE:
                 continue
-            rows_left = [r for r in free_rows if r != i]
             cols_left = [c for c in free_cols if c != j]
-            rest = completion_total(rows_left, cols_left)
+            rest, r, c = 0.0, (), ()
+            if rows_left and cols_left:
+                sub = masked[np.ix_(rows_left, cols_left)]
+                r, c = linear_sum_assignment(sub)
+                rest = float(sub[r, c].sum())
             if fixed_total + masked[i, j] + rest <= optimum + tol:
                 chosen = j
+                incumbent = {rows_left[a]: cols_left[b] for a, b in zip(r, c)}
                 break
         if chosen is not None:
             fixed.append((i, chosen))
@@ -241,7 +253,7 @@ def solve_assignment(cost: np.ndarray):
         masked, _ = _masked(cost)
         rows, cols = linear_sum_assignment(masked)
         optimum = float(masked[rows, cols].sum())
-        matches = _refine_lexicographic(cost, masked, optimum)
+        matches = _refine_lexicographic(cost, masked, optimum, rows, cols)
 
     matches = sorted(matches)
     matched_rows = {i for i, _ in matches}

@@ -164,22 +164,21 @@ def fragmentation_count(gt, pred) -> int:
     return _clear_sequence(gt, pred)[3]
 
 
-def idf1(gt, pred) -> float:
+def idf1(gt, pred, per_frame=None) -> float:
     """Identity F1 under the best single global GT<->prediction mapping.
 
     A GT and a predicted trajectory co-occur on every frame where their
     boxes overlap with IoU >= 0.5; IDTP is the total co-occurrence of the
-    best one-to-one mapping.
+    best one-to-one mapping. `per_frame` is `_frame_overlaps(gt, pred)`,
+    built here when not given.
     """
     _require_gt(gt)
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
+    if per_frame is None:
+        per_frame = _frame_overlaps(gt, pred)
     cooccur: Counter = Counter()
-    for f, gt_here in gt_frames.items():
-        for gid, gbox in gt_here:
-            for pid, pbox in pred_frames.get(f, []):
-                if iou(gbox, pbox) >= MATCH_IOU:
-                    cooccur[(gid, pid)] += 1
+    for g_ids, p_ids, ious in per_frame:
+        for i, j in zip(*np.nonzero(ious >= MATCH_IOU)):
+            cooccur[(g_ids[i], p_ids[j])] += 1
 
     gt_ids = sorted({e.identity for e in gt})
     pred_ids = sorted({e.identity for e in pred})
@@ -196,7 +195,8 @@ def idf1(gt, pred) -> float:
 
 
 def _frame_overlaps(gt, pred):
-    """Per-frame (gt_ids, pred_ids, iou matrix) shared by the HOTA sweep."""
+    """Per-frame (gt_ids, pred_ids, iou matrix), shared by IDF1 and the
+    HOTA sweep."""
     gt_frames = _by_frame(gt)
     pred_frames = _by_frame(pred)
     frames = sorted(set(gt_frames) | set(pred_frames))
@@ -212,7 +212,7 @@ def _frame_overlaps(gt, pred):
     return out
 
 
-def hota(gt, pred):
+def hota(gt, pred, per_frame=None):
     """HOTA and its components, averaged over the 19 localization levels.
 
     Per level alpha: frames are matched maximizing match count then total
@@ -220,12 +220,17 @@ def hota(gt, pred):
     pair c = (g, p) scores A(c) = TPA/(TPA+FNA+FPA), where TPA counts
     frames matching g with p and the FNA/FPA terms count the remaining
     appearances of g and of p; AssA is the mean of A over matches and
-    HOTA_alpha = sqrt(DetA * AssA).
+    HOTA_alpha = sqrt(DetA * AssA). The levels' masks IoU >= alpha are
+    nested, so a frame whose mask did not change since the previous level
+    keeps that level's matching instead of solving the same matrix again.
+    `per_frame` is `_frame_overlaps(gt, pred)`, built here when not given.
 
     Returns (hota, det_a, ass_a, det_re, det_pr).
     """
     _require_gt(gt)
-    per_frame = _frame_overlaps(gt, pred)
+    if per_frame is None:
+        per_frame = _frame_overlaps(gt, pred)
+    last_solved = [None] * len(per_frame)  # per frame: (mask, solution)
     gt_count = Counter(e.identity for e in gt)
     pred_count = Counter(e.identity for e in pred)
 
@@ -235,9 +240,13 @@ def hota(gt, pred):
         tp = fn = fp = 0
         pair_count: Counter = Counter()
         events: list[tuple[int, int]] = []
-        for g_ids, p_ids, ious in per_frame:
-            cost = np.where(ious >= alpha, 1.0 - ious, INFEASIBLE)
-            matches, unmatched_g, unmatched_p = solve_assignment(cost)
+        for k, (g_ids, p_ids, ious) in enumerate(per_frame):
+            mask = ious >= alpha
+            last = last_solved[k]
+            if last is None or not np.array_equal(mask, last[0]):
+                last = last_solved[k] = (
+                    mask, solve_assignment(np.where(mask, 1.0 - ious, INFEASIBLE)))
+            matches, unmatched_g, unmatched_p = last[1]
             tp += len(matches)
             fn += len(unmatched_g)
             fp += len(unmatched_p)
@@ -272,11 +281,12 @@ def evaluate(gt, pred) -> EvalReport:
     """Full evaluation of a predicted sequence against ground truth."""
     _require_gt(gt)
     fn, fp, idsw, frag = _clear_sequence(gt, pred)
-    hota_value, det_a, ass_a, det_re, det_pr = hota(gt, pred)
+    per_frame = _frame_overlaps(gt, pred)
+    hota_value, det_a, ass_a, det_re, det_pr = hota(gt, pred, per_frame)
     return EvalReport(
         hota=hota_value,
         mota=1.0 - (fn + fp + idsw) / len(gt),
-        idf1=idf1(gt, pred),
+        idf1=idf1(gt, pred, per_frame),
         det_re=det_re,
         det_pr=det_pr,
         det_a=det_a,

@@ -23,6 +23,13 @@ class BoundingBox:
     height: float
 
     def __post_init__(self):
+        isfinite = math.isfinite
+        if not (isfinite(self.left) and isfinite(self.top)
+                and isfinite(self.width) and isfinite(self.height)):
+            raise ValueError(
+                f"box fields must be finite, got ({self.left}, {self.top}, "
+                f"{self.width}, {self.height})"
+            )
         if not (self.width > 0 and self.height > 0):
             raise ValueError(
                 f"box width and height must be positive, got "
@@ -80,6 +87,8 @@ class Detection:
             raise ValueError(
                 f"confidence must be within [0, 1], got {self.confidence}"
             )
+        if not np.isfinite(self.embedding).all():
+            raise ValueError("embedding values must be finite")
 
 
 class TrackState(enum.Enum):

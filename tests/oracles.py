@@ -244,3 +244,29 @@ def assignment_oracle(cost, infeasible):
             best_count, best_total = count, total
             first = False
     return best_count, best_total
+
+
+def lexicographic_assignment_oracle(cost, infeasible):
+    """Exhaustive optimal assignment itself, not only its size and total.
+
+    Among all one-to-one pair sets over feasible cells: the most pairs,
+    then the lowest total (totals within TIE_TOL of the lowest, relative,
+    count as tied), then the lexicographically smallest sorted pair list.
+    """
+    n = len(cost)
+    m = len(cost[0]) if n else 0
+    if n <= m:
+        full = ([(i, perm[i]) for i in range(n)]
+                for perm in itertools.permutations(range(m), n))
+    else:
+        full = ([(perm[j], j) for j in range(m)]
+                for perm in itertools.permutations(range(n), m))
+    candidates = []
+    for pairs in full:
+        kept = sorted((i, j) for i, j in pairs if cost[i][j] != infeasible)
+        candidates.append((len(kept), math.fsum(cost[i][j] for i, j in kept), kept))
+    most = max(count for count, _, _ in candidates)
+    lowest = min(total for count, total, _ in candidates if count == most)
+    tol = TIE_TOL * max(1.0, abs(lowest))
+    return min(kept for count, total, kept in candidates
+               if count == most and total <= lowest + tol)

@@ -13,7 +13,7 @@ from mttsort.kalman import KalmanModel
 from mttsort.model import BoundingBox, Detection, TrackerConfig
 from mttsort.tracker import Track
 
-from oracles import assignment_oracle
+from oracles import assignment_oracle, lexicographic_assignment_oracle
 
 
 def unit(*values):
@@ -287,8 +287,23 @@ def test_enumeration_and_refined_scipy_paths_agree(seed):
     from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(masked)
     optimum = float(masked[rows, cols].sum())
-    scipy_matches = sorted(_refine_lexicographic(cost, masked, optimum))
+    scipy_matches = sorted(_refine_lexicographic(cost, masked, optimum, rows, cols))
     assert enum_matches == scipy_matches
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_refined_scipy_path_matches_lexicographic_oracle(seed):
+    # Past the enumeration limit, with n != m in most draws; one-decimal
+    # costs make many optimal assignments tie, so the index rule decides.
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(6, 8)), int(rng.integers(1, 8))
+    if rng.random() < 0.5:
+        n, m = m, n
+    cost = np.round(rng.uniform(0, 1, (n, m)), 1)
+    cost[rng.uniform(size=(n, m)) < 0.3] = INFEASIBLE
+    matches, _, _ = solve_assignment(cost)
+    assert matches == lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
 
 
 # ----------------------------------------------------------------- cascade

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mttsort import synth
+from mttsort import metrics, synth
 from mttsort.metrics import (
     EvalReport, GtEntry, _clear_sequence, average_reports, clear_match,
     evaluate, fragmentation_count, hota, idf1, mota, score,
@@ -133,6 +133,23 @@ def test_hota_split_track():
     assert h == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
 
+def test_hota_solves_a_frame_once_while_its_mask_is_unchanged(monkeypatch):
+    # Identities never overlap, so each frame's mask IoU >= alpha is the
+    # same diagonal at all 19 levels: one solve per frame, not 19.
+    gt = [GtEntry(f, i, BoundingBox(100 * i + f, 50, 20, 40))
+          for f in range(1, 6) for i in range(1, 4)]
+    solve = metrics.solve_assignment
+    calls = []
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(metrics, "solve_assignment", counting)
+    assert hota(gt, gt) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert calls == [(3, 3)] * 5
+
+
 def test_hota_no_predictions():
     gt = track_entries(1, range(1, 11))
     h, det_a, ass_a, det_re, det_pr = hota(gt, [])
@@ -212,3 +229,7 @@ def test_micro_scenarios_match_brute_force_oracles(seed):
     assert hota(gt, pred)[2] == assa_oracle(gt, pred)
     fn, fp, idsw, _ = _clear_sequence(gt, pred)
     assert (fn, fp, idsw) == clear_oracle(gt, pred)
+    # evaluate shares one overlap table between HOTA and IDF1
+    rep = evaluate(gt, pred)
+    assert (rep.hota, rep.det_a, rep.ass_a, rep.det_re, rep.det_pr) == hota(gt, pred)
+    assert rep.idf1 == idf1(gt, pred)

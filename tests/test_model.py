@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +35,14 @@ def test_degenerate_boxes_rejected(width, height):
         BoundingBox(0, 0, width, height)
 
 
+@pytest.mark.parametrize("fields", [
+    (math.nan, 0, 4, 4), (0, -math.inf, 4, 4), (0, 0, math.inf, 4), (0, 0, 4, math.nan),
+])
+def test_non_finite_boxes_rejected(fields):
+    with pytest.raises(ValueError, match="finite"):
+        BoundingBox(*fields)
+
+
 def test_detection_validation():
     box = BoundingBox(0, 0, 4, 4)
     emb = np.array([1.0, 0.0])
@@ -40,6 +50,10 @@ def test_detection_validation():
         Detection(frame=0, box=box, confidence=0.5, embedding=emb)
     with pytest.raises(ValueError):
         Detection(frame=1, box=box, confidence=1.5, embedding=emb)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Detection(frame=1, box=box, confidence=0.5,
+                      embedding=np.array([1.0, value]))
     det = Detection(frame=1, box=box, confidence=0.5, embedding=emb)
     assert det.confidence == 0.5
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,16 @@ def test_bad_confidence_rejected(tmp_path):
         parse_detections(path)
 
 
+@pytest.mark.parametrize("row", [
+    "1,-1,10,10,inf,40,0.9,1,0",
+    "2,-1,10,10,20,40,0.9,nan,1",
+])
+def test_non_finite_detection_fields_name_file_and_line(tmp_path, row):
+    path = write(tmp_path / "det.txt", f"1,-1,10,20,30,40,0.9,1,0\n{row}\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2:") + ".*finite"):
+        parse_detections(path)
+
+
 def test_rows_sorted_by_frame(tmp_path):
     path = write(tmp_path / "det.txt",
                  "3,-1,1,1,5,5,0.9,1,0\n1,-1,2,2,5,5,0.9,1,0\n")
@@ -110,6 +122,12 @@ def test_gt_round_trip_and_duplicate_rejection(tmp_path):
     bad = write(tmp_path / "bad.txt", "1,1,0,0,5,5\n1,1,2,2,5,5\n")
     with pytest.raises(ParseError, match="duplicate"):
         parse_gt(bad)
+
+
+def test_non_finite_gt_box_names_file_and_line(tmp_path):
+    path = write(tmp_path / "gt.txt", "1,1,0,0,5,5\n2,1,0,0,inf,5\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2:") + ".*finite"):
+        parse_gt(path)
 
 
 # ---------------------------------------------------------------- results
