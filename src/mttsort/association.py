@@ -15,7 +15,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .kalman import CHI2_GATE_4DOF
-from .model import BoundingBox
 
 INFEASIBLE = np.inf
 
@@ -83,14 +82,25 @@ class FeatureBuffer:
         self._entries.clear()
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection-over-union of two boxes, in [0, 1]."""
-    inter_w = min(a.right, b.right) - max(a.left, b.left)
-    inter_h = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if inter_w <= 0 or inter_h <= 0:
-        return 0.0
-    inter = inter_w * inter_h
-    return inter / (a.area + b.area - inter)
+def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
+    """Intersection-over-union of every box in `boxes_a` with every box in
+    `boxes_b`, as a (len(boxes_a), len(boxes_b)) array in [0, 1].
+
+    Each entry is inter / (area_a + area_b - inter) in that order, so
+    iou_matrix(b, a) is exactly iou_matrix(a, b).T.
+    """
+    n, m = len(boxes_a), len(boxes_b)
+    if n == 0 or m == 0:
+        return np.zeros((n, m))
+    # Rows left, top, right, bottom, area; boxes_a runs down, boxes_b across.
+    a = np.array([(x.left, x.top, x.right, x.bottom, x.area)
+                  for x in boxes_a]).T[:, :, None]
+    b = np.array([(x.left, x.top, x.right, x.bottom, x.area)
+                  for x in boxes_b]).T[:, None, :]
+    # Overlap width and height, zero where the boxes are apart.
+    extent = np.maximum(np.minimum(a[2:4], b[2:4]) - np.maximum(a[:2], b[:2]), 0.0)
+    inter = extent[0] * extent[1]
+    return inter / (a[4] + b[4] - inter)
 
 
 def appearance_cost(tracks, detections, kalman, max_dist: float) -> np.ndarray:
@@ -116,11 +126,8 @@ def appearance_cost(tracks, detections, kalman, max_dist: float) -> np.ndarray:
 
 def iou_cost(tracks, detections, max_iou_distance: float) -> np.ndarray:
     """IoU-cost matrix between predicted track boxes and detection boxes."""
-    cost = np.zeros((len(tracks), len(detections)))
-    for i, track in enumerate(tracks):
-        box = track.to_box()
-        for j, det in enumerate(detections):
-            cost[i, j] = 1.0 - iou(box, det.box)
+    cost = 1.0 - iou_matrix([t.to_box() for t in tracks],
+                            [d.box for d in detections])
     cost[cost > max_iou_distance] = INFEASIBLE
     return cost
 
@@ -198,7 +205,11 @@ def _refine_lexicographic(cost: np.ndarray, masked: np.ndarray, optimum: float,
     rows still free.
     """
     n, m = cost.shape
-    tol = _TIE_RTOL * max(1.0, abs(optimum))
+    # Ties are judged against the feasible total, as in _enumerate_assignment:
+    # the INFEASIBLE penalties in `optimum` must not widen the window.
+    incumbent_cost = cost[rows, cols]
+    feasible_total = float(incumbent_cost[incumbent_cost != INFEASIBLE].sum())
+    tol = _TIE_RTOL * max(1.0, abs(feasible_total))
     incumbent = dict(zip(rows.tolist(), cols.tolist()))
     fixed: list[tuple[int, int]] = []
     fixed_total = 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .association import INFEASIBLE, iou, solve_assignment
+from .association import INFEASIBLE, iou_matrix, solve_assignment
 from .model import BoundingBox
 
 # Per-frame GT/prediction overlap threshold for CLEAR and identity metrics.
@@ -70,78 +70,72 @@ def _require_gt(gt):
         raise ValueError("evaluation requires at least one ground-truth box")
 
 
-def clear_match(gt_frame, pred_frame, prior_correspondence):
+def clear_match(g_ids, p_ids, ious, prior_correspondence):
     """Match one frame's GT against predictions, CLEAR style.
 
-    `gt_frame` and `pred_frame` are lists of (identity, box); the prior
-    correspondence maps each GT identity to the predicted id it was most
-    recently matched with. Correspondences still overlapping with
-    IoU >= 0.5 are kept; the remainder is matched by minimum (1 - IoU)
-    assignment subject to the same threshold.
+    `g_ids` and `p_ids` are the frame's GT and predicted identities in
+    ascending order and `ious` their overlap matrix, one entry of
+    `_frame_overlaps`; the prior correspondence maps each GT identity to
+    the predicted id it was most recently matched with. Correspondences
+    still overlapping with IoU >= 0.5 are kept; the remainder is matched by
+    minimum (1 - IoU) assignment subject to the same threshold.
 
     Returns (matches, fn, fp, idsw) where matches is a list of
     (gt_identity, pred_identity) and idsw counts matches whose predicted
     id differs from the prior one.
     """
-    gt_frame = sorted(gt_frame, key=lambda item: item[0])
-    pred_frame = sorted(pred_frame, key=lambda item: item[0])
-    pred_boxes = dict(pred_frame)
+    pred_index = {pid: j for j, pid in enumerate(p_ids)}
 
     matches: list[tuple[int, int]] = []
     used_preds: set[int] = set()
     remaining_gt = []
-    for gid, box in gt_frame:
+    for i, gid in enumerate(g_ids):
         pid = prior_correspondence.get(gid)
-        if (pid is not None and pid in pred_boxes and pid not in used_preds
-                and iou(box, pred_boxes[pid]) >= MATCH_IOU):
+        if (pid is not None and pid in pred_index and pid not in used_preds
+                and ious[i, pred_index[pid]] >= MATCH_IOU):
             matches.append((gid, pid))
             used_preds.add(pid)
         else:
-            remaining_gt.append((gid, box))
-    remaining_pred = [(pid, box) for pid, box in pred_frame
-                      if pid not in used_preds]
+            remaining_gt.append(i)
+    remaining_pred = [j for j, pid in enumerate(p_ids) if pid not in used_preds]
 
     if remaining_gt and remaining_pred:
-        cost = np.zeros((len(remaining_gt), len(remaining_pred)))
-        for i, (_, gbox) in enumerate(remaining_gt):
-            for j, (_, pbox) in enumerate(remaining_pred):
-                overlap = iou(gbox, pbox)
-                cost[i, j] = 1.0 - overlap if overlap >= MATCH_IOU else INFEASIBLE
+        overlaps = ious[np.ix_(remaining_gt, remaining_pred)]
+        cost = np.where(overlaps >= MATCH_IOU, 1.0 - overlaps, INFEASIBLE)
         assigned, _, _ = solve_assignment(cost)
-        matches.extend((remaining_gt[i][0], remaining_pred[j][0])
+        matches.extend((g_ids[remaining_gt[i]], p_ids[remaining_pred[j]])
                        for i, j in assigned)
 
     matches.sort()
     matched_gt = {g for g, _ in matches}
     matched_pred = {p for _, p in matches}
-    fn = sum(1 for gid, _ in gt_frame if gid not in matched_gt)
-    fp = sum(1 for pid, _ in pred_frame if pid not in matched_pred)
+    fn = sum(1 for gid in g_ids if gid not in matched_gt)
+    fp = sum(1 for pid in p_ids if pid not in matched_pred)
     idsw = sum(1 for gid, pid in matches
                if prior_correspondence.get(gid) not in (None, pid))
     return matches, fn, fp, idsw
 
 
-def _clear_sequence(gt, pred):
-    """Accumulate CLEAR counts and fragmentations over a whole sequence."""
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
-    frames = sorted(set(gt_frames) | set(pred_frames))
+def _clear_sequence(gt, pred, per_frame=None):
+    """Accumulate CLEAR counts and fragmentations over a whole sequence.
 
+    `per_frame` is `_frame_overlaps(gt, pred)`, built here when not given.
+    """
+    if per_frame is None:
+        per_frame = _frame_overlaps(gt, pred)
     prior: dict[int, int] = {}
     fn = fp = idsw = frag = 0
     ever_matched: set[int] = set()
     gap_open: set[int] = set()
-    for f in frames:
-        gt_here = gt_frames.get(f, [])
-        pred_here = pred_frames.get(f, [])
-        matches, fn_f, fp_f, idsw_f = clear_match(gt_here, pred_here, prior)
+    for g_ids, p_ids, ious in per_frame:
+        matches, fn_f, fp_f, idsw_f = clear_match(g_ids, p_ids, ious, prior)
         fn += fn_f
         fp += fp_f
         idsw += idsw_f
         matched = {g for g, _ in matches}
         for gid, pid in matches:
             prior[gid] = pid
-        for gid, _ in gt_here:
+        for gid in g_ids:
             if gid in matched:
                 if gid in gap_open:
                     frag += 1
@@ -195,19 +189,16 @@ def idf1(gt, pred, per_frame=None) -> float:
 
 
 def _frame_overlaps(gt, pred):
-    """Per-frame (gt_ids, pred_ids, iou matrix), shared by IDF1 and the
-    HOTA sweep."""
+    """Per-frame (gt_ids, pred_ids, iou matrix) over every frame with a GT
+    or predicted box, in frame order and with ids ascending; shared by
+    CLEAR, IDF1 and the HOTA sweep."""
     gt_frames = _by_frame(gt)
     pred_frames = _by_frame(pred)
-    frames = sorted(set(gt_frames) | set(pred_frames))
     out = []
-    for f in frames:
+    for f in sorted(set(gt_frames) | set(pred_frames)):
         gt_here = gt_frames.get(f, [])
         pred_here = pred_frames.get(f, [])
-        ious = np.zeros((len(gt_here), len(pred_here)))
-        for i, (_, gbox) in enumerate(gt_here):
-            for j, (_, pbox) in enumerate(pred_here):
-                ious[i, j] = iou(gbox, pbox)
+        ious = iou_matrix([b for _, b in gt_here], [b for _, b in pred_here])
         out.append(([g for g, _ in gt_here], [p for p, _ in pred_here], ious))
     return out
 
@@ -280,8 +271,8 @@ def hota(gt, pred, per_frame=None):
 def evaluate(gt, pred) -> EvalReport:
     """Full evaluation of a predicted sequence against ground truth."""
     _require_gt(gt)
-    fn, fp, idsw, frag = _clear_sequence(gt, pred)
     per_frame = _frame_overlaps(gt, pred)
+    fn, fp, idsw, frag = _clear_sequence(gt, pred, per_frame)
     hota_value, det_a, ass_a, det_re, det_pr = hota(gt, pred, per_frame)
     return EvalReport(
         hota=hota_value,

@@ -87,12 +87,13 @@ def preprocess(detections, config: TrackerConfig) -> list[Detection]:
     """
     candidates = [d for d in detections if d.confidence >= config.min_confidence]
     candidates.sort(key=lambda d: -d.confidence)
-    kept: list[Detection] = []
-    for det in candidates:
-        if all(association.iou(det.box, k.box) <= config.nms_max_overlap
-               for k in kept):
-            kept.append(det)
-    return kept
+    boxes = [d.box for d in candidates]
+    allowed = (association.iou_matrix(boxes, boxes) <= config.nms_max_overlap).tolist()
+    kept: list[int] = []
+    for k, row in enumerate(allowed):
+        if all(row[j] for j in kept):
+            kept.append(k)
+    return [candidates[k] for k in kept]
 
 
 class Tracker:
@@ -122,6 +123,9 @@ class Tracker:
         detections = preprocess(detections, self.config)
         for track in self.tracks:
             track.predict(self.kalman)
+        # A track whose predicted aspect or height is no longer positive
+        # has no box; it is deleted before any stage asks for one.
+        self.tracks = [t for t in self.tracks if t.mean[2] > 0 and t.mean[3] > 0]
 
         matches, unmatched_track_idx, unmatched_det_idx = self._match(detections)
 

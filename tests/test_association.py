@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mttsort.association import (
-    FeatureBuffer, INFEASIBLE, appearance_cost, iou, iou_cost,
+    FeatureBuffer, INFEASIBLE, appearance_cost, iou_cost, iou_matrix,
     matching_cascade, solve_assignment,
     _enumerate_assignment, _masked, _refine_lexicographic,
 )
@@ -13,7 +13,7 @@ from mttsort.kalman import KalmanModel
 from mttsort.model import BoundingBox, Detection, TrackerConfig
 from mttsort.tracker import Track
 
-from oracles import assignment_oracle, lexicographic_assignment_oracle
+from oracles import assignment_oracle, box_iou, lexicographic_assignment_oracle
 
 
 def unit(*values):
@@ -117,6 +117,13 @@ def test_pooled_invariant_to_buffer_order(order):
 
 # ------------------------------------------------------------------- iou
 
+def iou(a, b):
+    """One box against one box, through a 1x1 matrix."""
+    matrix = iou_matrix([a], [b])
+    assert matrix.shape == (1, 1)
+    return matrix[0, 0]
+
+
 def test_iou_examples():
     a = BoundingBox(0, 0, 2, 2)
     assert iou(a, a) == 1.0
@@ -134,6 +141,22 @@ def test_iou_symmetric_and_bounded(raw_a, raw_b):
     a, b = BoundingBox(*raw_a), BoundingBox(*raw_b)
     assert iou(a, b) == iou(b, a)
     assert 0.0 <= iou(a, b) <= 1.0
+
+
+coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+extent = st.floats(1e-3, 40.0, allow_nan=False, allow_infinity=False)
+float_boxes = st.lists(st.builds(BoundingBox, coord, coord, extent, extent),
+                       max_size=5)
+
+
+@given(float_boxes, float_boxes)
+def test_iou_matrix_equals_scalar_oracle_bit_for_bit(boxes_a, boxes_b):
+    matrix = iou_matrix(boxes_a, boxes_b)
+    assert matrix.shape == (len(boxes_a), len(boxes_b))
+    for i, a in enumerate(boxes_a):
+        for j, b in enumerate(boxes_b):
+            assert matrix[i, j] == box_iou(a, b)
+    assert np.array_equal(iou_matrix(boxes_b, boxes_a), matrix.T)
 
 
 # ------------------------------------------------------- appearance cost
@@ -289,6 +312,21 @@ def test_enumeration_and_refined_scipy_paths_agree(seed):
     optimum = float(masked[rows, cols].sum())
     scipy_matches = sorted(_refine_lexicographic(cost, masked, optimum, rows, cols))
     assert enum_matches == scipy_matches
+
+
+@pytest.mark.parametrize("infeasible_rows", [0, 2])
+def test_refined_tie_window_ignores_unmatched_rows(infeasible_rows):
+    # Rows 0-1 differ by 1e-8, more than the tie tolerance of the feasible
+    # total (1.2e-9), so the cheaper (0, 1), (1, 0) wins. All-INFEASIBLE
+    # rows add penalties to the masked optimum; they must not widen the
+    # tie window.
+    cost = np.full((4 + infeasible_rows, 6), INFEASIBLE)
+    cost[0, :2] = [0.5 + 1e-8, 0.5]
+    cost[1, :2] = [0.5, 0.5]
+    cost[2, 2] = cost[3, 3] = 0.1
+    matches, _, _ = solve_assignment(cost)
+    assert matches == lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
+    assert matches == [(0, 1), (1, 0), (2, 2), (3, 3)]
 
 
 @settings(deadline=None, max_examples=60)

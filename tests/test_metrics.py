@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mttsort import metrics, synth
+from mttsort.association import iou_matrix
 from mttsort.metrics import (
     EvalReport, GtEntry, _clear_sequence, average_reports, clear_match,
     evaluate, fragmentation_count, hota, idf1, mota, score,
@@ -31,16 +32,23 @@ def report(**overrides):
 
 # ------------------------------------------------------------- clear_match
 
+def clear_frame(gt_frame, pred_frame, prior):
+    """clear_match on one frame given as (identity, box) lists."""
+    ious = iou_matrix([b for _, b in gt_frame], [b for _, b in pred_frame])
+    return clear_match([g for g, _ in gt_frame], [p for p, _ in pred_frame],
+                       ious, prior)
+
+
 def test_clear_match_identical():
     frame = [(1, BOX), (2, FAR)]
-    matches, fn, fp, idsw = clear_match(frame, frame, {})
+    matches, fn, fp, idsw = clear_frame(frame, frame, {})
     assert matches == [(1, 1), (2, 2)]
     assert (fn, fp, idsw) == (0, 0, 0)
 
 
 def test_clear_match_empty_predictions():
     gt_frame = [(1, BOX), (2, FAR), (3, BoundingBox(400, 50, 20, 40))]
-    matches, fn, fp, idsw = clear_match(gt_frame, [], {})
+    matches, fn, fp, idsw = clear_frame(gt_frame, [], {})
     assert matches == [] and fn == 3 and fp == 0 and idsw == 0
 
 
@@ -48,7 +56,7 @@ def test_clear_match_prior_has_priority():
     # prior correspondence is kept even though pred 8 overlaps slightly more
     gt_frame = [(1, BoundingBox(0, 0, 10, 10))]
     pred_frame = [(7, BoundingBox(1, 0, 10, 10)), (8, BoundingBox(0, 0, 10, 10))]
-    matches, _, fp, idsw = clear_match(gt_frame, pred_frame, {1: 7})
+    matches, _, fp, idsw = clear_frame(gt_frame, pred_frame, {1: 7})
     assert matches == [(1, 7)]
     assert fp == 1 and idsw == 0
 
@@ -150,6 +158,24 @@ def test_hota_solves_a_frame_once_while_its_mask_is_unchanged(monkeypatch):
     assert calls == [(3, 3)] * 5
 
 
+def test_evaluate_builds_one_overlap_table(monkeypatch):
+    # GT on frames 1-4 and predictions on frames 3-6: one iou_matrix call
+    # for each of the six frames, shared by CLEAR, IDF1 and HOTA.
+    gt = track_entries(1, range(1, 5)) + track_entries(2, range(1, 5), FAR)
+    pred = track_entries(11, range(3, 7))
+    kernel = metrics.iou_matrix
+    calls = []
+
+    def counting(boxes_a, boxes_b):
+        calls.append((len(boxes_a), len(boxes_b)))
+        return kernel(boxes_a, boxes_b)
+
+    monkeypatch.setattr(metrics, "iou_matrix", counting)
+    rep = evaluate(gt, pred)
+    assert calls == [(2, 0), (2, 0), (2, 1), (2, 1), (0, 1), (0, 1)]
+    assert (rep.fn_count, rep.fp_count, rep.idsw_count) == (6, 2, 0)
+
+
 def test_hota_no_predictions():
     gt = track_entries(1, range(1, 11))
     h, det_a, ass_a, det_re, det_pr = hota(gt, [])
@@ -229,7 +255,9 @@ def test_micro_scenarios_match_brute_force_oracles(seed):
     assert hota(gt, pred)[2] == assa_oracle(gt, pred)
     fn, fp, idsw, _ = _clear_sequence(gt, pred)
     assert (fn, fp, idsw) == clear_oracle(gt, pred)
-    # evaluate shares one overlap table between HOTA and IDF1
+    # evaluate shares one overlap table between CLEAR, HOTA and IDF1
     rep = evaluate(gt, pred)
     assert (rep.hota, rep.det_a, rep.ass_a, rep.det_re, rep.det_pr) == hota(gt, pred)
     assert rep.idf1 == idf1(gt, pred)
+    assert (rep.fn_count, rep.fp_count, rep.idsw_count, rep.frag_count) == \
+        _clear_sequence(gt, pred)

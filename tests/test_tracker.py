@@ -2,10 +2,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mttsort import seqio, synth
 from mttsort.model import BoundingBox, Detection, TrackerConfig, TrackState
 from mttsort.tracker import FrameResult, Tracker, preprocess, run_sequence
+
+from oracles import box_iou
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -52,6 +55,33 @@ def test_preprocess_keeps_moderate_overlap():
     b = det(1, 7, 0, w=10, h=10, conf=0.8)  # IoU = 3/17 < 0.3
     kept = preprocess([a, b], config)
     assert len(kept) == 2
+
+
+def greedy_nms_oracle(detections, config):
+    """Literal greedy NMS: by descending confidence, keep a detection iff
+    no kept one overlaps it by more than nms_max_overlap."""
+    candidates = sorted(
+        (d for d in detections if d.confidence >= config.min_confidence),
+        key=lambda d: -d.confidence)
+    kept = []
+    for d in candidates:
+        if all(box_iou(d.box, k.box) <= config.nms_max_overlap for k in kept):
+            kept.append(d)
+    return kept
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
+                          st.integers(1, 10), st.integers(1, 10),
+                          st.sampled_from([0.3, 0.6, 0.9, 1.0])),
+                max_size=8),
+       st.sampled_from([0.1, 0.2, 0.5, 0.7, 1.0]))
+def test_preprocess_matches_greedy_nms_oracle(raw, overlap):
+    detections = [det(1, left, top, w, h, conf) for left, top, w, h, conf in raw]
+    config = TrackerConfig(nms_max_overlap=overlap)
+    kept = preprocess(detections, config)
+    expected = greedy_nms_oracle(detections, config)
+    assert [id(d) for d in kept] == [id(d) for d in expected]
 
 
 # -------------------------------------------------------------- lifecycle
@@ -213,3 +243,56 @@ def test_buffer_one_regression_golden(tmp_path):
     golden = os.path.join(DATA_DIR, "buffer1_occlusion_results.txt")
     with open(golden, "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+# --------------------------------------------------- non-physical states
+
+def shrink_stream():
+    # One object whose detection height falls 200 -> 5 px in five frames.
+    stream = []
+    for frame, height in enumerate((200.0, 150.0, 100.0, 50.0, 5.0), start=1):
+        box = BoundingBox(300.0 - height / 4, 300.0 - height / 2, height / 2, height)
+        stream.append(Detection(frame, box, 0.9, np.eye(8)[0]))
+    return stream
+
+
+def test_track_with_non_physical_prediction_is_deleted():
+    # After the last detection the predicted height falls below zero; the
+    # track is deleted at predict time instead of failing to make a box.
+    results = run_sequence(shrink_stream(), TrackerConfig(n_init=1), frame_count=8)
+    emitted = [(r.frame, tid) for r in results for tid, _, _ in r.records]
+    assert emitted == [(2, 1), (3, 1), (4, 1), (5, 1)]
+
+
+@st.composite
+def scaling_streams(draw):
+    """Up to 3 objects over a gappy run of at most 12 frames, each rescaled
+    by a random factor every frame, plus an occasional duplicate box; at
+    most 4 detections a frame."""
+    frames = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=12)))
+    objects = [
+        [draw(st.floats(50, 500)), draw(st.floats(50, 500)),
+         draw(st.floats(0.2, 2.0)), draw(st.floats(2, 300))]
+        for _ in range(draw(st.integers(1, 3)))]
+    stream = []
+    for frame in frames:
+        here = []
+        for k, obj in enumerate(objects):
+            obj[3] = max(0.5, obj[3] * draw(st.floats(0.05, 2.0)))
+            if draw(st.booleans()):
+                cx, cy, aspect, height = obj
+                width = aspect * height
+                box = BoundingBox(cx - width / 2, cy - height / 2, width, height)
+                here.append(Detection(frame, box, 0.9, np.eye(4)[k]))
+        if here and draw(st.booleans()):
+            here.append(here[0])
+        stream.extend(here)
+    return stream
+
+
+@settings(deadline=None, max_examples=150)
+@given(scaling_streams(), st.integers(1, 3), st.integers(1, 5))
+def test_run_sequence_never_raises_on_valid_streams(stream, n_init, max_age):
+    config = TrackerConfig(n_init=n_init, max_age=max_age)
+    results = run_sequence(stream, config, frame_count=12)
+    assert [r.frame for r in results] == list(range(1, 13))
