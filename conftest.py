@@ -1,9 +1,9 @@
 """Test-session set-up shared by `tests/` and `mttbench/`.
 
-BLAS runs single-threaded, as in `mttbench/run.py`: under default OpenBLAS
-threading the small triangular solves of the Kalman gate sometimes run
-about 20 times slower for a whole process. pytest loads this file before
-any test module imports numpy, so the setting takes effect.
+BLAS runs single-threaded, as in `mttbench/run.py`, so that timing-bound
+tests and the benchmark's self-test do not depend on how a BLAS library
+schedules threads for the tracker's small matrices. pytest loads this file
+before any test module imports numpy, so the setting takes effect.
 """
 
 import os

@@ -175,9 +175,8 @@ def _enumerate_assignment(cost: np.ndarray):
     return best[2] if best else []
 
 
-def _masked(cost: np.ndarray) -> tuple[np.ndarray, float]:
+def _masked(cost: np.ndarray) -> np.ndarray:
     """Replace INFEASIBLE entries by a finite penalty dominating any
-
     feasible total, so a full linear_sum_assignment solve maximizes the
     feasible pair count first and minimizes feasible cost second.
     """
@@ -186,7 +185,7 @@ def _masked(cost: np.ndarray) -> tuple[np.ndarray, float]:
     penalty = (max_cost + 1.0) * (min(cost.shape) + 1)
     masked = cost.copy()
     masked[masked == INFEASIBLE] = penalty
-    return masked, penalty
+    return masked
 
 
 def _refine_lexicographic(cost: np.ndarray, masked: np.ndarray, optimum: float,
@@ -254,14 +253,14 @@ def solve_assignment(cost: np.ndarray):
     by row index.
     """
     cost = np.asarray(cost, dtype=float)
-    n, m = cost.shape if cost.ndim == 2 else (len(cost), 0)
+    n, m = cost.shape
     if n == 0 or m == 0 or not np.isfinite(cost).any():
         return [], list(range(n)), list(range(m))
 
     if max(n, m) <= _ENUM_LIMIT:
         matches = _enumerate_assignment(cost)
     else:
-        masked, _ = _masked(cost)
+        masked = _masked(cost)
         rows, cols = linear_sum_assignment(masked)
         optimum = float(masked[rows, cols].sum())
         matches = _refine_lexicographic(cost, masked, optimum, rows, cols)

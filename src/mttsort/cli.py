@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import ga, metrics, seqio, synth
-from .model import ConfigError, load_config, load_preset, format_config
+from .model import load_config, load_preset, format_config
 from .tracker import run_sequence
 
 
@@ -67,8 +67,9 @@ def _cmd_track(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     sequence = seqio.load_sequence(args.seq)
-    if sequence.gt is None:
-        raise seqio.ParseError(f"{args.seq}: no {seqio.GT_FILE}; cannot evaluate")
+    if not sequence.gt:
+        raise seqio.ParseError(
+            f"{args.seq}: no ground-truth boxes in {seqio.GT_FILE}; cannot evaluate")
     predictions = metrics.results_to_entries(seqio.parse_results(args.pred))
     report = metrics.evaluate(sequence.gt, predictions)
     text = seqio.format_report(report)
@@ -83,9 +84,10 @@ def _cmd_optimize(args) -> int:
     sequences = []
     for directory in args.seqs:
         sequence = seqio.load_sequence(directory)
-        if sequence.gt is None:
+        if not sequence.gt:
             raise seqio.ParseError(
-                f"{directory}: no {seqio.GT_FILE}; optimization needs ground truth")
+                f"{directory}: no ground-truth boxes in {seqio.GT_FILE}; "
+                f"optimization needs ground truth")
         sequences.append(sequence)
     ga_config = ga.load_ga_config(args.ga_config)
     best, best_score, history = ga.run_ga(
@@ -137,9 +139,6 @@ def cli(argv) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, seqio.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

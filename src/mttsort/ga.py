@@ -104,18 +104,13 @@ def load_ga_config(path) -> GAConfig:
         return parse_ga_config_text(fh.read(), source=str(path))
 
 
-def initialize_population(gene_specs, ga: GAConfig,
-                          rng: np.random.Generator | None = None,
-                          base_config: TrackerConfig | None = None):
-    """Sample population_size individuals uniformly within the gene ranges."""
-    if rng is None:
-        rng = np.random.default_rng(ga.seed)
-    if base_config is None:
-        base_config = TrackerConfig()
+def initialize_population(gene_specs, ga: GAConfig, rng: np.random.Generator):
+    """Sample population_size individuals uniformly within the gene ranges;
+    the fields that are not genes keep their TrackerConfig defaults."""
     population = []
     for _ in range(ga.population_size):
         genes = {spec.name: spec.sample(rng) for spec in gene_specs}
-        population.append(replace(base_config, **genes))
+        population.append(TrackerConfig(**genes))
     return population
 
 
@@ -123,8 +118,9 @@ def evaluate_fitness(config: TrackerConfig, sequences) -> float:
     """Score a config over the evaluation sub-scenes.
 
     Each sub-scene is tracked and evaluated against its ground truth; the
-    reports are averaged and scored. Any tracking or metric failure makes
-    the individual score -inf rather than aborting the search.
+    reports are averaged and scored. A numerical failure of the filter
+    makes the individual score -inf rather than aborting the search; data
+    errors and program faults propagate.
     """
     reports = []
     try:
@@ -133,7 +129,7 @@ def evaluate_fitness(config: TrackerConfig, sequences) -> float:
             reports.append(
                 metrics.evaluate(seq.gt, metrics.results_to_entries(results)))
         return metrics.score(metrics.average_reports(reports))
-    except (ValueError, ArithmeticError, NumericalError):
+    except NumericalError:
         return float("-inf")
 
 
@@ -177,8 +173,7 @@ def mutate(config: TrackerConfig, rate: float, gene_specs,
     return replace(config, **updates) if updates else config
 
 
-def run_ga(gene_specs, ga: GAConfig, sequences=None, *,
-           fitness_fn=None, base_config: TrackerConfig | None = None):
+def run_ga(gene_specs, ga: GAConfig, sequences=None, *, fitness_fn=None):
     """Run the generational loop and return (best, best_score, history).
 
     Terminates when the population score standard deviation drops to the
@@ -200,7 +195,7 @@ def run_ga(gene_specs, ga: GAConfig, sequences=None, *,
         return cache[config]
 
     rng = np.random.default_rng(ga.seed)
-    population = initialize_population(gene_specs, ga, rng, base_config)
+    population = initialize_population(gene_specs, ga, rng)
     scores = [fitness(c) for c in population]
     state = GAState(generation=1, population=population, scores=scores,
                     best_ever=_best_of(population, scores))

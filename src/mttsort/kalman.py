@@ -14,7 +14,6 @@ height, which keeps the filter usable across object scales.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 # 0.95 quantile of the chi-square distribution with 4 degrees of freedom.
 # Squared Mahalanobis distances above this make an association infeasible.
@@ -28,26 +27,15 @@ class NumericalError(RuntimeError):
 class KalmanModel:
     """Kalman prediction/update/gating for one track state.
 
-    Parameters
-    ----------
-    position_noise_weight : float
-        Standard-deviation weight for the position-like state components,
-        multiplied by the current box height.
-    velocity_noise_weight : float
-        Same for the velocity components.
+    The noise standard deviations are the current box height times
+    `position_noise_weight` for the position-like state components and
+    times `velocity_noise_weight` for the velocity components.
     """
 
-    state_dim = 8
-    measurement_dim = 4
-
-    def __init__(self, position_noise_weight: float = 1.0 / 20,
-                 velocity_noise_weight: float = 1.0 / 160):
-        self.position_noise_weight = position_noise_weight
-        self.velocity_noise_weight = velocity_noise_weight
-        self._motion_mat = np.eye(8)
-        for i in range(4):
-            self._motion_mat[i, 4 + i] = 1.0  # dt = 1
-        self._update_mat = np.eye(4, 8)
+    position_noise_weight = 1.0 / 20
+    velocity_noise_weight = 1.0 / 160
+    _motion_mat = np.eye(8) + np.eye(8, k=4)  # dt = 1
+    _update_mat = np.eye(4, 8)
 
     def initiate(self, measurement) -> tuple[np.ndarray, np.ndarray]:
         """Create a new track state from an unassociated measurement.
@@ -111,15 +99,9 @@ class KalmanModel:
         covariance = np.asarray(covariance, dtype=float)
         measurement = np.asarray(measurement, dtype=float)
         projected_mean, projected_cov = self.project(mean, covariance)
-        try:
-            chol, lower = scipy.linalg.cho_factor(
-                projected_cov, lower=True, check_finite=False)
-            kalman_gain = scipy.linalg.cho_solve(
-                (chol, lower), (covariance @ self._update_mat.T).T,
-                check_finite=False).T
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"singular innovation covariance: {exc}") from exc
+        chol = _cholesky(projected_cov)
+        kalman_gain = np.linalg.solve(
+            chol.T, np.linalg.solve(chol, (covariance @ self._update_mat.T).T)).T
         innovation = measurement - projected_mean
         new_mean = mean + kalman_gain @ innovation
         new_covariance = covariance - kalman_gain @ projected_cov @ kalman_gain.T
@@ -136,12 +118,17 @@ class KalmanModel:
         """
         measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
         projected_mean, projected_cov = self.project(mean, covariance)
-        try:
-            chol = np.linalg.cholesky(projected_cov)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"singular projected covariance: {exc}") from exc
+        chol = _cholesky(projected_cov)
         d = measurements - projected_mean
-        z = scipy.linalg.solve_triangular(
-            chol, d.T, lower=True, check_finite=False)
+        z = np.linalg.solve(chol, d.T)
         return np.sum(z * z, axis=0)
+
+
+def _cholesky(projected_cov) -> np.ndarray:
+    """Lower Cholesky factor of a projected covariance; NumericalError if
+    it is not positive definite."""
+    try:
+        return np.linalg.cholesky(projected_cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"projected covariance is not positive definite: {exc}") from exc

@@ -65,11 +65,6 @@ def _by_frame(entries) -> dict[int, list[tuple[int, BoundingBox]]]:
     return frames
 
 
-def _require_gt(gt):
-    if not gt:
-        raise ValueError("evaluation requires at least one ground-truth box")
-
-
 def clear_match(g_ids, p_ids, ious, prior_correspondence):
     """Match one frame's GT against predictions, CLEAR style.
 
@@ -116,13 +111,11 @@ def clear_match(g_ids, p_ids, ious, prior_correspondence):
     return matches, fn, fp, idsw
 
 
-def _clear_sequence(gt, pred, per_frame=None):
+def _clear_sequence(per_frame):
     """Accumulate CLEAR counts and fragmentations over a whole sequence.
 
-    `per_frame` is `_frame_overlaps(gt, pred)`, built here when not given.
+    `per_frame` is `_frame_overlaps(gt, pred)`.
     """
-    if per_frame is None:
-        per_frame = _frame_overlaps(gt, pred)
     prior: dict[int, int] = {}
     fn = fp = idsw = frag = 0
     ever_matched: set[int] = set()
@@ -146,29 +139,13 @@ def _clear_sequence(gt, pred, per_frame=None):
     return fn, fp, idsw, frag
 
 
-def mota(gt, pred) -> float:
-    """Multiple object tracking accuracy: 1 - (FN + FP + IDSW) / |GT|."""
-    _require_gt(gt)
-    fn, fp, idsw, _ = _clear_sequence(gt, pred)
-    return 1.0 - (fn + fp + idsw) / len(gt)
-
-
-def fragmentation_count(gt, pred) -> int:
-    """How often a GT trajectory's coverage is interrupted and resumed."""
-    return _clear_sequence(gt, pred)[3]
-
-
-def idf1(gt, pred, per_frame=None) -> float:
+def idf1(gt, pred, per_frame) -> float:
     """Identity F1 under the best single global GT<->prediction mapping.
 
     A GT and a predicted trajectory co-occur on every frame where their
     boxes overlap with IoU >= 0.5; IDTP is the total co-occurrence of the
-    best one-to-one mapping. `per_frame` is `_frame_overlaps(gt, pred)`,
-    built here when not given.
+    best one-to-one mapping. `per_frame` is `_frame_overlaps(gt, pred)`.
     """
-    _require_gt(gt)
-    if per_frame is None:
-        per_frame = _frame_overlaps(gt, pred)
     cooccur: Counter = Counter()
     for g_ids, p_ids, ious in per_frame:
         for i, j in zip(*np.nonzero(ious >= MATCH_IOU)):
@@ -203,7 +180,7 @@ def _frame_overlaps(gt, pred):
     return out
 
 
-def hota(gt, pred, per_frame=None):
+def hota(gt, pred, per_frame):
     """HOTA and its components, averaged over the 19 localization levels.
 
     Per level alpha: frames are matched maximizing match count then total
@@ -214,13 +191,10 @@ def hota(gt, pred, per_frame=None):
     HOTA_alpha = sqrt(DetA * AssA). The levels' masks IoU >= alpha are
     nested, so a frame whose mask did not change since the previous level
     keeps that level's matching instead of solving the same matrix again.
-    `per_frame` is `_frame_overlaps(gt, pred)`, built here when not given.
+    `per_frame` is `_frame_overlaps(gt, pred)`.
 
     Returns (hota, det_a, ass_a, det_re, det_pr).
     """
-    _require_gt(gt)
-    if per_frame is None:
-        per_frame = _frame_overlaps(gt, pred)
     last_solved = [None] * len(per_frame)  # per frame: (mask, solution)
     gt_count = Counter(e.identity for e in gt)
     pred_count = Counter(e.identity for e in pred)
@@ -269,10 +243,15 @@ def hota(gt, pred, per_frame=None):
 
 
 def evaluate(gt, pred) -> EvalReport:
-    """Full evaluation of a predicted sequence against ground truth."""
-    _require_gt(gt)
+    """Full evaluation of a predicted sequence against ground truth.
+
+    MOTA is 1 - (FN + FP + IDSW) / |GT|; `frag_count` is how often a GT
+    trajectory's coverage is interrupted and resumed.
+    """
+    if not gt:
+        raise ValueError("evaluation requires at least one ground-truth box")
     per_frame = _frame_overlaps(gt, pred)
-    fn, fp, idsw, frag = _clear_sequence(gt, pred, per_frame)
+    fn, fp, idsw, frag = _clear_sequence(per_frame)
     hota_value, det_a, ass_a, det_re, det_pr = hota(gt, pred, per_frame)
     return EvalReport(
         hota=hota_value,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import EvalReport, GtEntry
-from .model import BoundingBox, ConfigError, Detection, parse_kv_lines
+from .model import BoundingBox, Detection, parse_kv_lines
 from .tracker import FrameResult
 
 META_FILE = "meta.txt"
@@ -56,14 +56,29 @@ class Sequence:
     gt: tuple | None = None
 
 
-def _split_row(line: str, path, lineno: int, n_fields: int | None = None):
-    fields = [f.strip() for f in line.split(",")]
-    if n_fields is not None and len(fields) != n_fields:
-        raise ParseError(
-            f"{path}:{lineno}: expected {n_fields} comma-separated fields, "
-            f"got {len(fields)}"
-        )
-    return fields
+def _rows(path, n_fields: int | None = None):
+    """Yield (lineno, fields) for each non-blank line of a comma-separated
+    file, fields stripped; with `n_fields` given, a row with another field
+    count is a ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if n_fields is not None and len(fields) != n_fields:
+                raise ParseError(
+                    f"{path}:{lineno}: expected {n_fields} comma-separated "
+                    f"fields, got {len(fields)}"
+                )
+            yield lineno, fields
+
+
+def _box(numbers, path, lineno: int) -> BoundingBox:
+    try:
+        return BoundingBox(*numbers)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from None
 
 
 def _parse_float(text: str, path, lineno: int, what: str) -> float:
@@ -89,46 +104,42 @@ def parse_detections(path, expected_dim: int | None = None) -> list[Detection]:
     """
     detections = []
     dim = expected_dim
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = _split_row(line, path, lineno)
-            if len(fields) < 8:
-                raise ParseError(
-                    f"{path}:{lineno}: detection rows need at least 8 fields "
-                    f"(frame,-1,left,top,width,height,conf,embedding...), got "
-                    f"{len(fields)}"
-                )
-            if dim is None:
-                dim = len(fields) - 7
-            if len(fields) != 7 + dim:
-                raise ParseError(
-                    f"{path}:{lineno}: expected embedding dimension {dim}, "
-                    f"row has {len(fields) - 7} embedding fields"
-                )
-            frame = _parse_int(fields[0], path, lineno, "frame")
-            sentinel = _parse_float(fields[1], path, lineno, "id field")
-            if sentinel != -1:
-                raise ParseError(
-                    f"{path}:{lineno}: detection id field must be -1, got "
-                    f"{fields[1]!r}"
-                )
-            numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:]]
-            embedding = np.array(numbers[5:])
-            norm = np.linalg.norm(embedding)
-            if norm < 1e-9:
-                raise ParseError(f"{path}:{lineno}: embedding has zero norm")
-            try:
-                detections.append(Detection(
-                    frame=frame,
-                    box=BoundingBox(*numbers[:4]),
-                    confidence=numbers[4],
-                    embedding=embedding / norm,
-                ))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    for lineno, fields in _rows(path):
+        if len(fields) < 8:
+            raise ParseError(
+                f"{path}:{lineno}: detection rows need at least 8 fields "
+                f"(frame,-1,left,top,width,height,conf,embedding...), got "
+                f"{len(fields)}"
+            )
+        if dim is None:
+            dim = len(fields) - 7
+        if len(fields) != 7 + dim:
+            raise ParseError(
+                f"{path}:{lineno}: expected embedding dimension {dim}, "
+                f"row has {len(fields) - 7} embedding fields"
+            )
+        frame = _parse_int(fields[0], path, lineno, "frame")
+        sentinel = _parse_float(fields[1], path, lineno, "id field")
+        if sentinel != -1:
+            raise ParseError(
+                f"{path}:{lineno}: detection id field must be -1, got "
+                f"{fields[1]!r}"
+            )
+        numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:]]
+        embedding = np.array(numbers[5:])
+        norm = np.linalg.norm(embedding)
+        if norm < 1e-9:
+            raise ParseError(f"{path}:{lineno}: embedding has zero norm")
+        box = _box(numbers[:4], path, lineno)
+        try:
+            detections.append(Detection(
+                frame=frame,
+                box=box,
+                confidence=numbers[4],
+                embedding=embedding / norm,
+            ))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     detections.sort(key=lambda d: d.frame)
     return detections
 
@@ -148,25 +159,17 @@ def parse_gt(path) -> list[GtEntry]:
     """Load ground-truth rows; (frame, identity) pairs must be unique."""
     entries = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = _split_row(line, path, lineno, n_fields=6)
-            frame = _parse_int(fields[0], path, lineno, "frame")
-            identity = _parse_int(fields[1], path, lineno, "identity")
-            if (frame, identity) in seen:
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate (frame, identity) "
-                    f"({frame}, {identity})"
-                )
-            seen.add((frame, identity))
-            numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:]]
-            try:
-                entries.append(GtEntry(frame, identity, BoundingBox(*numbers)))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+    for lineno, fields in _rows(path, n_fields=6):
+        frame = _parse_int(fields[0], path, lineno, "frame")
+        identity = _parse_int(fields[1], path, lineno, "identity")
+        if (frame, identity) in seen:
+            raise ParseError(
+                f"{path}:{lineno}: duplicate (frame, identity) "
+                f"({frame}, {identity})"
+            )
+        seen.add((frame, identity))
+        numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:]]
+        entries.append(GtEntry(frame, identity, _box(numbers, path, lineno)))
     entries.sort(key=lambda e: (e.frame, e.identity))
     return entries
 
@@ -265,35 +268,27 @@ def write_results(results, path) -> None:
 def parse_results(path) -> list[FrameResult]:
     """Inverse of write_results; rows grouped into per-frame results."""
     by_frame: dict[int, list] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = _split_row(line, path, lineno, n_fields=10)
-            if fields[7:] != ["-1", "-1", "-1"]:
-                raise ParseError(
-                    f"{path}:{lineno}: result rows must end with -1,-1,-1")
-            frame = _parse_int(fields[0], path, lineno, "frame")
-            track_id = _parse_int(fields[1], path, lineno, "track id")
-            numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:7]]
-            try:
-                box = BoundingBox(*numbers[:4])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            confidence = numbers[4]
-            if not (0.0 <= confidence <= 1.0):
-                raise ParseError(
-                    f"{path}:{lineno}: confidence must be within [0, 1], "
-                    f"got {confidence}"
-                )
-            records = by_frame.setdefault(frame, [])
-            if any(track_id == existing[0] for existing in records):
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate track id {track_id} in "
-                    f"frame {frame}"
-                )
-            records.append((track_id, box, confidence))
+    for lineno, fields in _rows(path, n_fields=10):
+        if fields[7:] != ["-1", "-1", "-1"]:
+            raise ParseError(
+                f"{path}:{lineno}: result rows must end with -1,-1,-1")
+        frame = _parse_int(fields[0], path, lineno, "frame")
+        track_id = _parse_int(fields[1], path, lineno, "track id")
+        numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:7]]
+        box = _box(numbers[:4], path, lineno)
+        confidence = numbers[4]
+        if not (0.0 <= confidence <= 1.0):
+            raise ParseError(
+                f"{path}:{lineno}: confidence must be within [0, 1], "
+                f"got {confidence}"
+            )
+        records = by_frame.setdefault(frame, [])
+        if any(track_id == existing[0] for existing in records):
+            raise ParseError(
+                f"{path}:{lineno}: duplicate track id {track_id} in "
+                f"frame {frame}"
+            )
+        records.append((track_id, box, confidence))
     results = []
     for frame in sorted(by_frame):
         records = sorted(by_frame[frame], key=lambda r: r[0])

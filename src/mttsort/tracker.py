@@ -7,7 +7,7 @@ by IoU, update lifecycles, start new tracks, and emit the confirmed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +23,11 @@ class Track:
     track_id: int
     mean: np.ndarray
     covariance: np.ndarray
+    features: association.FeatureBuffer
     state: TrackState = TrackState.Tentative
     hits: int = 1
     time_since_update: int = 0
     age: int = 1
-    features: association.FeatureBuffer = field(
-        default_factory=association.FeatureBuffer)
     last_confidence: float = 0.0
 
     def to_box(self) -> BoundingBox:
@@ -99,9 +98,9 @@ def preprocess(detections, config: TrackerConfig) -> list[Detection]:
 class Tracker:
     """Stateful tracker for one sequence; call step() once per frame."""
 
-    def __init__(self, config: TrackerConfig, kalman: KalmanModel | None = None):
+    def __init__(self, config: TrackerConfig):
         self.config = config
-        self.kalman = kalman if kalman is not None else KalmanModel()
+        self.kalman = KalmanModel()
         self.tracks: list[Track] = []
         self._next_id = 1
         self._last_frame = 0

@@ -60,9 +60,10 @@ def test_metric_identity_on_gt():
             motion_noise_sigma=2.0, miss_rate=0.1, false_positive_rate=0.3,
             embedding_noise_sigma=0.4, seed=seed)
         gt, _ = synth.generate(spec)
-        assert abs(metrics.mota(gt, gt) - 1.0) < 1e-9
-        assert abs(metrics.idf1(gt, gt) - 1.0) < 1e-9
-        assert abs(metrics.hota(gt, gt)[0] - 1.0) < 1e-9
+        report = metrics.evaluate(gt, gt)
+        assert abs(report.mota - 1.0) < 1e-9
+        assert abs(report.idf1 - 1.0) < 1e-9
+        assert abs(report.hota - 1.0) < 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < budget
     report_line("metric-identity", "20/20 scenarios exact", elapsed, budget)
@@ -76,21 +77,22 @@ def test_metric_oracles_on_micro_scenarios():
     rng = np.random.default_rng(1234)
     for _ in range(200):
         gt, pred = random_micro_scenario(rng)
-        assert metrics.idf1(gt, pred) == idf1_oracle(gt, pred)
-        assert metrics.hota(gt, pred)[2] == assa_oracle(gt, pred)
-        fn, fp, idsw, _ = metrics._clear_sequence(gt, pred)
-        assert (fn, fp, idsw) == clear_oracle(gt, pred)
+        report = metrics.evaluate(gt, pred)
+        assert report.idf1 == idf1_oracle(gt, pred)
+        assert report.ass_a == assa_oracle(gt, pred)
+        assert (report.fn_count, report.fp_count, report.idsw_count) == \
+            clear_oracle(gt, pred)
 
     # hand-computed CLEAR checks
     box = BoundingBox(10, 10, 20, 40)
     gt10 = [GtEntry(f, 1, box) for f in range(1, 11)]
-    assert metrics.mota(gt10, gt10) == 1.0
-    assert metrics.mota(gt10, [e for e in gt10 if e.frame != 4]) == 0.9
+    assert metrics.evaluate(gt10, gt10).mota == 1.0
+    assert metrics.evaluate(gt10, [e for e in gt10 if e.frame != 4]).mota == 0.9
     far = BoundingBox(200, 200, 20, 40)
     gt_pair = gt10[:6] + [GtEntry(f, 2, far) for f in range(1, 7)]
     swapped = [GtEntry(e.frame, 11 if (e.identity == 1) == (e.frame <= 3) else 12,
                        e.box) for e in gt_pair]
-    assert metrics._clear_sequence(gt_pair, swapped)[2] == 2
+    assert metrics.evaluate(gt_pair, swapped).idsw_count == 2
     elapsed = time.perf_counter() - start
     assert elapsed < budget
     report_line("metric-oracles", "200/200 micro-scenarios exact", elapsed, budget)
@@ -102,10 +104,10 @@ def test_worked_metric_cases():
     box = BoundingBox(10, 10, 20, 40)
     gt = [GtEntry(f, 1, box) for f in range(1, 11)]
     pred = [GtEntry(f, 101 if f <= 5 else 102, box) for f in range(1, 11)]
-    assert abs(metrics.idf1(gt, pred) - 0.5) < 1e-9
-    hota_value, det_a, ass_a, _, _ = metrics.hota(gt, pred)
-    assert abs(hota_value - math.sqrt(0.5)) < 1e-9
-    assert det_a == 1.0 and abs(ass_a - 0.5) < 1e-9
+    report = metrics.evaluate(gt, pred)
+    assert abs(report.idf1 - 0.5) < 1e-9
+    assert abs(report.hota - math.sqrt(0.5)) < 1e-9
+    assert report.det_a == 1.0 and abs(report.ass_a - 0.5) < 1e-9
     elapsed = time.perf_counter() - start
     report_line("worked-metric-cases", "split track: idf1 0.5, hota sqrt(0.5)",
                 elapsed, 5)

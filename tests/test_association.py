@@ -306,7 +306,7 @@ def test_enumeration_and_refined_scipy_paths_agree(seed):
     if not np.isfinite(cost).any():
         return
     enum_matches = sorted(_enumerate_assignment(cost))
-    masked, _ = _masked(cost)
+    masked = _masked(cost)
     from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(masked)
     optimum = float(masked[rows, cols].sum())

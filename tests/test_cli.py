@@ -127,5 +127,24 @@ def test_data_errors_exit_2(tmp_path, seq_dir, capsys):
     assert "gt.txt" in err
 
 
+@pytest.mark.parametrize("command", ["optimize", "evaluate"])
+def test_empty_ground_truth_exits_2(tmp_path, seq_dir, capsys, command):
+    (seq_dir / "gt.txt").write_text("")
+    pred, out = tmp_path / "p.txt", tmp_path / "best.cfg"
+    assert cli(["track", "--seq", str(seq_dir), "--preset", "config1",
+                "--out", str(pred)]) == 0
+    ga_cfg = tmp_path / "ga.cfg"
+    ga_cfg.write_text("population_size = 2\nmax_generations = 1\n")
+    if command == "optimize":
+        argv = ["optimize", "--seqs", str(seq_dir), "--ga-config", str(ga_cfg),
+                "--out", str(out)]
+    else:
+        argv = ["evaluate", "--seq", str(seq_dir), "--pred", str(pred),
+                "--report", str(out)]
+    assert cli(argv) == 2
+    assert str(seq_dir) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_zero():
     assert cli(["--help"]) == 0

@@ -1,0 +1,81 @@
+"""Byte-identity pins: outputs of the file pipeline and of one small GA.
+
+Each scene is written as a sequence directory, reloaded, tracked, its
+results written and parsed back, and evaluated, as the `track` then
+`evaluate` commands do. The digest covers the result-file bytes plus the
+report text. A change that alters any output on purpose updates the
+digests below and says why; any other mismatch is a regression.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scipy
+
+from mttsort import ga, metrics, seqio, synth
+from mttsort.model import format_config
+from mttsort.tracker import run_sequence
+
+from mttbench import workloads
+
+# The `mttbench` presets at seed 0 (the four synth presets and the
+# hand-built `shrink` stream) and the first 40 frames of its big30 scene,
+# whose assignments are larger than the 5x5 enumeration limit.
+SCENE_DIGESTS = {
+    "clean": "2b8eec86f7dede26d71544f22ae96968ae896d9341d2ace5e0eb4237dd04e9cd",
+    "occlusion": "f3f06c50c8d5d8a1553c5abc4386d9f6d8abaf919919842ba8a989850bbd6d3a",
+    "lookalike": "e820c8654142ccf2c87db381a079f19fd248b00a379d62e3ae4c5570a48c6134",
+    "crowded": "9db1819bca73db30fb769b0cefe348939d7db469b98e7a1db30ee12ad2522776",
+    "shrink": "5d9c5c411ea205061e10c63c6cf1491c4bf8b8f152babf89b7050aba91e5a1dd",
+    "big30-40": "b2f0fddb9b817c882962a0667320c24d8b967da0394ab1708cb83b5792953688",
+}
+GA_DIGEST = "a951ce105714bdf4676618bf7c4868cdb203b9185d24966bd71939427a61d7d7"
+GA_CONFIG = ga.GAConfig(population_size=6, max_generations=4, seed=0)
+GA_FRAMES = 60
+
+
+def scenes():
+    out = workloads.scenes("presets", 0)
+    big30 = replace(workloads.BIG30, name="big30-40", frames=40)
+    return out + [workloads.Scene("big30-40", big30)]
+
+
+def assert_digest(scene, got, want):
+    assert got == want, (
+        f"{scene}: output digest {got} differs from the pinned {want} "
+        f"(numpy {np.__version__}, scipy {scipy.__version__})")
+
+
+def file_pipeline_digest(scene, directory):
+    workloads.write_scene(scene, str(directory))
+    seq = seqio.load_sequence(directory)
+    results = run_sequence(seq.detections, scene.config, seq.frame_count)
+    pred = directory / "pred.txt"
+    seqio.write_results(results, pred)
+    parsed = metrics.results_to_entries(seqio.parse_results(pred))
+    report = seqio.format_report(metrics.evaluate(seq.gt, parsed))
+    return hashlib.sha256(pred.read_bytes() + report.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scene", scenes(), ids=lambda s: s.name)
+def test_file_pipeline_digest(scene, tmp_path):
+    got = file_pipeline_digest(scene, tmp_path / scene.name)
+    assert_digest(scene.name, got, SCENE_DIGESTS[scene.name])
+
+
+def test_small_ga_digest():
+    sequences = []
+    for name in workloads.GA_SCENES:
+        spec = synth.scenario_preset(name)
+        spec = replace(spec, frames=GA_FRAMES, occlusions=tuple(
+            w for w in spec.occlusions if w[2] <= GA_FRAMES))
+        gt, detections = synth.generate(spec)
+        sequences.append(seqio.Sequence(
+            name=name, frame_count=spec.frames, width=spec.arena[0],
+            height=spec.arena[1], embedding_dim=spec.embedding_dim,
+            detections=tuple(detections), gt=tuple(gt)))
+    best, best_score, history = ga.run_ga(ga.DEFAULT_GENE_SPECS, GA_CONFIG, sequences)
+    text = format_config(best) + f"score = {best_score!r}\n" + ga.format_history(history)
+    assert_digest("ga", hashlib.sha256(text.encode()).hexdigest(), GA_DIGEST)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mttsort import ga
 from mttsort.ga import (
     DEFAULT_GENE_SPECS, GAConfig, GAState, GeneSpec, crossover,
     evaluate_fitness, format_history, initialize_population, mutate,
     parse_ga_config_text, run_ga, select_parents,
 )
+from mttsort.kalman import NumericalError
 from mttsort.model import ConfigError, TrackerConfig
 
 GENE = GeneSpec("max_dist", "real", 0.1, 0.9)
@@ -61,7 +63,8 @@ def test_parse_ga_config():
 # ------------------------------------------------------------- population
 
 def test_initialize_population_size_and_bounds():
-    population = initialize_population(DEFAULT_GENE_SPECS, toy_ga(1))
+    population = initialize_population(
+        DEFAULT_GENE_SPECS, toy_ga(1), np.random.default_rng(1))
     assert len(population) == 10
     for individual in population:
         for spec in DEFAULT_GENE_SPECS:
@@ -72,8 +75,8 @@ def test_initialize_population_size_and_bounds():
 
 
 def test_initialize_population_deterministic():
-    a = initialize_population(DEFAULT_GENE_SPECS, toy_ga(7))
-    b = initialize_population(DEFAULT_GENE_SPECS, toy_ga(7))
+    a = initialize_population(DEFAULT_GENE_SPECS, toy_ga(7), np.random.default_rng(7))
+    b = initialize_population(DEFAULT_GENE_SPECS, toy_ga(7), np.random.default_rng(7))
     assert a == b
 
 
@@ -216,10 +219,32 @@ def test_format_history_table():
     assert lines[1].startswith("1,")
 
 
-def test_evaluate_fitness_failure_is_minus_inf():
-    class BadSeq:
-        detections = ()
-        gt = ()  # evaluation with empty gt raises -> -inf
-        frame_count = 3
+class BadSeq:
+    detections = ()
+    gt = ()  # evaluation with empty gt is a data error
+    frame_count = 3
 
+
+def test_evaluate_fitness_failure_is_minus_inf():
+    # Only a numerical filter failure scores -inf (see the tests below); an
+    # empty ground truth is a data error and propagates.
+    with pytest.raises(ValueError, match="ground-truth"):
+        evaluate_fitness(TrackerConfig(), [BadSeq()])
+
+
+@pytest.mark.parametrize("error", [KeyError("fault"), ValueError("fault")])
+def test_evaluate_fitness_propagates_program_faults(monkeypatch, error):
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(ga, "run_sequence", failing)
+    with pytest.raises(type(error), match="fault"):
+        evaluate_fitness(TrackerConfig(), [BadSeq()])
+
+
+def test_evaluate_fitness_numerical_error_is_minus_inf(monkeypatch):
+    def failing(*args):
+        raise NumericalError("projected covariance is not positive definite")
+
+    monkeypatch.setattr(ga, "run_sequence", failing)
     assert evaluate_fitness(TrackerConfig(), [BadSeq()]) == float("-inf")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from mttsort.association import FeatureBuffer
 from mttsort.kalman import CHI2_GATE_4DOF, KalmanModel, NumericalError
+from mttsort.model import BoundingBox, Detection
+from mttsort.tracker import Track
 
 
 @pytest.fixture
@@ -137,6 +140,31 @@ def test_gating_distance_matches_solve_oracle(kf):
             d = z - proj_mean
             want = d @ np.linalg.solve(proj_cov, d)
             assert row == pytest.approx(want, abs=1e-8)
+
+
+def test_non_positive_definite_covariance_raises_numerical_error(kf):
+    # The projected covariance is negative definite, so both steps fail in
+    # the shared Cholesky factorization.
+    mean, _ = kf.initiate([10, 20, 0.5, 40])
+    covariance = -1e6 * np.eye(8)
+    with pytest.raises(NumericalError):
+        kf.update(mean, covariance, mean[:4])
+    with pytest.raises(NumericalError):
+        kf.gating_distance(mean, covariance, [mean[:4]])
+
+    # Track.update keeps the predicted state but does the bookkeeping.
+    track = Track(track_id=1, mean=mean.copy(), covariance=covariance.copy(),
+                  features=FeatureBuffer(5))
+    embedding = np.array([1.0, 0.0])
+    detection = Detection(frame=2, box=BoundingBox(0, 0, 20, 40),
+                          confidence=0.8, embedding=embedding)
+    track.update(kf, detection, n_init=2)
+    assert np.array_equal(track.mean, mean)
+    assert np.array_equal(track.covariance, covariance)
+    assert len(track.features) == 1
+    assert np.array_equal(track.features.entries[0], embedding)
+    assert track.hits == 2 and track.time_since_update == 0
+    assert track.last_confidence == 0.8
 
 
 def test_gate_threshold_constant():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from mttsort import metrics, synth
 from mttsort.association import iou_matrix
 from mttsort.metrics import (
-    EvalReport, GtEntry, _clear_sequence, average_reports, clear_match,
-    evaluate, fragmentation_count, hota, idf1, mota, score,
+    EvalReport, GtEntry, _clear_sequence, _frame_overlaps, average_reports,
+    clear_match, evaluate, hota, idf1, score,
 )
 from mttsort.model import BoundingBox
 
@@ -70,32 +70,32 @@ def test_swap_counts_two_id_switches():
             pred += [GtEntry(f, 11, box_a), GtEntry(f, 12, box_b)]
         else:  # predicted ids swap at frame 4
             pred += [GtEntry(f, 12, box_a), GtEntry(f, 11, box_b)]
-    fn, fp, idsw, _ = _clear_sequence(gt, pred)
-    assert (fn, fp, idsw) == (0, 0, 2)
-    assert mota(gt, pred) == 1.0 - 2 / 12
+    rep = evaluate(gt, pred)
+    assert (rep.fn_count, rep.fp_count, rep.idsw_count) == (0, 0, 2)
+    assert rep.mota == 1.0 - 2 / 12
 
 
 # ------------------------------------------------------------------- mota
 
 def test_mota_perfect():
     gt = track_entries(1, range(1, 11))
-    assert mota(gt, gt) == 1.0
+    assert evaluate(gt, gt).mota == 1.0
 
 
 def test_mota_one_miss():
     gt = track_entries(1, range(1, 11))
     pred = track_entries(9, [f for f in range(1, 11) if f != 4])
-    assert mota(gt, pred) == 0.9
+    assert evaluate(gt, pred).mota == 0.9
 
 
 def test_mota_no_predictions():
     gt = track_entries(1, range(1, 11))
-    assert mota(gt, []) == 0.0
+    assert evaluate(gt, []).mota == 0.0
 
 
 def test_mota_requires_gt():
     with pytest.raises(ValueError):
-        mota([], track_entries(1, [1]))
+        evaluate([], track_entries(1, [1]))
 
 
 def test_mota_decreases_with_injected_false_positives():
@@ -104,7 +104,7 @@ def test_mota_decreases_with_injected_false_positives():
     fp_boxes = []
     for k in range(5):
         pred = gt + fp_boxes
-        values.append(mota(gt, pred))
+        values.append(evaluate(gt, pred).mota)
         fp_boxes = fp_boxes + [GtEntry(k + 1, 50 + k, FAR)]
     assert values == sorted(values, reverse=True)
     assert values[0] == 1.0 and values[-1] < 1.0
@@ -114,31 +114,32 @@ def test_mota_decreases_with_injected_false_positives():
 
 def test_idf1_perfect_and_empty():
     gt = track_entries(1, range(1, 11))
-    assert idf1(gt, gt) == 1.0
-    assert idf1(gt, []) == 0.0
+    assert evaluate(gt, gt).idf1 == 1.0
+    assert evaluate(gt, []).idf1 == 0.0
 
 
 def test_idf1_split_track():
     gt = track_entries(1, range(1, 11))
     pred = track_entries(101, range(1, 6)) + track_entries(102, range(6, 11))
-    assert idf1(gt, pred) == 0.5
+    assert evaluate(gt, pred).idf1 == 0.5
 
 
 # ------------------------------------------------------------------- hota
 
 def test_hota_perfect():
     gt = track_entries(1, range(1, 11))
-    h, det_a, ass_a, det_re, det_pr = hota(gt, gt)
-    assert (h, det_a, ass_a, det_re, det_pr) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    rep = evaluate(gt, gt)
+    assert (rep.hota, rep.det_a, rep.ass_a, rep.det_re, rep.det_pr) == \
+        (1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_hota_split_track():
     gt = track_entries(1, range(1, 11))
     pred = track_entries(101, range(1, 6)) + track_entries(102, range(6, 11))
-    h, det_a, ass_a, _, _ = hota(gt, pred)
-    assert det_a == 1.0
-    assert ass_a == pytest.approx(0.5, abs=1e-12)
-    assert h == pytest.approx(math.sqrt(0.5), abs=1e-9)
+    rep = evaluate(gt, pred)
+    assert rep.det_a == 1.0
+    assert rep.ass_a == pytest.approx(0.5, abs=1e-12)
+    assert rep.hota == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
 
 def test_hota_solves_a_frame_once_while_its_mask_is_unchanged(monkeypatch):
@@ -153,8 +154,9 @@ def test_hota_solves_a_frame_once_while_its_mask_is_unchanged(monkeypatch):
         calls.append(cost.shape)
         return solve(cost)
 
+    per_frame = _frame_overlaps(gt, gt)
     monkeypatch.setattr(metrics, "solve_assignment", counting)
-    assert hota(gt, gt) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert hota(gt, gt, per_frame) == (1.0, 1.0, 1.0, 1.0, 1.0)
     assert calls == [(3, 3)] * 5
 
 
@@ -178,20 +180,20 @@ def test_evaluate_builds_one_overlap_table(monkeypatch):
 
 def test_hota_no_predictions():
     gt = track_entries(1, range(1, 11))
-    h, det_a, ass_a, det_re, det_pr = hota(gt, [])
-    assert h == 0.0 and det_a == 0.0 and det_re == 0.0
+    rep = evaluate(gt, [])
+    assert rep.hota == 0.0 and rep.det_a == 0.0 and rep.det_re == 0.0
 
 
 # ---------------------------------------------------------- fragmentation
 
 def test_fragmentation_cases():
     gt = track_entries(1, range(1, 21))
-    assert fragmentation_count(gt, gt) == 0
+    assert evaluate(gt, gt).frag_count == 0
     one_gap = track_entries(5, [f for f in range(1, 21) if f not in (8, 9, 10)])
-    assert fragmentation_count(gt, one_gap) == 1
+    assert evaluate(gt, one_gap).frag_count == 1
     two_gaps = track_entries(
         5, [f for f in range(1, 21) if f not in (5, 6, 12)])
-    assert fragmentation_count(gt, two_gaps) == 2
+    assert evaluate(gt, two_gaps).frag_count == 2
 
 
 # ---------------------------------------------------------------- scoring
@@ -242,8 +244,11 @@ def test_idf1_hota_invariant_to_pred_relabeling(seed):
     rng.shuffle(shuffled)
     mapping = dict(zip(pred_ids, shuffled))
     relabeled = [GtEntry(e.frame, mapping[e.identity], e.box) for e in pred]
-    assert idf1(gt, relabeled) == idf1(gt, pred)
-    assert hota(gt, relabeled) == hota(gt, pred)
+    rep, rep_relabeled = evaluate(gt, pred), evaluate(gt, relabeled)
+    assert rep_relabeled.idf1 == rep.idf1
+    assert (rep_relabeled.hota, rep_relabeled.det_a, rep_relabeled.ass_a,
+            rep_relabeled.det_re, rep_relabeled.det_pr) == \
+        (rep.hota, rep.det_a, rep.ass_a, rep.det_re, rep.det_pr)
 
 
 @settings(deadline=None, max_examples=50)
@@ -251,13 +256,14 @@ def test_idf1_hota_invariant_to_pred_relabeling(seed):
 def test_micro_scenarios_match_brute_force_oracles(seed):
     rng = np.random.default_rng(seed)
     gt, pred = random_micro_scenario(rng)
-    assert idf1(gt, pred) == idf1_oracle(gt, pred)
-    assert hota(gt, pred)[2] == assa_oracle(gt, pred)
-    fn, fp, idsw, _ = _clear_sequence(gt, pred)
-    assert (fn, fp, idsw) == clear_oracle(gt, pred)
-    # evaluate shares one overlap table between CLEAR, HOTA and IDF1
     rep = evaluate(gt, pred)
-    assert (rep.hota, rep.det_a, rep.ass_a, rep.det_re, rep.det_pr) == hota(gt, pred)
-    assert rep.idf1 == idf1(gt, pred)
+    assert rep.idf1 == idf1_oracle(gt, pred)
+    assert rep.ass_a == assa_oracle(gt, pred)
+    assert (rep.fn_count, rep.fp_count, rep.idsw_count) == clear_oracle(gt, pred)
+    # evaluate shares one overlap table between CLEAR, HOTA and IDF1
+    per_frame = _frame_overlaps(gt, pred)
+    assert (rep.hota, rep.det_a, rep.ass_a, rep.det_re, rep.det_pr) == \
+        hota(gt, pred, per_frame)
+    assert rep.idf1 == idf1(gt, pred, per_frame)
     assert (rep.fn_count, rep.fp_count, rep.idsw_count, rep.frag_count) == \
-        _clear_sequence(gt, pred)
+        _clear_sequence(per_frame)
