@@ -36,7 +36,7 @@ class FeatureBuffer:
     average-pooled vector over the window is what enters association.
     """
 
-    def __init__(self, capacity: int = 5):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity

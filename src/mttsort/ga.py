@@ -1,43 +1,51 @@
 """Genetic search over the tracker hyperparameter space.
 
-Individuals are complete TrackerConfig values; the genes and their ranges
-are declared by GeneSpec entries. Fitness is the aggregate HOTA + MOTA +
-IDF1 score of a config, averaged over the evaluation sub-scenes. The whole
-run is driven by one seeded generator, so results are reproducible.
+Individuals are complete TrackerConfig values. A gene (GeneSpec) is a
+numeric TrackerConfig field with a sampling range; it samples integers
+exactly when that field is an ``int``. Fitness is the aggregate HOTA +
+MOTA + IDF1 score of a config, averaged over the evaluation sub-scenes.
+The whole run is driven by one seeded generator, so results are
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import metrics
 from .kalman import NumericalError
-from .model import ConfigError, TrackerConfig, parse_kv_lines, _coerce_fields
+from .model import ConfigError, TrackerConfig, coerce_fields, parse_kv_lines
 from .tracker import run_sequence
+
+
+# The numeric TrackerConfig fields, by type name: the fields a gene can be.
+_GENE_TYPES = {f.name: f.type for f in fields(TrackerConfig) if f.type in ("int", "float")}
 
 
 @dataclass(frozen=True)
 class GeneSpec:
-    """One searchable config field and its sampling range."""
+    """One numeric TrackerConfig field to search and its sampling range."""
 
     name: str
-    kind: str  # "real" or "integer"
     low: float
     high: float
 
     def __post_init__(self):
-        if self.kind not in ("real", "integer"):
-            raise ConfigError(f"gene kind must be real or integer, got {self.kind!r}")
+        if self.name not in _GENE_TYPES:
+            raise ConfigError(
+                f"gene {self.name!r} is not a numeric TrackerConfig field; "
+                f"expected one of {sorted(_GENE_TYPES)}"
+            )
         if not self.low < self.high:
             raise ConfigError(
                 f"gene {self.name}: low must be < high, got [{self.low}, {self.high}]"
             )
 
     def sample(self, rng: np.random.Generator):
-        if self.kind == "integer":
+        if _GENE_TYPES[self.name] == "int":
             return int(rng.integers(int(self.low), int(self.high) + 1))
         return float(rng.uniform(self.low, self.high))
 
@@ -45,13 +53,13 @@ class GeneSpec:
 # Search ranges spanning all the documented preset variations.
 # feature_buffer_size stays fixed unless explicitly added as a gene.
 DEFAULT_GENE_SPECS = (
-    GeneSpec("min_confidence", "real", 0.1, 0.9),
-    GeneSpec("max_dist", "real", 0.1, 0.9),
-    GeneSpec("max_iou_distance", "real", 0.3, 0.9),
-    GeneSpec("nms_max_overlap", "real", 0.3, 1.0),
-    GeneSpec("max_age", "integer", 10, 120),
-    GeneSpec("n_init", "integer", 1, 5),
-    GeneSpec("nn_budget", "integer", 10, 200),
+    GeneSpec("min_confidence", 0.1, 0.9),
+    GeneSpec("max_dist", 0.1, 0.9),
+    GeneSpec("max_iou_distance", 0.3, 0.9),
+    GeneSpec("nms_max_overlap", 0.3, 1.0),
+    GeneSpec("max_age", 10, 120),
+    GeneSpec("n_init", 1, 5),
+    GeneSpec("nn_budget", 10, 200),
 )
 
 
@@ -96,7 +104,7 @@ class GenerationStats:
 
 
 def parse_ga_config_text(text: str, source: str = "<ga-config>") -> GAConfig:
-    return GAConfig(**_coerce_fields(GAConfig, parse_kv_lines(text, source), source))
+    return GAConfig(**coerce_fields(GAConfig, parse_kv_lines(text, source), source))
 
 
 def load_ga_config(path) -> GAConfig:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -191,27 +191,39 @@ def parse_kv_lines(text: str, source: str = "<config>") -> dict[str, str]:
     return result
 
 
-def _coerce_fields(cls, raw: dict[str, str], source: str):
-    """Convert raw string values to the dataclass field types of `cls`."""
-    known = {f.name: f.type for f in fields(cls)}
+# The field types a settings file can set. Settings dataclasses are declared
+# under postponed annotations, so a field's type is the name of its type.
+_KEY_TYPES = {"int": int, "float": float, "str": str}
+
+
+def coerce_fields(cls, raw: dict[str, str], source: str) -> dict:
+    """Turn ``key = value`` strings into the typed field values of the
+    settings dataclass `cls`.
+
+    The keys are the ``int``, ``float`` and ``str`` fields of `cls`; tuple
+    fields are not keys. Unknown keys, malformed numbers, non-finite floats
+    and missing fields without a default raise ConfigError naming `source`.
+    """
+    known = {f.name: f for f in fields(cls) if f.type in _KEY_TYPES}
     values = {}
     for key, text_value in raw.items():
         if key not in known:
             raise ConfigError(
                 f"{source}: unknown key {key!r}; expected one of {sorted(known)}"
             )
-        kind = known[key]
+        kind = known[key].type
         try:
-            if kind == "int":
-                values[key] = int(text_value)
-            else:
-                values[key] = float(text_value)
+            values[key] = _KEY_TYPES[kind](text_value)
         except ValueError:
             raise ConfigError(
                 f"{source}: value for {key!r} is not a valid {kind}: {text_value!r}"
             ) from None
         if kind == "float" and not math.isfinite(values[key]):
             raise ConfigError(f"{source}: value for {key!r} must be finite")
+    missing = [name for name, f in known.items() if name not in values
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{source}: missing keys {missing}")
     return values
 
 
@@ -221,7 +233,7 @@ def parse_config_text(text: str, source: str = "<config>") -> TrackerConfig:
     Keys not present keep their baseline defaults; unknown keys and
     out-of-range values raise ConfigError naming the offending field.
     """
-    return TrackerConfig(**_coerce_fields(TrackerConfig, parse_kv_lines(text, source), source))
+    return TrackerConfig(**coerce_fields(TrackerConfig, parse_kv_lines(text, source), source))
 
 
 def load_config(path) -> TrackerConfig:

@@ -14,20 +14,19 @@ stable. Reports serialize as ``metric = value`` lines with five decimals.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .metrics import EvalReport, GtEntry
-from .model import BoundingBox, Detection, parse_kv_lines
+from .model import BoundingBox, ConfigError, Detection, coerce_fields, parse_kv_lines
 from .tracker import FrameResult
 
 META_FILE = "meta.txt"
 DET_FILE = "det.txt"
 GT_FILE = "gt.txt"
-
-_META_KEYS = ("name", "frame_count", "width", "height", "embedding_dim")
 
 
 class ParseError(ValueError):
@@ -42,16 +41,17 @@ class SequenceMeta:
     height: float
     embedding_dim: int
 
+    def __post_init__(self):
+        for name in ("frame_count", "width", "height", "embedding_dim"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+
 
 @dataclass(frozen=True)
-class Sequence:
+class Sequence(SequenceMeta):
     """A parsed sequence directory: metadata, detections, optional GT."""
 
-    name: str
-    frame_count: int
-    width: float
-    height: float
-    embedding_dim: int
     detections: tuple
     gt: tuple | None = None
 
@@ -95,15 +95,13 @@ def _parse_int(text: str, path, lineno: int, what: str) -> int:
         raise ParseError(f"{path}:{lineno}: {what} is not an integer: {text!r}") from None
 
 
-def parse_detections(path, expected_dim: int | None = None) -> list[Detection]:
+def parse_detections(path, expected_dim: int) -> list[Detection]:
     """Load detections-with-embeddings rows, sorted by frame.
 
     Embeddings are L2-normalized here; a row whose embedding dimension
-    disagrees with `expected_dim` (or with the first row) is a schema
-    error.
+    disagrees with `expected_dim` is a schema error.
     """
     detections = []
-    dim = expected_dim
     for lineno, fields in _rows(path):
         if len(fields) < 8:
             raise ParseError(
@@ -111,11 +109,9 @@ def parse_detections(path, expected_dim: int | None = None) -> list[Detection]:
                 f"(frame,-1,left,top,width,height,conf,embedding...), got "
                 f"{len(fields)}"
             )
-        if dim is None:
-            dim = len(fields) - 7
-        if len(fields) != 7 + dim:
+        if len(fields) != 7 + expected_dim:
             raise ParseError(
-                f"{path}:{lineno}: expected embedding dimension {dim}, "
+                f"{path}:{lineno}: expected embedding dimension {expected_dim}, "
                 f"row has {len(fields) - 7} embedding fields"
             )
         frame = _parse_int(fields[0], path, lineno, "frame")
@@ -185,24 +181,17 @@ def write_gt(entries, path) -> None:
 
 
 def parse_meta(path) -> SequenceMeta:
+    source = str(path)
     with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_kv_lines(fh.read(), source=str(path))
-    missing = [k for k in _META_KEYS if k not in raw]
-    if missing:
-        raise ParseError(f"{path}: missing meta keys {missing}")
-    unknown = sorted(set(raw) - set(_META_KEYS))
-    if unknown:
-        raise ParseError(f"{path}: unknown meta keys {unknown}")
+        text = fh.read()
     try:
-        return SequenceMeta(
-            name=raw["name"],
-            frame_count=int(raw["frame_count"]),
-            width=float(raw["width"]),
-            height=float(raw["height"]),
-            embedding_dim=int(raw["embedding_dim"]),
-        )
+        values = coerce_fields(SequenceMeta, parse_kv_lines(text, source), source)
+    except ConfigError as exc:
+        raise ParseError(str(exc)) from None
+    try:
+        return SequenceMeta(**values)
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise ParseError(f"{source}: {exc}") from None
 
 
 def write_meta(meta: SequenceMeta, path) -> None:
@@ -235,11 +224,7 @@ def load_sequence(directory) -> Sequence:
                     f"{directory}: gt frame {e.frame} outside "
                     f"[1, {meta.frame_count}]"
                 )
-    return Sequence(
-        name=meta.name, frame_count=meta.frame_count, width=meta.width,
-        height=meta.height, embedding_dim=meta.embedding_dim,
-        detections=tuple(detections), gt=gt,
-    )
+    return Sequence(**asdict(meta), detections=tuple(detections), gt=gt)
 
 
 def write_sequence(directory, meta: SequenceMeta, detections, gt=None) -> None:

@@ -10,12 +10,12 @@ controlled by a single noise parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .metrics import GtEntry
-from .model import BoundingBox, ConfigError, Detection, parse_kv_lines
+from .model import BoundingBox, ConfigError, Detection, coerce_fields, parse_kv_lines
 
 # Per-frame Gaussian acceleration of the velocity walk, in pixels/frame^2.
 ACCEL_SIGMA = 0.35
@@ -55,11 +55,11 @@ class ScenarioSpec:
             rate = getattr(self, rate_name)
             if not (0.0 <= rate <= 1.0):
                 raise ConfigError(f"{rate_name} must be within [0, 1], got {rate}")
-        if self.false_positive_rate < 0:
+        if not self.false_positive_rate >= 0:
             raise ConfigError(
                 f"false_positive_rate must be >= 0, got {self.false_positive_rate}")
         for sigma_name in ("motion_noise_sigma", "embedding_noise_sigma"):
-            if getattr(self, sigma_name) < 0:
+            if not getattr(self, sigma_name) >= 0:
                 raise ConfigError(f"{sigma_name} must be >= 0")
         for identity, start, end in self.occlusions:
             if not (1 <= identity <= self.identities):
@@ -192,11 +192,12 @@ def scenario_preset(name: str) -> ScenarioSpec:
     raise ConfigError(f"unknown scenario preset {name!r}; expected one of {known}")
 
 
-_SCENARIO_INT_KEYS = {"identities", "frames", "embedding_dim", "seed"}
-_SCENARIO_FLOAT_KEYS = {
-    "motion_noise_sigma", "miss_rate", "false_positive_rate",
-    "embedding_noise_sigma",
-}
+@dataclass(frozen=True)
+class _ArenaKeys:
+    """How a scenario file spells `ScenarioSpec.arena`."""
+
+    arena_width: float = 640.0
+    arena_height: float = 480.0
 
 
 def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioSpec:
@@ -204,33 +205,21 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioSpec:
     triples separated by commas, the arena is ``arena_width``/
     ``arena_height``."""
     raw = parse_kv_lines(text, source)
-    values: dict = {}
-    arena = [640.0, 480.0]
-    for key, text_value in raw.items():
+    arena_raw = {f.name: raw.pop(f.name) for f in fields(_ArenaKeys) if f.name in raw}
+    arena = _ArenaKeys(**coerce_fields(_ArenaKeys, arena_raw, source))
+    occlusions_text = raw.pop("occlusions", "")
+    windows = []
+    for chunk in filter(None, (c.strip() for c in occlusions_text.split(","))):
         try:
-            if key == "name":
-                values["name"] = text_value
-            elif key == "arena_width":
-                arena[0] = float(text_value)
-            elif key == "arena_height":
-                arena[1] = float(text_value)
-            elif key == "occlusions":
-                windows = []
-                for chunk in filter(None, (c.strip() for c in text_value.split(","))):
-                    identity, start, end = (int(p) for p in chunk.split(":"))
-                    windows.append((identity, start, end))
-                values["occlusions"] = tuple(windows)
-            elif key in _SCENARIO_INT_KEYS:
-                values[key] = int(text_value)
-            elif key in _SCENARIO_FLOAT_KEYS:
-                values[key] = float(text_value)
-            else:
-                raise ConfigError(f"{source}: unknown key {key!r}")
+            identity, start, end = (int(p) for p in chunk.split(":"))
         except ValueError:
             raise ConfigError(
-                f"{source}: malformed value for {key!r}: {text_value!r}") from None
-    values["arena"] = (arena[0], arena[1])
-    return ScenarioSpec(**values)
+                f"{source}: malformed value for 'occlusions': {chunk!r}") from None
+        windows.append((identity, start, end))
+    return ScenarioSpec(
+        **coerce_fields(ScenarioSpec, raw, source),
+        arena=(arena.arena_width, arena.arena_height),
+        occlusions=tuple(windows))
 
 
 def load_scenario(path) -> ScenarioSpec:

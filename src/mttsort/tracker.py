@@ -202,16 +202,14 @@ class Tracker:
 
 
 def run_sequence(detections, config: TrackerConfig,
-                 frame_count: int | None = None) -> list[FrameResult]:
+                 frame_count: int) -> list[FrameResult]:
     """Track a whole detection stream and return one FrameResult per frame.
 
-    Frames run from 1 to `frame_count` (default: the last frame present in
-    the stream); frames without detections still advance the tracker.
+    Frames run from 1 to `frame_count`; frames without detections still
+    advance the tracker.
     """
     by_frame: dict[int, list[Detection]] = {}
     for det in detections:
         by_frame.setdefault(det.frame, []).append(det)
-    if frame_count is None:
-        frame_count = max(by_frame) if by_frame else 0
     tracker = Tracker(config)
     return [tracker.step(f, by_frame.get(f, [])) for f in range(1, frame_count + 1)]

@@ -203,7 +203,7 @@ def test_ga_toy_convergence():
     in at least 18 of 20 seeded runs."""
     budget = 20.0
     start = time.perf_counter()
-    gene = [ga.GeneSpec("max_dist", "real", 0.1, 0.9)]
+    gene = [ga.GeneSpec("max_dist", 0.1, 0.9)]
 
     def fitness(config):
         return -(config.max_dist - 0.5) ** 2

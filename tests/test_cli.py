@@ -148,3 +148,25 @@ def test_empty_ground_truth_exits_2(tmp_path, seq_dir, capsys, command):
 
 def test_help_exits_zero():
     assert cli(["--help"]) == 0
+
+
+def test_synth_spec_with_nan_exits_2_naming_file_and_key(tmp_path, capsys):
+    spec = tmp_path / "scene.txt"
+    spec.write_text("identities = 2\nframes = 10\nmotion_noise_sigma = nan\n")
+    out = tmp_path / "scene"
+    assert cli(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(spec) in err and "'motion_noise_sigma'" in err
+    assert not out.exists()
+
+
+def test_track_rejects_out_of_range_meta(seq_dir, tmp_path, capsys):
+    (seq_dir / "meta.txt").write_text(
+        "name = bad\nframe_count = -4\nwidth = 640\nheight = -1\n"
+        "embedding_dim = 0\n")
+    out = tmp_path / "pred.txt"
+    assert cli(["track", "--seq", str(seq_dir), "--preset", "config1",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(seq_dir / "meta.txt") in err and "frame_count" in err
+    assert not out.exists()

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from mttsort.ga import (
 from mttsort.kalman import NumericalError
 from mttsort.model import ConfigError, TrackerConfig
 
-GENE = GeneSpec("max_dist", "real", 0.1, 0.9)
+GENE = GeneSpec("max_dist", 0.1, 0.9)
 
 
 def toy_fitness(config):
@@ -29,9 +31,9 @@ def toy_ga(seed, **overrides):
 
 def test_gene_spec_validation():
     with pytest.raises(ConfigError):
-        GeneSpec("max_dist", "real", 0.9, 0.1)
-    with pytest.raises(ConfigError):
-        GeneSpec("max_dist", "boolean", 0, 1)
+        GeneSpec("max_dist", 0.9, 0.1)
+    with pytest.raises(ConfigError, match="'wheels' is not a numeric TrackerConfig field"):
+        GeneSpec("wheels", 0, 1)
 
 
 def test_ga_config_validation():
@@ -63,6 +65,7 @@ def test_parse_ga_config():
 # ------------------------------------------------------------- population
 
 def test_initialize_population_size_and_bounds():
+    field_types = {f.name: f.type for f in fields(TrackerConfig)}
     population = initialize_population(
         DEFAULT_GENE_SPECS, toy_ga(1), np.random.default_rng(1))
     assert len(population) == 10
@@ -70,8 +73,7 @@ def test_initialize_population_size_and_bounds():
         for spec in DEFAULT_GENE_SPECS:
             value = getattr(individual, spec.name)
             assert spec.low <= value <= spec.high
-            if spec.kind == "integer":
-                assert isinstance(value, int)
+            assert type(value).__name__ == field_types[spec.name]
 
 
 def test_initialize_population_deterministic():

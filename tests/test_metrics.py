@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mttsort import metrics, synth
 from mttsort.association import iou_matrix
@@ -236,6 +236,12 @@ def test_gt_vs_itself_is_perfect(seed):
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 2 ** 31 - 1))
+# HOTA's per-frame matching breaks exact cost ties by the lowest column,
+# that is by predicted id, so relabeling can move AssA (and HOTA) under a
+# tie; on these seeds it does, and AssA still follows its definition.
+@example(789)
+@example(1629)
+@example(2251)
 def test_idf1_hota_invariant_to_pred_relabeling(seed):
     rng = np.random.default_rng(seed)
     gt, pred = random_micro_scenario(rng)
@@ -246,9 +252,10 @@ def test_idf1_hota_invariant_to_pred_relabeling(seed):
     relabeled = [GtEntry(e.frame, mapping[e.identity], e.box) for e in pred]
     rep, rep_relabeled = evaluate(gt, pred), evaluate(gt, relabeled)
     assert rep_relabeled.idf1 == rep.idf1
-    assert (rep_relabeled.hota, rep_relabeled.det_a, rep_relabeled.ass_a,
-            rep_relabeled.det_re, rep_relabeled.det_pr) == \
-        (rep.hota, rep.det_a, rep.ass_a, rep.det_re, rep.det_pr)
+    assert (rep_relabeled.det_a, rep_relabeled.det_re, rep_relabeled.det_pr) == \
+        (rep.det_a, rep.det_re, rep.det_pr)
+    assert rep.ass_a == assa_oracle(gt, pred)
+    assert rep_relabeled.ass_a == assa_oracle(gt, relabeled)
 
 
 @settings(deadline=None, max_examples=50)

@@ -1,13 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mttsort.ga import load_ga_config
 from mttsort.model import (
-    BoundingBox, ConfigError, Detection, TrackerConfig,
-    format_config, load_preset, parse_config_text, parse_kv_lines, PRESETS,
+    BoundingBox, ConfigError, Detection, TrackerConfig, format_config,
+    load_config, load_preset, parse_config_text, parse_kv_lines, PRESETS,
 )
+from mttsort.seqio import ParseError, parse_meta
+from mttsort.synth import load_scenario
 
 
 def test_to_center_worked_examples():
@@ -134,3 +138,28 @@ def test_out_of_range_config_rejected_directly():
         TrackerConfig(nms_max_overlap=0.0)
     with pytest.raises(ConfigError, match="nn_budget"):
         TrackerConfig(nn_budget=0)
+
+
+# Each settings file with its loader, a valid body and a float key; the
+# four share one reader, so each must reject the same bad values.
+SETTINGS_FILES = {
+    "config": (load_config, "", "max_dist"),
+    "ga-config": (load_ga_config, "", "mutation_rate"),
+    "scenario": (load_scenario, "", "motion_noise_sigma"),
+    "meta": (parse_meta,
+             "name = x\nframe_count = 3\nheight = 48\nembedding_dim = 2\n", "width"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SETTINGS_FILES))
+@pytest.mark.parametrize("line", ["{key} = nan", "{key} = inf", "{key} = abc",
+                                  "wheels = 1"])
+def test_settings_readers_name_the_file_and_key(tmp_path, kind, line):
+    loader, body, float_key = SETTINGS_FILES[kind]
+    line = line.format(key=float_key)
+    key = line.split(" = ")[0]
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(body + line + "\n")
+    with pytest.raises((ConfigError, ParseError),
+                       match=re.escape(str(path)) + f".*'{key}'"):
+        loader(path)

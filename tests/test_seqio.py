@@ -32,14 +32,15 @@ def test_parse_detection_row(tmp_path):
 
 def test_embedding_normalized_on_load(tmp_path):
     path = write(tmp_path / "det.txt", "1,-1,10,20,30,40,0.9,3,4\n")
-    (det,) = parse_detections(path)
+    (det,) = parse_detections(path, expected_dim=2)
     assert det.embedding.tolist() == [0.6, 0.8]
 
 
 def test_embedding_scale_invariance(tmp_path):
     a = write(tmp_path / "a.txt", "1,-1,10,20,30,40,0.9,0.3,0.4\n")
     b = write(tmp_path / "b.txt", "1,-1,10,20,30,40,0.9,2.1,2.8\n")
-    (det_a,), (det_b,) = parse_detections(a), parse_detections(b)
+    (det_a,), (det_b,) = (parse_detections(a, expected_dim=2),
+                          parse_detections(b, expected_dim=2))
     assert np.allclose(det_a.embedding, det_b.embedding, atol=1e-12)
 
 
@@ -47,7 +48,7 @@ def test_short_row_errors_with_line_number(tmp_path):
     path = write(tmp_path / "det.txt",
                  "1,-1,10,20,30,40,0.9,1,0\n1,-1,10,20,30,40\n")
     with pytest.raises(ParseError, match=":2:"):
-        parse_detections(path)
+        parse_detections(path, expected_dim=2)
 
 
 def test_dimension_mismatch_vs_meta(tmp_path):
@@ -60,19 +61,19 @@ def test_inconsistent_dimensions_between_rows(tmp_path):
     path = write(tmp_path / "det.txt",
                  "1,-1,10,20,30,40,0.9,1,0\n2,-1,10,20,30,40,0.9,1,0,0\n")
     with pytest.raises(ParseError, match=":2:"):
-        parse_detections(path)
+        parse_detections(path, expected_dim=2)
 
 
 def test_id_field_must_be_minus_one(tmp_path):
     path = write(tmp_path / "det.txt", "1,7,10,20,30,40,0.9,1,0\n")
     with pytest.raises(ParseError, match="-1"):
-        parse_detections(path)
+        parse_detections(path, expected_dim=2)
 
 
 def test_bad_confidence_rejected(tmp_path):
     path = write(tmp_path / "det.txt", "1,-1,10,20,30,40,1.7,1,0\n")
     with pytest.raises(ParseError, match=":1:"):
-        parse_detections(path)
+        parse_detections(path, expected_dim=2)
 
 
 @pytest.mark.parametrize("row", [
@@ -82,13 +83,13 @@ def test_bad_confidence_rejected(tmp_path):
 def test_non_finite_detection_fields_name_file_and_line(tmp_path, row):
     path = write(tmp_path / "det.txt", f"1,-1,10,20,30,40,0.9,1,0\n{row}\n")
     with pytest.raises(ParseError, match=re.escape(f"{path}:2:") + ".*finite"):
-        parse_detections(path)
+        parse_detections(path, expected_dim=2)
 
 
 def test_rows_sorted_by_frame(tmp_path):
     path = write(tmp_path / "det.txt",
                  "3,-1,1,1,5,5,0.9,1,0\n1,-1,2,2,5,5,0.9,1,0\n")
-    dets = parse_detections(path)
+    dets = parse_detections(path, expected_dim=2)
     assert [d.frame for d in dets] == [1, 3]
 
 
@@ -201,14 +202,31 @@ def test_meta_round_trip(tmp_path):
 
 def test_meta_errors(tmp_path):
     missing = write(tmp_path / "a.txt", "name = x\nframe_count = 3\n")
-    with pytest.raises(ParseError, match="missing meta keys"):
+    with pytest.raises(ParseError, match="missing keys.*'width'"):
         parse_meta(missing)
     unknown = write(
         tmp_path / "b.txt",
         "name = x\nframe_count = 3\nwidth = 1\nheight = 1\n"
         "embedding_dim = 2\nfps = 30\n")
-    with pytest.raises(ParseError, match="unknown meta keys"):
+    with pytest.raises(ParseError, match="unknown key 'fps'"):
         parse_meta(unknown)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("frame_count", 0), ("frame_count", -4), ("width", 0.0), ("height", -1.0),
+    ("width", float("inf")), ("height", float("nan")), ("embedding_dim", 0),
+])
+def test_meta_ranges_checked(tmp_path, key, value):
+    fields = dict(name="x", frame_count=3, width=64.0, height=48.0, embedding_dim=2)
+    fields[key] = value
+    with pytest.raises(ValueError, match=key):
+        SequenceMeta(**fields)
+    with pytest.raises(ValueError, match=key):
+        Sequence(**fields, detections=())
+    path = write(tmp_path / "meta.txt",
+                 "".join(f"{k} = {v}\n" for k, v in fields.items()))
+    with pytest.raises(ParseError, match=re.escape(path) + f".*{key}"):
+        parse_meta(path)
 
 
 # --------------------------------------------------------------- sequence

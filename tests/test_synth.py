@@ -166,3 +166,25 @@ def test_scenario_file_round_trip(tmp_path):
         parse_scenario_text("identities = two\n")
     with pytest.raises(ConfigError):
         parse_scenario_text("wheels = 4\n")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("arena_width = nan", "arena_width"),
+    ("arena_height = inf", "arena_height"),
+    ("arena_width = wide", "arena_width"),
+    ("arena = 640", "arena"),
+    ("occlusions = 1:10", "occlusions"),
+    ("occlusions = 1:a:15", "occlusions"),
+    ("false_positive_rate = nan", "false_positive_rate"),
+    ("embedding_noise_sigma = inf", "embedding_noise_sigma"),
+])
+def test_scenario_file_errors_name_file_and_key(line, key):
+    with pytest.raises(ConfigError, match=f"scene.txt: .*'{key}'"):
+        parse_scenario_text(line + "\n", source="scene.txt")
+
+
+def test_scenario_spec_rejects_nan_rates_and_sigmas():
+    for name in ("false_positive_rate", "motion_noise_sigma",
+                 "embedding_noise_sigma"):
+        with pytest.raises(ConfigError, match=name):
+            ScenarioSpec(**{name: float("nan")})

@@ -88,7 +88,7 @@ def test_preprocess_matches_greedy_nms_oracle(raw, overlap):
 
 def test_confirmation_at_n_init_and_stable_id():
     config = TrackerConfig(n_init=3)
-    results = run_sequence(linear_stream(8), config)
+    results = run_sequence(linear_stream(8), config, 8)
     assert [len(r.records) for r in results[:2]] == [0, 0]
     for r in results[2:]:
         assert len(r.records) == 1
@@ -99,7 +99,7 @@ def test_long_occlusion_creates_new_id():
     config = TrackerConfig(n_init=2, max_age=5)
     # present 1..6, absent 7..13 (gap of 7 > max_age 5), present again 14..20
     stream = linear_stream(20, skip=set(range(7, 14)))
-    results = run_sequence(stream, config)
+    results = run_sequence(stream, config, 20)
     ids_early = {r.records[0][0] for r in results[:6] if r.records}
     ids_late = {r.records[0][0] for r in results[14:] if r.records}
     assert ids_early == {1}
@@ -110,7 +110,7 @@ def test_short_occlusion_resumes_same_id():
     config = TrackerConfig(n_init=2, max_age=30)
     # absent 8..15 (8-frame gap, well within max_age); distinctive embedding
     stream = linear_stream(30, skip=set(range(8, 16)))
-    results = run_sequence(stream, config)
+    results = run_sequence(stream, config, 30)
     reported_ids = {rec[0] for r in results for rec in r.records}
     assert reported_ids == {1}
     # covered again after the gap
@@ -133,7 +133,7 @@ def test_step_rejects_foreign_frame_detections():
 
 
 def test_empty_stream():
-    assert run_sequence([], TrackerConfig()) == []
+    assert run_sequence([], TrackerConfig(), 0) == []
 
 
 def test_only_confirmed_tracks_reported():
@@ -148,7 +148,7 @@ def test_records_unique_and_sorted():
     config = TrackerConfig(n_init=1)
     streams = linear_stream(6, start=(50, 50), emb=(1, 0)) + \
         linear_stream(6, start=(300, 200), emb=(0, 1))
-    results = run_sequence(sorted(streams, key=lambda d: d.frame), config)
+    results = run_sequence(sorted(streams, key=lambda d: d.frame), config, 6)
     for r in results:
         ids = [rec[0] for rec in r.records]
         assert ids == sorted(ids)
@@ -158,11 +158,11 @@ def test_records_unique_and_sorted():
 def test_single_frame_gap_reports_predicted_box():
     config = TrackerConfig(n_init=2, max_age=30)
     stream = linear_stream(10, skip={6})
-    results = run_sequence(stream, config)
+    results = run_sequence(stream, config, 10)
     assert results[5].records, "1-frame miss should coast at the predicted box"
     # a longer gap is suppressed after the first coasted frame
     stream = linear_stream(12, skip={6, 7, 8})
-    results = run_sequence(stream, config)
+    results = run_sequence(stream, config, 12)
     assert results[5].records
     assert not results[6].records
     assert not results[7].records
