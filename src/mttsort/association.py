@@ -108,18 +108,23 @@ def appearance_cost(tracks, detections, kalman, max_dist: float) -> np.ndarray:
 
     cost[i, j] = 1 - <pooled(track_i), embedding_j>, clamped to [0, 2].
     Entries above `max_dist` or failing the Mahalanobis gate are
-    INFEASIBLE.
+    INFEASIBLE. The gate runs once over the stack of all track states, so
+    a track whose projected covariance is not positive definite raises
+    NumericalError.
     """
-    cost = np.zeros((len(tracks), len(detections)))
-    if cost.size == 0:
-        return cost
+    if not tracks or not detections:
+        return np.zeros((len(tracks), len(detections)))
     embeddings = np.stack([det.embedding for det in detections])
     measurements = np.stack([det.box.to_center() for det in detections])
-    for i, track in enumerate(tracks):
-        pooled = track.features.pooled()
-        cost[i, :] = np.clip(1.0 - embeddings @ pooled, 0.0, 2.0)
-        gate = kalman.gating_distance(track.mean, track.covariance, measurements)
-        cost[i, gate > CHI2_GATE_4DOF] = INFEASIBLE
+    pooled = np.stack([track.features.pooled() for track in tracks])
+    # One matrix-vector product per track, as `embeddings @ pooled` does;
+    # `pooled @ embeddings.T` and einsum round differently.
+    similarity = np.matmul(embeddings[None], pooled[:, :, None])[..., 0]
+    cost = np.clip(1.0 - similarity, 0.0, 2.0)
+    gate = kalman.gating_distance(
+        np.stack([track.mean for track in tracks]),
+        np.stack([track.covariance for track in tracks]), measurements)
+    cost[gate > CHI2_GATE_4DOF] = INFEASIBLE
     cost[cost > max_dist] = INFEASIBLE
     return cost
 
@@ -276,30 +281,34 @@ def solve_assignment(cost: np.ndarray):
 def matching_cascade(tracks, detections, config, kalman):
     """Appearance matching that prioritizes recently updated tracks.
 
-    Iterates over time-since-update depths 1..max_age; at each depth the
-    tracks last updated that many frames ago compete for the detections
-    still unmatched. All `tracks` must be confirmed.
+    One gated cost matrix covers every track whose time since update is
+    within 1..max_age. The depths present are then visited in ascending
+    order; at each, the tracks last updated that many frames ago compete,
+    on their rows of that matrix, for the detections still unmatched. All
+    `tracks` must be confirmed.
 
     Returns ``(matches, unmatched_tracks, unmatched_detections)`` with
     indices into the input lists.
     """
     unmatched_dets = list(range(len(detections)))
     matches: list[tuple[int, int]] = []
-    for depth in range(config.max_age):
-        if not unmatched_dets:
-            break
-        level = [i for i, t in enumerate(tracks)
-                 if t.time_since_update == depth + 1]
-        if not level:
-            continue
-        cost = appearance_cost(
-            [tracks[i] for i in level],
-            [detections[j] for j in unmatched_dets],
-            kalman, config.max_dist)
-        level_matches, _, level_unmatched = solve_assignment(cost)
-        matches.extend(
-            (level[r], unmatched_dets[c]) for r, c in level_matches)
-        unmatched_dets = [unmatched_dets[c] for c in level_unmatched]
+    candidates = [i for i, t in enumerate(tracks)
+                  if 1 <= t.time_since_update <= config.max_age]
+    if candidates and detections:
+        full = appearance_cost([tracks[i] for i in candidates], detections,
+                               kalman, config.max_dist)
+        levels: dict[int, list[int]] = {}
+        for row, i in enumerate(candidates):
+            levels.setdefault(tracks[i].time_since_update, []).append(row)
+        for depth in sorted(levels):
+            if not unmatched_dets:
+                break
+            level = levels[depth]
+            level_matches, _, level_unmatched = solve_assignment(
+                full[np.ix_(level, unmatched_dets)])
+            matches.extend((candidates[level[r]], unmatched_dets[c])
+                           for r, c in level_matches)
+            unmatched_dets = [unmatched_dets[c] for c in level_unmatched]
     matched_tracks = {t for t, _ in matches}
     unmatched_tracks = [i for i in range(len(tracks)) if i not in matched_tracks]
     return sorted(matches), unmatched_tracks, unmatched_dets

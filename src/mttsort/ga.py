@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .kalman import NumericalError
-from .model import ConfigError, TrackerConfig, coerce_fields, parse_kv_lines
+from .model import ConfigError, TrackerConfig, build_settings, parse_kv_lines
 from .tracker import run_sequence
 
 
@@ -104,7 +104,7 @@ class GenerationStats:
 
 
 def parse_ga_config_text(text: str, source: str = "<ga-config>") -> GAConfig:
-    return GAConfig(**coerce_fields(GAConfig, parse_kv_lines(text, source), source))
+    return build_settings(GAConfig, parse_kv_lines(text, source), source)
 
 
 def load_ga_config(path) -> GAConfig:

@@ -25,7 +25,13 @@ class NumericalError(RuntimeError):
 
 
 class KalmanModel:
-    """Kalman prediction/update/gating for one track state.
+    """Kalman prediction/update/gating for track states.
+
+    `predict`, `project`, `update` and `gating_distance` take one state, an
+    `(8,)` mean with an `(8, 8)` covariance, or a stack of N states, `(N, 8)`
+    means with `(N, 8, 8)` covariances, through the same code: every
+    product is a matmul on the stack, so each row of a stacked call equals
+    the call on that row alone bit for bit.
 
     The noise standard deviations are the current box height times
     `position_noise_weight` for the position-like state components and
@@ -64,13 +70,9 @@ class KalmanModel:
         mean = np.asarray(mean, dtype=float)
         covariance = np.asarray(covariance, dtype=float)
         wp, wv = self.position_noise_weight, self.velocity_noise_weight
-        h = mean[3]
-        std = [
-            wp * h, wp * h, 1e-2, wp * h,
-            wv * h, wv * h, 1e-5, wv * h,
-        ]
-        motion_cov = np.diag(np.square(std))
-        new_mean = self._motion_mat @ mean
+        motion_cov = _diagonal_noise(
+            mean[..., 3], (wp, wp, 0, wp, wv, wv, 0, wv), (0, 0, 1e-2, 0, 0, 0, 1e-5, 0))
+        new_mean = np.matmul(self._motion_mat, mean[..., None])[..., 0]
         new_covariance = (
             self._motion_mat @ covariance @ self._motion_mat.T + motion_cov
         )
@@ -78,50 +80,70 @@ class KalmanModel:
 
     def project(self, mean, covariance) -> tuple[np.ndarray, np.ndarray]:
         """Project the state distribution into measurement space."""
+        mean = np.asarray(mean, dtype=float)
+        covariance = np.asarray(covariance, dtype=float)
         wp = self.position_noise_weight
-        h = mean[3]
-        std = [wp * h, wp * h, 1e-1, wp * h]
-        innovation_cov = np.diag(np.square(std))
-        projected_mean = self._update_mat @ mean
+        innovation_cov = _diagonal_noise(mean[..., 3], (wp, wp, 0, wp), (0, 0, 1e-1, 0))
+        projected_mean = np.matmul(self._update_mat, mean[..., None])[..., 0]
         projected_cov = (
             self._update_mat @ covariance @ self._update_mat.T + innovation_cov
         )
         return projected_mean, projected_cov
 
     def update(self, mean, covariance, measurement) -> tuple[np.ndarray, np.ndarray]:
-        """Run the correction step against a (cx, cy, a, h) measurement.
+        """Run the correction step against (cx, cy, a, h) measurements, one
+        `(4,)` row per state.
 
-        Raises NumericalError if the innovation covariance cannot be
-        factorized; callers are expected to keep the predicted state in
-        that case.
+        Raises NumericalError if any innovation covariance of the stack
+        cannot be factorized; callers are expected to keep the predicted
+        state of that track.
         """
         mean = np.asarray(mean, dtype=float)
         covariance = np.asarray(covariance, dtype=float)
         measurement = np.asarray(measurement, dtype=float)
         projected_mean, projected_cov = self.project(mean, covariance)
         chol = _cholesky(projected_cov)
-        kalman_gain = np.linalg.solve(
-            chol.T, np.linalg.solve(chol, (covariance @ self._update_mat.T).T)).T
+        kalman_gain = _t(np.linalg.solve(
+            _t(chol), np.linalg.solve(chol, _t(covariance @ self._update_mat.T))))
         innovation = measurement - projected_mean
-        new_mean = mean + kalman_gain @ innovation
-        new_covariance = covariance - kalman_gain @ projected_cov @ kalman_gain.T
+        new_mean = mean + np.matmul(kalman_gain, innovation[..., None])[..., 0]
+        new_covariance = covariance - kalman_gain @ projected_cov @ _t(kalman_gain)
         # Keep the covariance exactly symmetric; the subtraction above
         # accumulates asymmetry at round-off scale over long sequences.
-        new_covariance = 0.5 * (new_covariance + new_covariance.T)
+        new_covariance = 0.5 * (new_covariance + _t(new_covariance))
         return new_mean, new_covariance
 
     def gating_distance(self, mean, covariance, measurements) -> np.ndarray:
-        """Squared Mahalanobis distance of measurements from the state.
+        """Squared Mahalanobis distance of measurements from each state.
 
-        `measurements` is an Nx4 array; the result has length N. Compare
-        against CHI2_GATE_4DOF to decide feasibility.
+        `measurements` is an Mx4 array; the result has length M for one
+        state and shape (N, M) for a stack of N. Compare against
+        CHI2_GATE_4DOF to decide feasibility. Raises NumericalError if any
+        projected covariance of the stack is not positive definite.
         """
         measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
         projected_mean, projected_cov = self.project(mean, covariance)
         chol = _cholesky(projected_cov)
-        d = measurements - projected_mean
-        z = np.linalg.solve(chol, d.T)
-        return np.sum(z * z, axis=0)
+        d = measurements - projected_mean[..., None, :]
+        z = np.linalg.solve(chol, _t(d))
+        return np.sum(z * z, axis=-2)
+
+
+def _t(stack) -> np.ndarray:
+    """Transpose the last two axes: each matrix of a stack, or one matrix."""
+    return np.swapaxes(stack, -1, -2)
+
+
+def _diagonal_noise(height, relative, fixed) -> np.ndarray:
+    """Diagonal noise covariances, stacked like `height`, with standard
+    deviations `relative * height + fixed`. Each component has a nonzero
+    entry in only one of the two, and adding an exact zero leaves a value
+    unchanged."""
+    std = height[..., None] * relative + fixed
+    covariance = np.zeros(std.shape + std.shape[-1:])
+    diagonal = np.arange(std.shape[-1])
+    covariance[..., diagonal, diagonal] = np.square(std)
+    return covariance
 
 
 def _cholesky(projected_cov) -> np.ndarray:

@@ -227,13 +227,28 @@ def coerce_fields(cls, raw: dict[str, str], source: str) -> dict:
     return values
 
 
+def build_settings(cls, raw: dict[str, str], source: str, **extra):
+    """Build the settings dataclass `cls` from ``key = value`` strings (read
+    by `coerce_fields`) plus the typed values `extra`.
+
+    A value the dataclass's own checks reject raises ConfigError with
+    `source` in front of the dataclass's message.
+    """
+    values = coerce_fields(cls, raw, source)
+    try:
+        return cls(**values, **extra)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
 def parse_config_text(text: str, source: str = "<config>") -> TrackerConfig:
     """Build a TrackerConfig from ``key = value`` text.
 
     Keys not present keep their baseline defaults; unknown keys and
-    out-of-range values raise ConfigError naming the offending field.
+    out-of-range values raise ConfigError naming the source and the
+    offending field.
     """
-    return TrackerConfig(**coerce_fields(TrackerConfig, parse_kv_lines(text, source), source))
+    return build_settings(TrackerConfig, parse_kv_lines(text, source), source)
 
 
 def load_config(path) -> TrackerConfig:

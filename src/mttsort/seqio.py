@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .metrics import EvalReport, GtEntry
-from .model import BoundingBox, ConfigError, Detection, coerce_fields, parse_kv_lines
+from .model import BoundingBox, ConfigError, Detection, build_settings, parse_kv_lines
 from .tracker import FrameResult
 
 META_FILE = "meta.txt"
@@ -185,13 +185,9 @@ def parse_meta(path) -> SequenceMeta:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        values = coerce_fields(SequenceMeta, parse_kv_lines(text, source), source)
+        return build_settings(SequenceMeta, parse_kv_lines(text, source), source)
     except ConfigError as exc:
         raise ParseError(str(exc)) from None
-    try:
-        return SequenceMeta(**values)
-    except ValueError as exc:
-        raise ParseError(f"{source}: {exc}") from None
 
 
 def write_meta(meta: SequenceMeta, path) -> None:

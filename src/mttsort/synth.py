@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .metrics import GtEntry
-from .model import BoundingBox, ConfigError, Detection, coerce_fields, parse_kv_lines
+from .model import BoundingBox, ConfigError, Detection, build_settings, parse_kv_lines
 
 # Per-frame Gaussian acceleration of the velocity walk, in pixels/frame^2.
 ACCEL_SIGMA = 0.35
@@ -206,7 +206,7 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioSpec:
     ``arena_height``."""
     raw = parse_kv_lines(text, source)
     arena_raw = {f.name: raw.pop(f.name) for f in fields(_ArenaKeys) if f.name in raw}
-    arena = _ArenaKeys(**coerce_fields(_ArenaKeys, arena_raw, source))
+    arena = build_settings(_ArenaKeys, arena_raw, source)
     occlusions_text = raw.pop("occlusions", "")
     windows = []
     for chunk in filter(None, (c.strip() for c in occlusions_text.split(","))):
@@ -216,8 +216,8 @@ def parse_scenario_text(text: str, source: str = "<scenario>") -> ScenarioSpec:
             raise ConfigError(
                 f"{source}: malformed value for 'occlusions': {chunk!r}") from None
         windows.append((identity, start, end))
-    return ScenarioSpec(
-        **coerce_fields(ScenarioSpec, raw, source),
+    return build_settings(
+        ScenarioSpec, raw, source,
         arena=(arena.arena_width, arena.arena_height),
         occlusions=tuple(windows))
 

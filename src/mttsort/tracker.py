@@ -33,14 +33,9 @@ class Track:
     def to_box(self) -> BoundingBox:
         return BoundingBox.from_center(self.mean[:4])
 
-    def predict(self, kalman: KalmanModel) -> None:
-        self.mean, self.covariance = kalman.predict(self.mean, self.covariance)
-        self.age += 1
-        self.time_since_update += 1
-
     def update(self, kalman: KalmanModel, detection: Detection,
                n_init: int) -> None:
-        """Fold a matched detection into the track.
+        """Fold a matched detection into the track on its own.
 
         A numerically failed Kalman update leaves the predicted state in
         place; the association bookkeeping still happens.
@@ -50,6 +45,11 @@ class Track:
                 self.mean, self.covariance, detection.box.to_center())
         except NumericalError:
             pass
+        self.mark_hit(detection, n_init)
+
+    def mark_hit(self, detection: Detection, n_init: int) -> None:
+        """Lifecycle step for a track matched to `detection` this frame,
+        after its Kalman update."""
         self.features.push(detection.embedding)
         self.hits += 1
         self.time_since_update = 0
@@ -120,17 +120,14 @@ class Tracker:
         self._last_frame = frame
 
         detections = preprocess(detections, self.config)
-        for track in self.tracks:
-            track.predict(self.kalman)
+        self._predict()
         # A track whose predicted aspect or height is no longer positive
         # has no box; it is deleted before any stage asks for one.
         self.tracks = [t for t in self.tracks if t.mean[2] > 0 and t.mean[3] > 0]
 
         matches, unmatched_track_idx, unmatched_det_idx = self._match(detections)
 
-        for track_idx, det_idx in matches:
-            self.tracks[track_idx].update(
-                self.kalman, detections[det_idx], self.config.n_init)
+        self._update([(self.tracks[i], detections[j]) for i, j in matches])
         for track_idx in unmatched_track_idx:
             self.tracks[track_idx].mark_missed(self.config.max_age)
         for det_idx in unmatched_det_idx:
@@ -139,6 +136,42 @@ class Tracker:
         result = self._emit(frame)
         self.tracks = [t for t in self.tracks if t.state != TrackState.Deleted]
         return result
+
+    def _predict(self) -> None:
+        """One Kalman predict over the stack of all live tracks."""
+        if not self.tracks:
+            return
+        means, covariances = self.kalman.predict(
+            np.stack([t.mean for t in self.tracks]),
+            np.stack([t.covariance for t in self.tracks]))
+        for track, mean, covariance in zip(self.tracks, means, covariances):
+            track.mean, track.covariance = mean, covariance
+            track.age += 1
+            track.time_since_update += 1
+
+    def _update(self, pairs) -> None:
+        """One Kalman update over the stack of the frame's (track,
+        detection) matches.
+
+        The stacked factorization fails as a whole if one track's does;
+        the matches are then redone one at a time through `Track.update`,
+        so only a failing track keeps its predicted state.
+        """
+        if not pairs:
+            return
+        n_init = self.config.n_init
+        try:
+            means, covariances = self.kalman.update(
+                np.stack([t.mean for t, _ in pairs]),
+                np.stack([t.covariance for t, _ in pairs]),
+                np.stack([d.box.to_center() for _, d in pairs]))
+        except NumericalError:
+            for track, detection in pairs:
+                track.update(self.kalman, detection, n_init)
+            return
+        for (track, detection), mean, covariance in zip(pairs, means, covariances):
+            track.mean, track.covariance = mean, covariance
+            track.mark_hit(detection, n_init)
 
     def _match(self, detections):
         confirmed = [i for i, t in enumerate(self.tracks)

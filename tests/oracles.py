@@ -270,3 +270,33 @@ def lexicographic_assignment_oracle(cost, infeasible):
     tol = TIE_TOL * max(1.0, abs(lowest))
     return min(kept for count, total, kept in candidates
                if count == most and total <= lowest + tol)
+
+
+def cascade_oracle(tracks, detections, config, kalman):
+    """The matching cascade as a loop over the depths 1..max_age.
+
+    Each depth builds its own `appearance_cost` matrix for the tracks last
+    updated that many frames ago against the detections still unmatched,
+    and solves it by enumeration; the loop stops once no detection is left.
+    Returns what `matching_cascade` returns.
+    """
+    from mttsort.association import INFEASIBLE, appearance_cost
+
+    unmatched = list(range(len(detections)))
+    matches = []
+    for depth in range(1, config.max_age + 1):
+        if not unmatched:
+            break
+        level = [i for i, t in enumerate(tracks) if t.time_since_update == depth]
+        if not level:
+            continue
+        cost = appearance_cost([tracks[i] for i in level],
+                               [detections[j] for j in unmatched],
+                               kalman, config.max_dist)
+        pairs = lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
+        matches += [(level[r], unmatched[c]) for r, c in pairs]
+        taken = {c for _, c in pairs}
+        unmatched = [j for c, j in enumerate(unmatched) if c not in taken]
+    matched = {i for i, _ in matches}
+    return (sorted(matches), [i for i in range(len(tracks)) if i not in matched],
+            unmatched)

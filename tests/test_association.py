@@ -13,7 +13,9 @@ from mttsort.kalman import KalmanModel
 from mttsort.model import BoundingBox, Detection, TrackerConfig
 from mttsort.tracker import Track
 
-from oracles import assignment_oracle, box_iou, lexicographic_assignment_oracle
+from oracles import (
+    assignment_oracle, box_iou, cascade_oracle, lexicographic_assignment_oracle,
+)
 
 
 def unit(*values):
@@ -374,6 +376,32 @@ def test_cascade_matches_both_when_unambiguous():
         tracks, dets, config, kalman)
     assert matches == [(0, 1), (1, 0)]
     assert unmatched_tracks == [] and unmatched_dets == []
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 7), st.integers(0, 6))
+def test_cascade_matches_per_depth_oracle(seed, n_tracks, n_dets):
+    # Depths 1..max_age + 1 (the last is past the cascade), boxes near a
+    # few shared spots so the gate passes some pairs and rejects others.
+    # Embeddings are scaled unit axes: each cosine has one nonzero term,
+    # so it is exact however the products are summed, and equal costs tie.
+    rng = np.random.default_rng(seed)
+    kalman = KalmanModel()
+    config = TrackerConfig(max_age=3, max_dist=float(rng.choice([0.3, 0.6, 1.0])))
+    axes = np.eye(3)
+
+    def box():
+        spot = 40 * int(rng.integers(0, 3))
+        return BoundingBox(spot + int(rng.integers(0, 9)), int(rng.integers(0, 9)), 20, 40)
+
+    tracks = [make_track(box(), axes[rng.integers(3)],
+                         time_since_update=int(rng.integers(1, config.max_age + 2)),
+                         track_id=k + 1, kalman=kalman)
+              for k in range(n_tracks)]
+    dets = [make_detection(box(), rng.choice([0.5, 0.75, 1.0]) * axes[rng.integers(3)])
+            for _ in range(n_dets)]
+    assert (matching_cascade(tracks, dets, config, kalman)
+            == cascade_oracle(tracks, dets, config, kalman))
 
 
 def test_cascade_no_detections():

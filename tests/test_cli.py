@@ -81,6 +81,18 @@ def test_track_with_config_file(seq_dir, tmp_path):
                 "--out", str(out)]) == 0
 
 
+def test_track_config_out_of_range_exits_2_naming_file_and_key(
+        seq_dir, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("max_dist = 1.5\n")
+    out = tmp_path / "pred.txt"
+    assert cli(["track", "--seq", str(seq_dir), "--config", str(cfg),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "max_dist" in err
+    assert not out.exists()
+
+
 def test_optimize(seq_dir, tmp_path, capsys):
     ga_cfg = tmp_path / "ga.cfg"
     ga_cfg.write_text(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mttsort.association import FeatureBuffer
 from mttsort.kalman import CHI2_GATE_4DOF, KalmanModel, NumericalError
@@ -140,6 +141,30 @@ def test_gating_distance_matches_solve_oracle(kf):
             d = z - proj_mean
             want = d @ np.linalg.solve(proj_cov, d)
             assert row == pytest.approx(want, abs=1e-8)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_stacked_calls_equal_row_by_row_calls(n, m, seed):
+    kf = KalmanModel()
+    rng = np.random.default_rng(seed)
+    states = [random_state(rng) for _ in range(n)]
+    means = np.stack([mean for mean, _ in states])
+    covariances = np.stack([cov for _, cov in states])
+    z = means[:, :4] + rng.normal(0, 5, (n, 4))
+    measurements = rng.normal(0, 100, (m, 4))
+
+    predicted = kf.predict(means, covariances)
+    updated = kf.update(means, covariances, z)
+    gate = kf.gating_distance(means, covariances, measurements)
+    assert gate.shape == (n, m)
+    for i in range(n):
+        for stacked, single in ((predicted, kf.predict(means[i], covariances[i])),
+                                (updated, kf.update(means[i], covariances[i], z[i]))):
+            assert np.array_equal(stacked[0][i], single[0])
+            assert np.array_equal(stacked[1][i], single[1])
+        assert np.array_equal(
+            gate[i], kf.gating_distance(means[i], covariances[i], measurements))
 
 
 def test_non_positive_definite_covariance_raises_numerical_error(kf):

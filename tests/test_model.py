@@ -163,3 +163,15 @@ def test_settings_readers_name_the_file_and_key(tmp_path, kind, line):
     with pytest.raises((ConfigError, ParseError),
                        match=re.escape(str(path)) + f".*'{key}'"):
         loader(path)
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("config", "1.5"), ("ga-config", "1.5"), ("scenario", "-1"), ("meta", "-1")])
+def test_settings_range_errors_name_the_file_and_key(tmp_path, kind, value):
+    # Rejected by the dataclass's own checks, after the reader typed it.
+    loader, body, float_key = SETTINGS_FILES[kind]
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(body + f"{float_key} = {value}\n")
+    with pytest.raises((ConfigError, ParseError),
+                       match=re.escape(str(path)) + f": {float_key} "):
+        loader(path)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mttsort import seqio, synth
+from mttsort.association import FeatureBuffer
+from mttsort.kalman import NumericalError
 from mttsort.model import BoundingBox, Detection, TrackerConfig, TrackState
-from mttsort.tracker import FrameResult, Tracker, preprocess, run_sequence
+from mttsort.tracker import FrameResult, Track, Tracker, preprocess, run_sequence
 
 from oracles import box_iou
 
@@ -262,6 +264,61 @@ def test_track_with_non_physical_prediction_is_deleted():
     results = run_sequence(shrink_stream(), TrackerConfig(n_init=1), frame_count=8)
     emitted = [(r.frame, tid) for r in results for tid, _, _ in r.records]
     assert emitted == [(2, 1), (3, 1), (4, 1), (5, 1)]
+
+
+# ------------------------------------------------ numerical failures
+
+BROKEN_COVARIANCE = -1e6 * np.eye(8)  # its projection is negative definite
+
+
+def tracker_holding(config, *specs):
+    """A Tracker whose live tracks are given directly, one per (detection,
+    state, time_since_update); each starts from its detection's box."""
+    tracker = Tracker(config)
+    for detection, state, time_since_update in specs:
+        mean, covariance = tracker.kalman.initiate(detection.box.to_center())
+        track = Track(track_id=tracker._next_id, mean=mean, covariance=covariance,
+                      features=FeatureBuffer(config.feature_buffer_size),
+                      state=state, time_since_update=time_since_update)
+        track.features.push(detection.embedding)
+        tracker.tracks.append(track)
+        tracker._next_id += 1
+    return tracker
+
+
+def test_failed_update_keeps_only_that_track_predicted():
+    # Two tentative tracks, each matched by IoU to its own box; the stacked
+    # update fails on the broken one and is redone row by row.
+    a, b = det(1, 100, 100, emb=(1, 0)), det(1, 400, 100, emb=(0, 1))
+    tracker = tracker_holding(TrackerConfig(n_init=3), (a, TrackState.Tentative, 0),
+                              (b, TrackState.Tentative, 0))
+    healthy, broken = tracker.tracks
+    broken.covariance = BROKEN_COVARIANCE.copy()
+    kalman = tracker.kalman
+    want = kalman.update(*kalman.predict(healthy.mean, healthy.covariance),
+                         a.box.to_center())
+    predicted = kalman.predict(broken.mean, broken.covariance)
+
+    tracker.step(2, [det(2, 100, 100, emb=(1, 0)), det(2, 400, 100, emb=(0, 1))])
+    assert np.array_equal(healthy.mean, want[0])
+    assert np.array_equal(healthy.covariance, want[1])
+    assert np.array_equal(broken.mean, predicted[0])
+    assert np.array_equal(broken.covariance, predicted[1])
+    for track in (healthy, broken):
+        assert track.hits == 2 and track.time_since_update == 0
+        assert len(track.features) == 2
+
+
+def test_gate_covers_tracks_past_the_last_detection():
+    # The one detection goes to the depth-1 track. The cascade's cost
+    # matrix still gates the depth-2 track, whose broken covariance then
+    # raises; a per-depth loop would have stopped before reaching it.
+    a, b = det(1, 100, 100, emb=(1, 0)), det(1, 400, 100, emb=(0, 1))
+    tracker = tracker_holding(TrackerConfig(), (a, TrackState.Confirmed, 0),
+                              (b, TrackState.Confirmed, 1))
+    tracker.tracks[1].covariance = BROKEN_COVARIANCE.copy()
+    with pytest.raises(NumericalError):
+        tracker.step(2, [det(2, 100, 100, emb=(1, 0))])
 
 
 @st.composite
