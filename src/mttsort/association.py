@@ -9,8 +9,6 @@ by the assignment solver.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -22,10 +20,6 @@ INFEASIBLE = np.inf
 # sums of real-world costs differ by far more than this; exact ties (equal
 # IoU, duplicated embeddings) are caught reliably.
 _TIE_RTOL = 1e-9
-
-# Largest matrix solved by exhaustive enumeration; larger ones go through
-# scipy plus a lexicographic refinement pass.
-_ENUM_LIMIT = 5
 
 
 class FeatureBuffer:
@@ -137,80 +131,30 @@ def iou_cost(tracks, detections, max_iou_distance: float) -> np.ndarray:
     return cost
 
 
-def _enumerate_assignment(cost: np.ndarray):
-    """Exhaustive optimal assignment for small matrices.
+def _refine_lexicographic(cost: np.ndarray):
+    """Lexicographically smallest optimal assignment of `cost`.
 
-    Maximizes the number of feasible pairs, then minimizes their total
-    cost, then picks the lexicographically smallest pair set. Near-equal
-    totals (within _TIE_RTOL) are treated as ties so the index rule, not
-    round-off, decides.
+    INFEASIBLE entries are replaced by a finite penalty dominating any
+    feasible total, so one full linear_sum_assignment solve of the masked
+    matrix maximizes the feasible pair count first and minimizes feasible
+    cost second. Its assignment is the incumbent.
+
+    The refine then fixes rows in ascending order, testing candidate
+    columns in ascending order and keeping a candidate only when an
+    optimal completion still exists (checked with a reduced solve). A row
+    whose incumbent column is feasible tests only the columns left of it:
+    the incumbent already completes that column optimally, so it is
+    accepted without a solve. A candidate that passes its reduced solve
+    makes that solve's assignment the incumbent of the rows still free.
     """
     n, m = cost.shape
-    rows = cost.tolist()
-    best = None  # (count, total, pairs)
-    if n <= m:
-        candidates = itertools.permutations(range(m), n)
-
-        def make_pairs(perm):
-            return [(i, perm[i]) for i in range(n)]
-    else:
-        candidates = itertools.permutations(range(n), m)
-
-        def make_pairs(perm):
-            return sorted((perm[j], j) for j in range(m))
-
-    for perm in candidates:
-        pairs = make_pairs(perm)
-        feasible = [(i, j) for i, j in pairs if rows[i][j] != INFEASIBLE]
-        count = len(feasible)
-        total = sum(rows[i][j] for i, j in feasible)
-        if best is None:
-            best = (count, total, feasible)
-            continue
-        b_count, b_total, b_pairs = best
-        if count != b_count:
-            if count > b_count:
-                best = (count, total, feasible)
-            continue
-        tol = _TIE_RTOL * max(1.0, abs(b_total))
-        if total < b_total - tol:
-            best = (count, total, feasible)
-        elif abs(total - b_total) <= tol and feasible < b_pairs:
-            best = (count, total, feasible)
-    return best[2] if best else []
-
-
-def _masked(cost: np.ndarray) -> np.ndarray:
-    """Replace INFEASIBLE entries by a finite penalty dominating any
-    feasible total, so a full linear_sum_assignment solve maximizes the
-    feasible pair count first and minimizes feasible cost second.
-    """
-    finite = cost[cost != INFEASIBLE]
-    max_cost = float(finite.max()) if finite.size else 0.0
-    penalty = (max_cost + 1.0) * (min(cost.shape) + 1)
+    penalty = (float(cost[cost != INFEASIBLE].max()) + 1.0) * (min(n, m) + 1)
     masked = cost.copy()
     masked[masked == INFEASIBLE] = penalty
-    return masked
-
-
-def _refine_lexicographic(cost: np.ndarray, masked: np.ndarray, optimum: float,
-                          rows, cols):
-    """Find the lexicographically smallest optimal assignment.
-
-    Fixes rows in ascending order, testing candidate columns in ascending
-    order and keeping a candidate only when an optimal completion still
-    exists (checked with a reduced solve).
-
-    `rows, cols` is an optimal assignment of `masked`, carried along as the
-    incumbent. A row whose incumbent column is feasible tests only the
-    columns left of it: the incumbent already completes that column
-    optimally, so it is accepted without a solve. A candidate that passes
-    its reduced solve makes that solve's assignment the incumbent of the
-    rows still free.
-    """
-    n, m = cost.shape
-    # Ties are judged against the feasible total, as in _enumerate_assignment:
-    # the INFEASIBLE penalties in `optimum` must not widen the window.
+    rows, cols = linear_sum_assignment(masked)
+    optimum = float(masked[rows, cols].sum())
+    # Ties are judged against the feasible total: the INFEASIBLE penalties
+    # in `optimum` must not widen the window.
     incumbent_cost = cost[rows, cols]
     feasible_total = float(incumbent_cost[incumbent_cost != INFEASIBLE].sum())
     tol = _TIE_RTOL * max(1.0, abs(feasible_total))
@@ -254,23 +198,24 @@ def solve_assignment(cost: np.ndarray):
 
     Returns ``(matches, unmatched_rows, unmatched_cols)``. The matching
     has maximum feasible cardinality and, among those, minimum total cost;
-    ties resolve to the lowest (row, column) indices. Matches are sorted
-    by row index.
+    totals within _TIE_RTOL of each other tie, and ties resolve to the
+    lowest (row, column) indices. Matches are sorted by row index.
+
+    When no two feasible entries share a row or a column, the only such
+    matching is all of them, read off the mask without a solve. Any other
+    matrix goes through scipy and the lexicographic refine.
     """
     cost = np.asarray(cost, dtype=float)
     n, m = cost.shape
     if n == 0 or m == 0 or not np.isfinite(cost).any():
         return [], list(range(n)), list(range(m))
 
-    if max(n, m) <= _ENUM_LIMIT:
-        matches = _enumerate_assignment(cost)
+    rows, cols = (index.tolist() for index in np.nonzero(cost != INFEASIBLE))
+    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
+        matches = list(zip(rows, cols))
     else:
-        masked = _masked(cost)
-        rows, cols = linear_sum_assignment(masked)
-        optimum = float(masked[rows, cols].sum())
-        matches = _refine_lexicographic(cost, masked, optimum, rows, cols)
+        matches = _refine_lexicographic(cost)
 
-    matches = sorted(matches)
     matched_rows = {i for i, _ in matches}
     matched_cols = {j for _, j in matches}
     unmatched_rows = [i for i in range(n) if i not in matched_rows]

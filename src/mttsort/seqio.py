@@ -292,16 +292,3 @@ def write_report(report: EvalReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_report(report))
 
-
-def format_overlay(results) -> str:
-    """Plain-text frame -> id-labeled boxes description, for external
-    rendering."""
-    lines = []
-    for res in results:
-        parts = [
-            f"id {tid} ({box.left:.2f}, {box.top:.2f}, "
-            f"{box.width:.2f}, {box.height:.2f})"
-            for tid, box, _ in res.records
-        ]
-        lines.append(f"frame {res.frame}: " + ("; ".join(parts) if parts else "-"))
-    return "\n".join(lines) + ("\n" if lines else "")

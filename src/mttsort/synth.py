@@ -21,6 +21,11 @@ from .model import BoundingBox, ConfigError, Detection, build_settings, parse_kv
 ACCEL_SIGMA = 0.35
 # Hard speed limit as a fraction of arena width per frame.
 SPEED_LIMIT_FRACTION = 0.05
+# Upper bounds of the scenario noise settings, far below the values at
+# which numpy's Poisson draw fails or a jittered box or a noisy embedding
+# overflows.
+MAX_FALSE_POSITIVE_RATE = 1000.0
+MAX_NOISE_SIGMA = 1e6
 
 
 @dataclass(frozen=True)
@@ -51,16 +56,17 @@ class ScenarioSpec:
             )
         if not (self.arena[0] > 0 and self.arena[1] > 0):
             raise ConfigError(f"arena must be positive, got {self.arena}")
-        for rate_name in ("miss_rate",):
-            rate = getattr(self, rate_name)
-            if not (0.0 <= rate <= 1.0):
-                raise ConfigError(f"{rate_name} must be within [0, 1], got {rate}")
-        if not self.false_positive_rate >= 0:
+        if not 0.0 <= self.miss_rate <= 1.0:
+            raise ConfigError(f"miss_rate must be within [0, 1], got {self.miss_rate}")
+        if not 0.0 <= self.false_positive_rate <= MAX_FALSE_POSITIVE_RATE:
             raise ConfigError(
-                f"false_positive_rate must be >= 0, got {self.false_positive_rate}")
+                f"false_positive_rate must be within [0, {MAX_FALSE_POSITIVE_RATE:g}], "
+                f"got {self.false_positive_rate}")
         for sigma_name in ("motion_noise_sigma", "embedding_noise_sigma"):
-            if not getattr(self, sigma_name) >= 0:
-                raise ConfigError(f"{sigma_name} must be >= 0")
+            sigma = getattr(self, sigma_name)
+            if not 0.0 <= sigma <= MAX_NOISE_SIGMA:
+                raise ConfigError(
+                    f"{sigma_name} must be within [0, {MAX_NOISE_SIGMA:g}], got {sigma}")
         for identity, start, end in self.occlusions:
             if not (1 <= identity <= self.identities):
                 raise ConfigError(f"occlusion identity {identity} out of range")

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mttsort import association
 from mttsort.association import (
     FeatureBuffer, INFEASIBLE, appearance_cost, iou_cost, iou_matrix,
     matching_cascade, solve_assignment,
-    _enumerate_assignment, _masked, _refine_lexicographic,
 )
 from mttsort.kalman import KalmanModel
 from mttsort.model import BoundingBox, Detection, TrackerConfig
@@ -298,22 +298,40 @@ def test_assignment_total_matches_brute_force(seed, n, m):
     assert sum(cost[i, j] for i, j in matches) == pytest.approx(want_total, abs=1e-12)
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=200)
 @given(st.integers(0, 2 ** 31 - 1))
-def test_enumeration_and_refined_scipy_paths_agree(seed):
+def test_small_tie_heavy_assignments_match_lexicographic_oracle(seed):
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
     cost = np.round(rng.uniform(0, 1, (n, m)), 2)  # rounding provokes ties
     cost[rng.uniform(size=(n, m)) < 0.2] = INFEASIBLE
-    if not np.isfinite(cost).any():
-        return
-    enum_matches = sorted(_enumerate_assignment(cost))
-    masked = _masked(cost)
-    from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(masked)
-    optimum = float(masked[rows, cols].sum())
-    scipy_matches = sorted(_refine_lexicographic(cost, masked, optimum, rows, cols))
-    assert enum_matches == scipy_matches
+    matches, _, _ = solve_assignment(cost)
+    assert matches == lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 7), st.integers(1, 7))
+def test_forced_assignments_are_read_off_without_a_solve(seed, n, m):
+    # A random partial permutation, INFEASIBLE elsewhere: no two feasible
+    # entries share a row or a column, so the one optimal matching is all
+    # of them and scipy is never called.
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(0, min(n, m) + 1))
+    cost = np.full((n, m), INFEASIBLE)
+    cost[rng.permutation(n)[:size], rng.permutation(m)[:size]] = np.round(
+        rng.uniform(0, 1, size), 2)
+    calls = []
+    solve = association.linear_sum_assignment
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(association, "linear_sum_assignment", counted)
+        matches, _, _ = solve_assignment(cost)
+    assert matches == lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
+    assert calls == []
 
 
 @pytest.mark.parametrize("infeasible_rows", [0, 2])
@@ -334,8 +352,8 @@ def test_refined_tie_window_ignores_unmatched_rows(infeasible_rows):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_refined_scipy_path_matches_lexicographic_oracle(seed):
-    # Past the enumeration limit, with n != m in most draws; one-decimal
-    # costs make many optimal assignments tie, so the index rule decides.
+    # Up to 7x7, with n != m in most draws; one-decimal costs make many
+    # optimal assignments tie, so the index rule decides.
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(6, 8)), int(rng.integers(1, 8))
     if rng.random() < 0.5:

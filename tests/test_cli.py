@@ -172,6 +172,22 @@ def test_synth_spec_with_nan_exits_2_naming_file_and_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("false_positive_rate", "1e30"),
+    ("motion_noise_sigma", "1e308"),
+    ("embedding_noise_sigma", "1e308"),
+])
+def test_synth_spec_past_its_cap_exits_2_naming_file_and_key(tmp_path, capsys,
+                                                             key, value):
+    spec = tmp_path / "scene.txt"
+    spec.write_text(f"identities = 2\nframes = 10\n{key} = {value}\n")
+    out = tmp_path / "scene"
+    assert cli(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{spec}: {key} " in err
+    assert not out.exists()
+
+
 def test_track_rejects_out_of_range_meta(seq_dir, tmp_path, capsys):
     (seq_dir / "meta.txt").write_text(
         "name = bad\nframe_count = -4\nwidth = 640\nheight = -1\n"

@@ -22,7 +22,7 @@ from mttbench import workloads
 
 # The `mttbench` presets at seed 0 (the four synth presets and the
 # hand-built `shrink` stream), its big30 scene, whose assignments are
-# larger than the 5x5 enumeration limit, and the first 40 frames of big30.
+# mostly larger than 5x5, and the first 40 frames of big30.
 # The 40-frame slice ends before most lost tracks reach the deep cascade
 # levels; the full 200 frames reach them (about 3 s).
 SCENE_DIGESTS = {

@@ -7,7 +7,7 @@ from mttsort import synth
 from mttsort.metrics import EvalReport, GtEntry
 from mttsort.model import BoundingBox, Detection
 from mttsort.seqio import (
-    ParseError, Sequence, SequenceMeta, format_overlay, format_report,
+    ParseError, Sequence, SequenceMeta, format_report,
     load_sequence, parse_detections, parse_gt, parse_meta, parse_results,
     write_detections, write_gt, write_meta, write_results, write_sequence,
 )
@@ -270,14 +270,3 @@ def test_report_formatting():
     assert "fn = 3" in text
     assert "frag = 0" in text
     assert text.endswith("\n")
-
-
-def test_overlay_format():
-    results = [
-        frame_result(1, (1, BoundingBox(1, 2, 3, 4), 0.9)),
-        frame_result(2),
-    ]
-    text = format_overlay(results)
-    lines = text.splitlines()
-    assert lines[0] == "frame 1: id 1 (1.00, 2.00, 3.00, 4.00)"
-    assert lines[1] == "frame 2: -"

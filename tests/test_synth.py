@@ -3,7 +3,7 @@ import pytest
 
 from mttsort.model import ConfigError
 from mttsort.synth import (
-    ScenarioSpec, generate, load_scenario, parse_scenario_text,
+    MAX_FALSE_POSITIVE_RATE, MAX_NOISE_SIGMA, ScenarioSpec, generate, load_scenario, parse_scenario_text,
     preset_scenarios, scenario_preset, with_seed,
 )
 
@@ -188,3 +188,16 @@ def test_scenario_spec_rejects_nan_rates_and_sigmas():
                  "embedding_noise_sigma"):
         with pytest.raises(ConfigError, match=name):
             ScenarioSpec(**{name: float("nan")})
+
+
+def test_scenario_noise_caps_generate_finite_output():
+    # At the caps the draws stay finite; just past them the spec is refused.
+    caps = dict(false_positive_rate=MAX_FALSE_POSITIVE_RATE,
+                motion_noise_sigma=MAX_NOISE_SIGMA,
+                embedding_noise_sigma=MAX_NOISE_SIGMA)
+    gt, dets = generate(ScenarioSpec(identities=2, frames=2, **caps))
+    assert len(dets) > len(gt)
+    assert all(np.isfinite(d.embedding).all() for d in dets)
+    for name, cap in caps.items():
+        with pytest.raises(ConfigError, match=f"{name} must be within"):
+            ScenarioSpec(**{name: cap * 1.5})
