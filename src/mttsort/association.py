@@ -27,7 +27,9 @@ class FeatureBuffer:
 
     Pushing onto a full buffer evicts the oldest entry, so the buffer acts
     as a temporal sliding window over the object's appearance. The
-    average-pooled vector over the window is what enters association.
+    average-pooled vector over the window is what enters association; it
+    is kept until the next `push` or `clear`, which is why entries and the
+    pooled vector are read-only arrays.
     """
 
     def __init__(self, capacity: int):
@@ -35,6 +37,7 @@ class FeatureBuffer:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: list[np.ndarray] = []
+        self._pooled: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -45,7 +48,7 @@ class FeatureBuffer:
 
     def push(self, feature) -> None:
         """Append `feature`, evicting the oldest entry when full."""
-        feature = np.asarray(feature, dtype=float)
+        feature = np.array(feature, dtype=float)
         if feature.ndim != 1:
             raise ValueError("feature must be a 1-d vector")
         if self._entries and feature.shape != self._entries[0].shape:
@@ -53,9 +56,11 @@ class FeatureBuffer:
                 f"feature dimension {feature.shape[0]} does not match "
                 f"buffered dimension {self._entries[0].shape[0]}"
             )
+        feature.flags.writeable = False
         self._entries.append(feature)
         if len(self._entries) > self.capacity:
             self._entries.pop(0)
+        self._pooled = None
 
     def pooled(self) -> np.ndarray:
         """Average-pool the buffered features and renormalize to unit norm.
@@ -64,16 +69,21 @@ class FeatureBuffer:
         entry is returned instead so the result is always a valid unit
         vector.
         """
-        if not self._entries:
-            raise ValueError("cannot pool an empty feature buffer")
-        mean = np.mean(self._entries, axis=0)
-        norm = np.linalg.norm(mean)
-        if norm < 1e-9:
-            return self._entries[-1].copy()
-        return mean / norm
+        if self._pooled is None:
+            if not self._entries:
+                raise ValueError("cannot pool an empty feature buffer")
+            mean = np.mean(self._entries, axis=0)
+            norm = np.linalg.norm(mean)
+            if norm < 1e-9:
+                self._pooled = self._entries[-1]
+            else:
+                self._pooled = mean / norm
+                self._pooled.flags.writeable = False
+        return self._pooled
 
     def clear(self) -> None:
         self._entries.clear()
+        self._pooled = None
 
 
 def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
@@ -132,7 +142,9 @@ def iou_cost(tracks, detections, max_iou_distance: float) -> np.ndarray:
 
 
 def _refine_lexicographic(cost: np.ndarray):
-    """Lexicographically smallest optimal assignment of `cost`.
+    """Lexicographically smallest optimal assignment of `cost`, and the
+    feasible pairs of the first solve, a minimum-cost matching of maximum
+    cardinality.
 
     INFEASIBLE entries are replaced by a finite penalty dominating any
     feasible total, so one full linear_sum_assignment solve of the masked
@@ -159,6 +171,7 @@ def _refine_lexicographic(cost: np.ndarray):
     feasible_total = float(incumbent_cost[incumbent_cost != INFEASIBLE].sum())
     tol = _TIE_RTOL * max(1.0, abs(feasible_total))
     incumbent = dict(zip(rows.tolist(), cols.tolist()))
+    optimal = [(i, j) for i, j in incumbent.items() if cost[i, j] != INFEASIBLE]
     fixed: list[tuple[int, int]] = []
     fixed_total = 0.0
     free_rows = list(range(n))
@@ -190,32 +203,49 @@ def _refine_lexicographic(cost: np.ndarray):
             fixed_total += masked[i, chosen]
             free_rows.remove(i)
             free_cols.remove(chosen)
-    return fixed
+    return fixed, optimal
+
+
+def solve_matchings(cost: np.ndarray):
+    """The matching `solve_assignment` returns, plus a minimum-cost matching
+    of maximum cardinality that certifies it.
+
+    Returns ``(matches, optimal)``, both lists of (row, column) sorted by
+    row. `matches` has maximum feasible cardinality and, among those,
+    minimum total cost; totals within _TIE_RTOL of each other tie, and ties
+    resolve to the lowest (row, column) indices. `optimal` has the same
+    cardinality and the minimum total: the feasible pairs of the
+    refine's first scipy solve, or `matches` itself when the matrix is
+    forced.
+
+    When no two feasible entries share a row or a column, the only such
+    matching is all of them, read off the mask without a solve. Any other
+    matrix goes through scipy and the lexicographic refine.
+
+    Raising entries to INFEASIBLE outside `matches` and `optimal` keeps
+    `matches`: `optimal` still attains the maximum cardinality and the
+    minimum total, so the tie window can only shrink, and `matches` is
+    still in it and still its lowest member.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n, m = cost.shape
+    if n == 0 or m == 0 or not np.isfinite(cost).any():
+        return [], []
+    rows, cols = (index.tolist() for index in np.nonzero(cost != INFEASIBLE))
+    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
+        matches = list(zip(rows, cols))
+        return matches, matches
+    return _refine_lexicographic(cost)
 
 
 def solve_assignment(cost: np.ndarray):
     """Minimum-cost one-to-one assignment over feasible entries.
 
-    Returns ``(matches, unmatched_rows, unmatched_cols)``. The matching
-    has maximum feasible cardinality and, among those, minimum total cost;
-    totals within _TIE_RTOL of each other tie, and ties resolve to the
-    lowest (row, column) indices. Matches are sorted by row index.
-
-    When no two feasible entries share a row or a column, the only such
-    matching is all of them, read off the mask without a solve. Any other
-    matrix goes through scipy and the lexicographic refine.
+    Returns ``(matches, unmatched_rows, unmatched_cols)``, where `matches`
+    is the first matching of `solve_matchings` (sorted by row index).
     """
-    cost = np.asarray(cost, dtype=float)
-    n, m = cost.shape
-    if n == 0 or m == 0 or not np.isfinite(cost).any():
-        return [], list(range(n)), list(range(m))
-
-    rows, cols = (index.tolist() for index in np.nonzero(cost != INFEASIBLE))
-    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
-        matches = list(zip(rows, cols))
-    else:
-        matches = _refine_lexicographic(cost)
-
+    matches, _ = solve_matchings(cost)
+    n, m = np.shape(cost)
     matched_rows = {i for i, _ in matches}
     matched_cols = {j for _, j in matches}
     unmatched_rows = [i for i in range(n) if i not in matched_rows]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .association import INFEASIBLE, iou_matrix, solve_assignment
+from .association import INFEASIBLE, iou_matrix, solve_assignment, solve_matchings
 from .model import BoundingBox
 
 # Per-frame GT/prediction overlap threshold for CLEAR and identity metrics.
@@ -188,14 +188,18 @@ def hota(gt, pred, per_frame):
     pair c = (g, p) scores A(c) = TPA/(TPA+FNA+FPA), where TPA counts
     frames matching g with p and the FNA/FPA terms count the remaining
     appearances of g and of p; AssA is the mean of A over matches and
-    HOTA_alpha = sqrt(DetA * AssA). The levels' masks IoU >= alpha are
-    nested, so a frame whose mask did not change since the previous level
-    keeps that level's matching instead of solving the same matrix again.
-    `per_frame` is `_frame_overlaps(gt, pred)`.
+    HOTA_alpha = sqrt(DetA * AssA). `per_frame` is `_frame_overlaps(gt,
+    pred)`.
+
+    The levels' masks IoU >= alpha are nested, so a frame keeps its
+    matching M up to its floor, the lowest IoU over the pairs of M and of
+    the minimum-cost matching `solve_matchings` returns with it (which
+    says why M stands while both are feasible), and is solved again only
+    at the first level above that floor.
 
     Returns (hota, det_a, ass_a, det_re, det_pr).
     """
-    last_solved = [None] * len(per_frame)  # per frame: (mask, solution)
+    carried = [([], -math.inf)] * len(per_frame)  # per frame: (matches, floor)
     gt_count = Counter(e.identity for e in gt)
     pred_count = Counter(e.identity for e in pred)
 
@@ -206,15 +210,16 @@ def hota(gt, pred, per_frame):
         pair_count: Counter = Counter()
         events: list[tuple[int, int]] = []
         for k, (g_ids, p_ids, ious) in enumerate(per_frame):
-            mask = ious >= alpha
-            last = last_solved[k]
-            if last is None or not np.array_equal(mask, last[0]):
-                last = last_solved[k] = (
-                    mask, solve_assignment(np.where(mask, 1.0 - ious, INFEASIBLE)))
-            matches, unmatched_g, unmatched_p = last[1]
+            if alpha > carried[k][1]:
+                matches, optimal = solve_matchings(
+                    np.where(ious >= alpha, 1.0 - ious, INFEASIBLE))
+                floor = min((ious[i, j] for i, j in matches + optimal),
+                            default=math.inf)
+                carried[k] = (matches, floor)
+            matches = carried[k][0]
             tp += len(matches)
-            fn += len(unmatched_g)
-            fp += len(unmatched_p)
+            fn += len(g_ids) - len(matches)
+            fp += len(p_ids) - len(matches)
             for i, j in matches:
                 pair = (g_ids[i], p_ids[j])
                 pair_count[pair] += 1

@@ -117,6 +117,37 @@ def test_pooled_invariant_to_buffer_order(order):
     assert np.allclose(fb_a.pooled(), fb_b.pooled(), atol=1e-12)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.lists(st.one_of(
+    st.none(), st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]),
+                        min_size=3, max_size=3)), max_size=25))
+def test_pooled_cache_equals_fresh_pooling(capacity, ops):
+    # Each op is a push (a 3-vector; opposite pushes can cancel to the
+    # zero-mean fallback) or a clear (None). `pooled` is read twice after
+    # each op, and a pushed array is overwritten once pushed; the cached
+    # vector must equal a fresh buffer's bit for bit.
+    fb = FeatureBuffer(capacity)
+    for op in ops:
+        if op is None:
+            fb.clear()
+        else:
+            feature = np.array(op)
+            fb.push(feature)
+            feature[:] = 7.0
+        if not len(fb):
+            with pytest.raises(ValueError):
+                fb.pooled()
+            continue
+        fresh = FeatureBuffer(capacity)
+        for entry in fb.entries:
+            fresh.push(entry)
+        want = fresh.pooled()
+        for _ in range(2):
+            got = fb.pooled()
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+
+
 # ------------------------------------------------------------------- iou
 
 def iou(a, b):

@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mttsort import metrics, synth
-from mttsort.association import iou_matrix
+from mttsort.association import INFEASIBLE, iou_matrix, solve_assignment
 from mttsort.metrics import (
     EvalReport, GtEntry, _clear_sequence, _frame_overlaps, average_reports,
     clear_match, evaluate, hota, idf1, score,
@@ -142,22 +143,120 @@ def test_hota_split_track():
     assert rep.hota == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
 
-def test_hota_solves_a_frame_once_while_its_mask_is_unchanged(monkeypatch):
-    # Identities never overlap, so each frame's mask IoU >= alpha is the
-    # same diagonal at all 19 levels: one solve per frame, not 19.
-    gt = [GtEntry(f, i, BoundingBox(100 * i + f, 50, 20, 40))
-          for f in range(1, 6) for i in range(1, 4)]
-    solve = metrics.solve_assignment
+def count_solves(monkeypatch):
+    """Record the cost shape of every `solve_matchings` call HOTA makes."""
+    solve = metrics.solve_matchings
     calls = []
 
     def counting(cost):
         calls.append(cost.shape)
         return solve(cost)
 
+    monkeypatch.setattr(metrics, "solve_matchings", counting)
+    return calls
+
+
+def test_hota_solves_a_frame_once_while_its_mask_is_unchanged(monkeypatch):
+    # Identities never overlap, so each frame's mask IoU >= alpha is the
+    # same diagonal at all 19 levels: one solve per frame, not 19.
+    gt = [GtEntry(f, i, BoundingBox(100 * i + f, 50, 20, 40))
+          for f in range(1, 6) for i in range(1, 4)]
     per_frame = _frame_overlaps(gt, gt)
-    monkeypatch.setattr(metrics, "solve_assignment", counting)
+    calls = count_solves(monkeypatch)
     assert hota(gt, gt, per_frame) == (1.0, 1.0, 1.0, 1.0, 1.0)
     assert calls == [(3, 3)] * 5
+
+
+def test_hota_keeps_a_matching_when_only_a_neighbour_overlap_drops(monkeypatch):
+    # Neighbours 8 px apart overlap with IoU 20/180: the mask loses those
+    # cells at alpha 0.15, but the matched pairs (IoU 1) hold at every
+    # level, so each frame is still solved once.
+    gt = [GtEntry(f, i, BoundingBox(8 * i + 30 * f, 0, 10, 10))
+          for f in range(1, 6) for i in range(1, 3)]
+    per_frame = _frame_overlaps(gt, gt)
+    assert per_frame[0][2][0, 1] == pytest.approx(1 / 9)
+    calls = count_solves(monkeypatch)
+    assert hota(gt, gt, per_frame) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert calls == [(2, 2)] * 5
+
+
+def hota_solving_every_level(gt, pred, per_frame):
+    """`hota` with every frame solved from scratch at every level."""
+    gt_count = Counter(e.identity for e in gt)
+    pred_count = Counter(e.identity for e in pred)
+    levels = []
+    for alpha in metrics.ALPHAS:
+        tp = fn = fp = 0
+        events = []
+        for g_ids, p_ids, ious in per_frame:
+            matches, unmatched_g, unmatched_p = solve_assignment(
+                np.where(ious >= alpha, 1.0 - ious, INFEASIBLE))
+            tp += len(matches)
+            fn += len(unmatched_g)
+            fp += len(unmatched_p)
+            events.extend((g_ids[i], p_ids[j]) for i, j in matches)
+        pair_count = Counter(events)
+        det_a = tp / (tp + fn + fp) if tp + fn + fp else 0.0
+        ass_a = math.fsum(
+            pair_count[(g, p)] / (gt_count[g] + pred_count[p] - pair_count[(g, p)])
+            for g, p in events) / tp if tp else 0.0
+        levels.append((math.sqrt(det_a * ass_a), det_a, ass_a,
+                       tp / (tp + fn) if tp + fn else 0.0,
+                       tp / (tp + fp) if tp + fp else 0.0))
+    return tuple(math.fsum(column) / len(levels) for column in zip(*levels))
+
+
+def tables_with_entries(tables):
+    """`per_frame` from (g_ids, p_ids, ious) tables, frames numbered from
+    1, with the GT and predicted entries `hota` counts identities in."""
+    gt = [GtEntry(f, g, BOX) for f, (g_ids, _, _) in enumerate(tables, 1)
+          for g in g_ids]
+    pred = [GtEntry(f, p, BOX) for f, (_, p_ids, _) in enumerate(tables, 1)
+            for p in p_ids]
+    return gt, pred, tables
+
+
+def test_hota_resolves_when_the_minimum_cost_matching_loses_a_pair():
+    # Frame 1 is a near tie (t is the tie window of its feasible total).
+    # At alpha 0.05, (0, 1), (1, 0), (2, 2) costs 1.22, the cheapest;
+    # (0, 0), (1, 2), (2, 1) at 1.22 + t/2 ties with it and is the lowest
+    # matching in the window, while (0, 0), (1, 1), (2, 2) at 1.22 + 1.2t
+    # is outside. IoU(0, 1) = 0.08 drops at alpha 0.10; the optimum rises
+    # to 1.22 + t/2 and (0, 0), (1, 1), (2, 2) joins the window and wins,
+    # though every pair of the old matching still holds. Frame 2 matches
+    # the identities along the diagonal, so AssA tells the two apart.
+    t = 1.22e-9
+    cost = np.array([[0.46, 0.92, 0.85],
+                     [0.0, 0.46 + 1.2 * t, 0.38],
+                     [0.5, 0.38 + 0.5 * t, 0.3]])
+    ious = 1.0 - cost
+
+    def at(alpha):
+        return solve_assignment(np.where(ious >= alpha, 1.0 - ious, INFEASIBLE))[0]
+
+    assert at(0.05) == [(0, 0), (1, 2), (2, 1)]
+    assert at(0.10) == [(0, 0), (1, 1), (2, 2)]
+    gt, pred, per_frame = tables_with_entries(
+        [([1, 2, 3], [11, 12, 13], ious), ([1, 2, 3], [11, 12, 13], np.eye(3))])
+    assert hota(gt, pred, per_frame) == hota_solving_every_level(gt, pred, per_frame)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_hota_equals_solving_every_level(seed):
+    # Micro scenes with exact rational IoUs, and overlap tables drawn from
+    # tenths, where many matchings tie and cells drop out level by level.
+    rng = np.random.default_rng(seed)
+    gt, pred = random_micro_scenario(rng)
+    per_frame = _frame_overlaps(gt, pred)
+    assert hota(gt, pred, per_frame) == hota_solving_every_level(gt, pred, per_frame)
+    tables = []
+    for _ in range(int(rng.integers(1, 5))):
+        n, m = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+        ious = rng.integers(0, 11, (n, m)) / 10
+        tables.append((list(range(1, n + 1)), list(range(11, 11 + m)), ious))
+    gt, pred, per_frame = tables_with_entries(tables)
+    assert hota(gt, pred, per_frame) == hota_solving_every_level(gt, pred, per_frame)
 
 
 def test_evaluate_builds_one_overlap_table(monkeypatch):
