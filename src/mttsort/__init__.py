@@ -5,7 +5,9 @@ hyperparameter optimizer."""
 from .model import (
     BoundingBox,
     ConfigError,
+    DataError,
     Detection,
+    FrameDetections,
     TrackerConfig,
     TrackState,
     load_preset,
@@ -20,7 +22,8 @@ from .synth import ScenarioSpec, generate, preset_scenarios, scenario_preset
 from .seqio import Sequence, load_sequence, write_results, parse_results
 
 __all__ = [
-    "BoundingBox", "ConfigError", "Detection", "TrackerConfig", "TrackState",
+    "BoundingBox", "ConfigError", "DataError", "Detection", "FrameDetections",
+    "TrackerConfig", "TrackState",
     "load_preset", "PRESETS",
     "KalmanModel", "NumericalError", "CHI2_GATE_4DOF",
     "FeatureBuffer", "INFEASIBLE", "iou_matrix", "solve_assignment",

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .kalman import CHI2_GATE_4DOF
+from .model import box_columns, ltwh_from_centers
 
 INFEASIBLE = np.inf
 
@@ -72,8 +73,12 @@ class FeatureBuffer:
         if self._pooled is None:
             if not self._entries:
                 raise ValueError("cannot pool an empty feature buffer")
-            mean = np.mean(self._entries, axis=0)
-            norm = np.linalg.norm(mean)
+            # np.mean's and np.linalg.norm's own arithmetic (one reduction
+            # over the stacked entries, then one division; the root of the
+            # dot product), without their dispatch.
+            entries = self._entries
+            mean = np.add.reduce(np.array(entries), axis=0) / len(entries)
+            norm = np.sqrt(mean.dot(mean))
             if norm < 1e-9:
                 self._pooled = self._entries[-1]
             else:
@@ -86,57 +91,70 @@ class FeatureBuffer:
         self._pooled = None
 
 
-def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
-    """Intersection-over-union of every box in `boxes_a` with every box in
-    `boxes_b`, as a (len(boxes_a), len(boxes_b)) array in [0, 1].
+def iou_columns(a, b) -> np.ndarray:
+    """Intersection-over-union of every row of `a` with every row of `b`,
+    as a (len(a), len(b)) array in [0, 1]; rows are (left, top, right,
+    bottom, area) box columns (`model.box_columns`).
 
     Each entry is inter / (area_a + area_b - inter) in that order, so
-    iou_matrix(b, a) is exactly iou_matrix(a, b).T.
+    iou_columns(b, a) is exactly iou_columns(a, b).T.
     """
-    n, m = len(boxes_a), len(boxes_b)
-    if n == 0 or m == 0:
-        return np.zeros((n, m))
-    # Rows left, top, right, bottom, area; boxes_a runs down, boxes_b across.
-    a = np.array([(x.left, x.top, x.right, x.bottom, x.area)
-                  for x in boxes_a]).T[:, :, None]
-    b = np.array([(x.left, x.top, x.right, x.bottom, x.area)
-                  for x in boxes_b]).T[:, None, :]
+    # Fields down the first axis; `a` runs down, `b` across.
+    a = a.T[:, :, None]
+    b = b.T[:, None, :]
     # Overlap width and height, zero where the boxes are apart.
     extent = np.maximum(np.minimum(a[2:4], b[2:4]) - np.maximum(a[:2], b[:2]), 0.0)
     inter = extent[0] * extent[1]
     return inter / (a[4] + b[4] - inter)
 
 
+def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
+    """`iou_columns` for two lists of BoundingBox objects."""
+    n, m = len(boxes_a), len(boxes_b)
+    if n == 0 or m == 0:
+        return np.zeros((n, m))
+    return iou_columns(
+        np.array([(x.left, x.top, x.right, x.bottom, x.area) for x in boxes_a]),
+        np.array([(x.left, x.top, x.right, x.bottom, x.area) for x in boxes_b]))
+
+
 def appearance_cost(tracks, detections, kalman, max_dist: float) -> np.ndarray:
-    """Gated cosine-cost matrix between track buffers and detections.
+    """Gated cosine-cost matrix between the rows of a track stack and the
+    rows of a frame's detection columns.
 
     cost[i, j] = 1 - <pooled(track_i), embedding_j>, clamped to [0, 2].
     Entries above `max_dist` or failing the Mahalanobis gate are
-    INFEASIBLE. The gate runs once over the stack of all track states, so
-    a track whose projected covariance is not positive definite raises
+    INFEASIBLE. The gate runs once over the stacked track states, so a
+    track whose projected covariance is not positive definite raises
     NumericalError.
     """
-    if not tracks or not detections:
+    if not len(tracks) or not len(detections):
         return np.zeros((len(tracks), len(detections)))
-    embeddings = np.stack([det.embedding for det in detections])
-    measurements = np.stack([det.box.to_center() for det in detections])
-    pooled = np.stack([track.features.pooled() for track in tracks])
+    pooled = np.array([track.features.pooled() for track in tracks.tracks])
     # One matrix-vector product per track, as `embeddings @ pooled` does;
     # `pooled @ embeddings.T` and einsum round differently.
-    similarity = np.matmul(embeddings[None], pooled[:, :, None])[..., 0]
+    similarity = np.matmul(detections.embeddings[None], pooled[:, :, None])[..., 0]
     cost = np.clip(1.0 - similarity, 0.0, 2.0)
-    gate = kalman.gating_distance(
-        np.stack([track.mean for track in tracks]),
-        np.stack([track.covariance for track in tracks]), measurements)
+    gate = kalman.gating_distance(tracks.mean, tracks.covariance,
+                                  detections.measurements)
     cost[gate > CHI2_GATE_4DOF] = INFEASIBLE
     cost[cost > max_dist] = INFEASIBLE
     return cost
 
 
 def iou_cost(tracks, detections, max_iou_distance: float) -> np.ndarray:
-    """IoU-cost matrix between predicted track boxes and detection boxes."""
-    cost = 1.0 - iou_matrix([t.to_box() for t in tracks],
-                            [d.box for d in detections])
+    """IoU-cost matrix between the predicted boxes of a track stack's rows
+    and a frame's detection boxes.
+
+    A track state that makes no valid box raises BoundingBox's ValueError,
+    whether or not there are detections.
+    """
+    if not len(tracks):
+        return np.zeros((0, len(detections)))
+    track_ltwh = ltwh_from_centers(tracks.mean[:, :4])
+    if not len(detections):
+        return np.zeros((len(tracks), 0))
+    cost = 1.0 - iou_columns(box_columns(track_ltwh), detections.boxes)
     cost[cost > max_iou_distance] = INFEASIBLE
     return cost
 
@@ -256,31 +274,32 @@ def solve_assignment(cost: np.ndarray):
 def matching_cascade(tracks, detections, config, kalman):
     """Appearance matching that prioritizes recently updated tracks.
 
-    One gated cost matrix covers every track whose time since update is
-    within 1..max_age. The depths present are then visited in ascending
-    order; at each, the tracks last updated that many frames ago compete,
-    on their rows of that matrix, for the detections still unmatched. All
-    `tracks` must be confirmed.
+    `tracks` is a track stack and `detections` a frame's detection
+    columns. One gated cost matrix covers every track whose time since
+    update is within 1..max_age. The depths present are then visited in
+    ascending order; at each, the tracks last updated that many frames ago
+    compete, on their rows of that matrix, for the detections still
+    unmatched. All `tracks` must be confirmed.
 
     Returns ``(matches, unmatched_tracks, unmatched_detections)`` with
-    indices into the input lists.
+    row indices into `tracks` and `detections`.
     """
     unmatched_dets = list(range(len(detections)))
     matches: list[tuple[int, int]] = []
-    candidates = [i for i, t in enumerate(tracks)
+    candidates = [i for i, t in enumerate(tracks.tracks)
                   if 1 <= t.time_since_update <= config.max_age]
-    if candidates and detections:
-        full = appearance_cost([tracks[i] for i in candidates], detections,
-                               kalman, config.max_dist)
+    if candidates and unmatched_dets:
+        full = appearance_cost(tracks.take(candidates), detections, kalman,
+                               config.max_dist)
         levels: dict[int, list[int]] = {}
         for row, i in enumerate(candidates):
-            levels.setdefault(tracks[i].time_since_update, []).append(row)
+            levels.setdefault(tracks.tracks[i].time_since_update, []).append(row)
         for depth in sorted(levels):
             if not unmatched_dets:
                 break
             level = levels[depth]
             level_matches, _, level_unmatched = solve_assignment(
-                full[np.ix_(level, unmatched_dets)])
+                full[level][:, unmatched_dets])
             matches.extend((candidates[level[r]], unmatched_dets[c])
                            for r, c in level_matches)
             unmatched_dets = [unmatched_dets[c] for c in level_unmatched]

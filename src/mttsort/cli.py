@@ -7,7 +7,9 @@ Subcommands:
 * ``optimize``  — genetic search for tracker hyperparameters
 * ``synth``     — generate a synthetic sequence directory
 
-Exit codes: 0 success, 1 usage error, 2 data/configuration error.
+Exit codes: 0 success, 1 usage error, 2 data/configuration error
+(`model.DataError`) or an OS error such as a missing file. Any other
+exception is a fault of the program and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import argparse
 import sys
 
 from . import ga, metrics, seqio, synth
-from .model import load_config, load_preset, format_config
+from .model import DataError, load_config, load_preset, format_config
 from .tracker import run_sequence
 
 
@@ -139,7 +141,7 @@ def cli(argv) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:
+    except (OSError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -85,6 +85,8 @@ class GAConfig:
                 raise ConfigError(f"{name} must be within [0, 1], got {value}")
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be > 0, got {self.tolerance}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

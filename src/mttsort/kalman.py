@@ -19,6 +19,17 @@ import numpy as np
 # Squared Mahalanobis distances above this make an association infeasible.
 CHI2_GATE_4DOF = 9.4877
 
+_POSITION_WEIGHT = 1.0 / 20
+_VELOCITY_WEIGHT = 1.0 / 160
+# Per-component noise standard deviations are relative * height + fixed:
+# of the motion (predict) over the 8 state components, and of the
+# innovation (project) over the 4 measured ones.
+_MOTION_RELATIVE = np.array([_POSITION_WEIGHT, _POSITION_WEIGHT, 0, _POSITION_WEIGHT,
+                             _VELOCITY_WEIGHT, _VELOCITY_WEIGHT, 0, _VELOCITY_WEIGHT])
+_MOTION_FIXED = np.array([0, 0, 1e-2, 0, 0, 0, 1e-5, 0])
+_INNOVATION_RELATIVE = np.array([_POSITION_WEIGHT, _POSITION_WEIGHT, 0, _POSITION_WEIGHT])
+_INNOVATION_FIXED = np.array([0, 0, 1e-1, 0])
+
 
 class NumericalError(RuntimeError):
     """Raised when a filter step fails numerically (singular innovation)."""
@@ -38,8 +49,8 @@ class KalmanModel:
     times `velocity_noise_weight` for the velocity components.
     """
 
-    position_noise_weight = 1.0 / 20
-    velocity_noise_weight = 1.0 / 160
+    position_noise_weight = _POSITION_WEIGHT
+    velocity_noise_weight = _VELOCITY_WEIGHT
     _motion_mat = np.eye(8) + np.eye(8, k=4)  # dt = 1
     _update_mat = np.eye(4, 8)
 
@@ -69,9 +80,7 @@ class KalmanModel:
         """Run the prediction step: x' = F x, P' = F P F^T + Q."""
         mean = np.asarray(mean, dtype=float)
         covariance = np.asarray(covariance, dtype=float)
-        wp, wv = self.position_noise_weight, self.velocity_noise_weight
-        motion_cov = _diagonal_noise(
-            mean[..., 3], (wp, wp, 0, wp, wv, wv, 0, wv), (0, 0, 1e-2, 0, 0, 0, 1e-5, 0))
+        motion_cov = _diagonal_noise(mean[..., 3], _MOTION_RELATIVE, _MOTION_FIXED)
         new_mean = np.matmul(self._motion_mat, mean[..., None])[..., 0]
         new_covariance = (
             self._motion_mat @ covariance @ self._motion_mat.T + motion_cov
@@ -82,8 +91,8 @@ class KalmanModel:
         """Project the state distribution into measurement space."""
         mean = np.asarray(mean, dtype=float)
         covariance = np.asarray(covariance, dtype=float)
-        wp = self.position_noise_weight
-        innovation_cov = _diagonal_noise(mean[..., 3], (wp, wp, 0, wp), (0, 0, 1e-1, 0))
+        innovation_cov = _diagonal_noise(
+            mean[..., 3], _INNOVATION_RELATIVE, _INNOVATION_FIXED)
         projected_mean = np.matmul(self._update_mat, mean[..., None])[..., 0]
         projected_cov = (
             self._update_mat @ covariance @ self._update_mat.T + innovation_cov
@@ -140,9 +149,10 @@ def _diagonal_noise(height, relative, fixed) -> np.ndarray:
     entry in only one of the two, and adding an exact zero leaves a value
     unchanged."""
     std = height[..., None] * relative + fixed
-    covariance = np.zeros(std.shape + std.shape[-1:])
-    diagonal = np.arange(std.shape[-1])
-    covariance[..., diagonal, diagonal] = np.square(std)
+    k = std.shape[-1]
+    covariance = np.zeros(std.shape + (k,))
+    # Every (k + 1)-th entry of a fresh k*k block is its diagonal.
+    covariance.reshape(std.shape[:-1] + (k * k,))[..., ::k + 1] = np.square(std)
     return covariance
 
 

@@ -9,7 +9,15 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 
-class ConfigError(ValueError):
+class DataError(ValueError):
+    """Invalid input: a data file, a settings file or a named preset.
+
+    The CLI reports these as data errors (exit 2); any other exception is
+    a fault of the program and keeps its traceback.
+    """
+
+
+class ConfigError(DataError):
     """Raised for invalid configuration values, unknown keys or presets."""
 
 
@@ -89,6 +97,132 @@ class Detection:
             )
         if not np.isfinite(self.embedding).all():
             raise ValueError("embedding values must be finite")
+
+
+# The box helpers below take and return (n, k) float arrays, one box a row,
+# and do BoundingBox's own arithmetic column by column, so each entry
+# equals the per-object value bit for bit.
+
+def box_columns(ltwh: np.ndarray) -> np.ndarray:
+    """The (left, top, right, bottom, area) rows of (left, top, width,
+    height) rows, as BoundingBox's properties compute them."""
+    out = np.empty((len(ltwh), 5))
+    out[:, :2] = ltwh[:, :2]
+    np.add(ltwh[:, :2], ltwh[:, 2:], out=out[:, 2:4])
+    np.multiply(ltwh[:, 2], ltwh[:, 3], out=out[:, 4])
+    return out
+
+
+def center_columns(ltwh: np.ndarray) -> np.ndarray:
+    """The `BoundingBox.to_center` rows of (left, top, width, height) rows."""
+    out = np.empty((len(ltwh), 4))
+    np.add(ltwh[:, :2], ltwh[:, 2:] / 2.0, out=out[:, :2])
+    np.divide(ltwh[:, 2], ltwh[:, 3], out=out[:, 2])
+    out[:, 3] = ltwh[:, 3]
+    return out
+
+
+def ltwh_from_centers(centers: np.ndarray) -> np.ndarray:
+    """The (left, top, width, height) rows that `BoundingBox.from_center`
+    makes of (cx, cy, aspect, height) rows.
+
+    A row that makes no valid box raises BoundingBox's own ValueError;
+    with several, the first such row does.
+    """
+    ltwh = np.empty((len(centers), 4))
+    # A state far out of range makes an infinite or NaN field, which the
+    # check below rejects as BoundingBox does, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(centers[:, 2], centers[:, 3], out=ltwh[:, 2])
+        ltwh[:, 3] = centers[:, 3]
+        np.subtract(centers[:, :2], ltwh[:, 2:] / 2.0, out=ltwh[:, :2])
+    if not (np.isfinite(ltwh).all() and (ltwh[:, 2:] > 0).all()):
+        valid = np.isfinite(ltwh).all(axis=1) & (ltwh[:, 2:] > 0).all(axis=1)
+        BoundingBox(*ltwh[np.argmin(valid)].tolist())
+    return ltwh
+
+
+@dataclass(eq=False)
+class FrameDetections:
+    """One frame's detections as columns, one row per detection.
+
+    Rows are in descending confidence (a stable sort: ties keep input
+    order). `boxes` rows are (left, top, right, bottom, area) and
+    `measurements` rows are `to_center()` vectors, computed as
+    BoundingBox computes them, so every entry equals the per-object value
+    bit for bit. `detections` holds the Detection of each row; iterating
+    or indexing the columns yields those. `frame` is None for a frame
+    built from no detections. Instances are not changed once built.
+    """
+
+    frame: int | None
+    detections: tuple
+    confidence: np.ndarray
+    boxes: np.ndarray
+    measurements: np.ndarray
+    embeddings: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.detections)
+
+    def __iter__(self):
+        return iter(self.detections)
+
+    def __getitem__(self, row: int) -> Detection:
+        return self.detections[row]
+
+    def take(self, rows) -> "FrameDetections":
+        """The rows `rows` (a list of indices or a slice), in that order."""
+        if isinstance(rows, slice):
+            detections = self.detections[rows]
+        else:
+            detections = tuple(self.detections[i] for i in rows)
+        return FrameDetections(self.frame, detections, self.confidence[rows],
+                               self.boxes[rows], self.measurements[rows],
+                               self.embeddings[rows])
+
+    @classmethod
+    def of(cls, detections) -> "FrameDetections":
+        """The columns of a list of detections, all of one frame."""
+        frames, columns = _sorted_columns(detections)
+        if frames.size and frames[0] != frames[-1]:
+            raise ValueError(
+                f"detections of frames {sorted(set(frames.tolist()))} given as one frame")
+        return replace(columns, frame=int(frames[0]) if frames.size else None)
+
+    @classmethod
+    def stream(cls, detections, frame_count: int) -> list["FrameDetections"]:
+        """The columns of frames 1..frame_count of a detection stream, one
+        entry per frame; detections of later frames are left out.
+
+        The stream's columns are built once, and each frame's columns are
+        views of a block of their rows.
+        """
+        frames, columns = _sorted_columns(detections)
+        starts = np.searchsorted(frames, np.arange(1, frame_count + 2)).tolist()
+        return [cls(frame, columns.detections[a:b], columns.confidence[a:b],
+                    columns.boxes[a:b], columns.measurements[a:b],
+                    columns.embeddings[a:b])
+                for frame, a, b in zip(range(1, frame_count + 1), starts, starts[1:])]
+
+
+def _sorted_columns(detections) -> tuple[np.ndarray, FrameDetections]:
+    """The frames and the columns of `detections`, sorted by frame and then
+    by descending confidence, both stable."""
+    detections = tuple(detections)
+    frames = np.array([d.frame for d in detections], dtype=np.int64)
+    confidence = np.array([d.confidence for d in detections], dtype=float)
+    order = np.argsort(-confidence, kind="stable")
+    order = order[np.argsort(frames[order], kind="stable")]
+    detections = tuple(detections[i] for i in order.tolist())
+    n = len(detections)
+    ltwh = np.array([(d.box.left, d.box.top, d.box.width, d.box.height)
+                     for d in detections], dtype=float).reshape(n, 4)
+    embeddings = (np.array([d.embedding for d in detections], dtype=float)
+                  .reshape(n, -1) if n else np.zeros((0, 0)))
+    return frames[order], FrameDetections(
+        None, detections, confidence[order], box_columns(ltwh), center_columns(ltwh),
+        embeddings)
 
 
 class TrackState(enum.Enum):

@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .metrics import EvalReport, GtEntry
-from .model import BoundingBox, ConfigError, Detection, build_settings, parse_kv_lines
+from .model import (BoundingBox, ConfigError, DataError, Detection, build_settings,
+                    parse_kv_lines)
 from .tracker import FrameResult
 
 META_FILE = "meta.txt"
@@ -29,7 +30,7 @@ DET_FILE = "det.txt"
 GT_FILE = "gt.txt"
 
 
-class ParseError(ValueError):
+class ParseError(DataError):
     """Malformed data file; the message carries file and line number."""
 
 
@@ -127,6 +128,13 @@ def parse_detections(path, expected_dim: int) -> list[Detection]:
         if norm < 1e-9:
             raise ParseError(f"{path}:{lineno}: embedding has zero norm")
         box = _box(numbers[:4], path, lineno)
+        # The tracker works on the (cx, cy, aspect, height) form of a box.
+        center = (box.left + box.width / 2.0, box.top + box.height / 2.0,
+                  box.width / box.height)
+        if not (center[2] > 0 and all(map(math.isfinite, center))):
+            raise ParseError(
+                f"{path}:{lineno}: box center and aspect (cx, cy, width/height) "
+                f"must be finite with a positive aspect, got {center}")
         try:
             detections.append(Detection(
                 frame=frame,

@@ -49,6 +49,8 @@ class ScenarioSpec:
             raise ConfigError(f"identities must be >= 1, got {self.identities}")
         if self.frames < 1:
             raise ConfigError(f"frames must be >= 1, got {self.frames}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.identities > self.embedding_dim:
             raise ConfigError(
                 f"cannot build {self.identities} near-orthogonal anchors in "

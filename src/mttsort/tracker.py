@@ -3,6 +3,10 @@
 Each frame: filter and NMS the detections, Kalman-predict all live tracks,
 match confirmed tracks by pooled appearance (cascade), match the remainder
 by IoU, update lifecycles, start new tracks, and emit the confirmed ones.
+
+A frame's detections arrive as columns (`FrameDetections`), and the live
+tracks' predicted states are stacked once a frame (`TrackStack`); every
+stage reads rows of those arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import numpy as np
 
 from . import association
 from .kalman import KalmanModel, NumericalError
-from .model import BoundingBox, Detection, TrackerConfig, TrackState
+from .model import (BoundingBox, FrameDetections, TrackerConfig, TrackState,
+                    ltwh_from_centers)
 
 
 @dataclass
@@ -30,30 +35,27 @@ class Track:
     age: int = 1
     last_confidence: float = 0.0
 
-    def to_box(self) -> BoundingBox:
-        return BoundingBox.from_center(self.mean[:4])
-
-    def update(self, kalman: KalmanModel, detection: Detection,
-               n_init: int) -> None:
-        """Fold a matched detection into the track on its own.
+    def update(self, kalman: KalmanModel, detections: FrameDetections,
+               row: int, n_init: int) -> None:
+        """Fold detection `row` of `detections` into the track on its own.
 
         A numerically failed Kalman update leaves the predicted state in
         place; the association bookkeeping still happens.
         """
         try:
             self.mean, self.covariance = kalman.update(
-                self.mean, self.covariance, detection.box.to_center())
+                self.mean, self.covariance, detections.measurements[row])
         except NumericalError:
             pass
-        self.mark_hit(detection, n_init)
+        self.mark_hit(detections, row, n_init)
 
-    def mark_hit(self, detection: Detection, n_init: int) -> None:
-        """Lifecycle step for a track matched to `detection` this frame,
-        after its Kalman update."""
-        self.features.push(detection.embedding)
+    def mark_hit(self, detections: FrameDetections, row: int, n_init: int) -> None:
+        """Lifecycle step for a track matched to detection `row` this
+        frame, after its Kalman update."""
+        self.features.push(detections.embeddings[row])
         self.hits += 1
         self.time_since_update = 0
-        self.last_confidence = detection.confidence
+        self.last_confidence = float(detections.confidence[row])
         if self.state == TrackState.Tentative and self.hits >= n_init:
             self.state = TrackState.Confirmed
 
@@ -69,6 +71,40 @@ class Track:
         self.features.clear()
 
 
+@dataclass(eq=False)
+class TrackStack:
+    """Track states as rows: `mean` (N, 8) and `covariance` (N, 8, 8), with
+    `tracks[i]` holding row i's id, lifecycle counters and feature buffer.
+
+    The stack built by a frame's predict is the tracks' state for the rest
+    of that frame: each track's mean and covariance are views of its row.
+    """
+
+    tracks: list
+    mean: np.ndarray
+    covariance: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tracks)
+
+    def take(self, rows: list) -> TrackStack:
+        """The rows `rows`, in that order; the stack itself for all rows in
+        order."""
+        if rows == list(range(len(self.tracks))):
+            return self
+        return TrackStack([self.tracks[i] for i in rows], self.mean[rows],
+                          self.covariance[rows])
+
+    @classmethod
+    def of(cls, tracks) -> TrackStack:
+        """The stack of the tracks' own states."""
+        tracks = list(tracks)
+        if not tracks:
+            return cls(tracks, np.zeros((0, 8)), np.zeros((0, 8, 8)))
+        return cls(tracks, np.array([t.mean for t in tracks]),
+                   np.array([t.covariance for t in tracks]))
+
+
 @dataclass(frozen=True)
 class FrameResult:
     """Confirmed-track output for one frame: (track_id, box, confidence)."""
@@ -77,22 +113,29 @@ class FrameResult:
     records: tuple
 
 
-def preprocess(detections, config: TrackerConfig) -> list[Detection]:
+def preprocess(detections: FrameDetections, config: TrackerConfig) -> FrameDetections:
     """Confidence filtering followed by greedy NMS.
 
-    Detections below min_confidence are dropped; the rest are scanned in
-    descending confidence order (ties keep input order) and a box is kept
-    iff its IoU with every already-kept box is <= nms_max_overlap.
+    Rows come in descending confidence (ties in input order), so the
+    detections at or above min_confidence are a leading block. It is
+    scanned in order, and a box is kept iff its IoU with every
+    already-kept box is <= nms_max_overlap. Fewer than two candidates
+    need no IoU.
     """
-    candidates = [d for d in detections if d.confidence >= config.min_confidence]
-    candidates.sort(key=lambda d: -d.confidence)
-    boxes = [d.box for d in candidates]
-    allowed = (association.iou_matrix(boxes, boxes) <= config.nms_max_overlap).tolist()
-    kept: list[int] = []
-    for k, row in enumerate(allowed):
-        if all(row[j] for j in kept):
-            kept.append(k)
-    return [candidates[k] for k in kept]
+    n = int(np.count_nonzero(detections.confidence >= config.min_confidence))
+    dropped = set()
+    if n > 1:
+        boxes = detections.boxes[:n]
+        # Box k is dropped iff a kept box j < k overlaps it; the pairs come
+        # in ascending k, so every j's fate is known when k is reached.
+        rows, cols = np.nonzero(~(association.iou_columns(boxes, boxes)
+                                  <= config.nms_max_overlap))
+        for k, j in zip(rows.tolist(), cols.tolist()):
+            if j < k and j not in dropped:
+                dropped.add(k)
+    if not dropped:
+        return detections if n == len(detections) else detections.take(slice(0, n))
+    return detections.take([k for k in range(n) if k not in dropped])
 
 
 class Tracker:
@@ -105,97 +148,107 @@ class Tracker:
         self._next_id = 1
         self._last_frame = 0
 
-    def step(self, frame: int, detections) -> FrameResult:
+    def step(self, frame: int, detections: FrameDetections) -> FrameResult:
         """Advance one frame and return the confirmed-track records."""
         if frame <= self._last_frame:
             raise ValueError(
                 f"frames must be strictly increasing: got {frame} after "
                 f"{self._last_frame}"
             )
-        for det in detections:
-            if det.frame != frame:
-                raise ValueError(
-                    f"detection for frame {det.frame} passed to step({frame})"
-                )
+        if detections.frame not in (None, frame):
+            raise ValueError(
+                f"detection for frame {detections.frame} passed to step({frame})"
+            )
         self._last_frame = frame
 
         detections = preprocess(detections, self.config)
-        self._predict()
-        # A track whose predicted aspect or height is no longer positive
-        # has no box; it is deleted before any stage asks for one.
-        self.tracks = [t for t in self.tracks if t.mean[2] > 0 and t.mean[3] > 0]
+        stack = self._predict()
+        matches, unmatched_track_idx, unmatched_det_idx = self._match(stack, detections)
 
-        matches, unmatched_track_idx, unmatched_det_idx = self._match(detections)
-
-        self._update([(self.tracks[i], detections[j]) for i, j in matches])
+        self._update(stack, detections, matches)
         for track_idx in unmatched_track_idx:
-            self.tracks[track_idx].mark_missed(self.config.max_age)
+            stack.tracks[track_idx].mark_missed(self.config.max_age)
         for det_idx in unmatched_det_idx:
-            self._initiate(detections[det_idx])
+            self._initiate(detections, det_idx)
 
-        result = self._emit(frame)
+        result = self._emit(frame, stack)
         self.tracks = [t for t in self.tracks if t.state != TrackState.Deleted]
         return result
 
-    def _predict(self) -> None:
-        """One Kalman predict over the stack of all live tracks."""
-        if not self.tracks:
-            return
-        means, covariances = self.kalman.predict(
-            np.stack([t.mean for t in self.tracks]),
-            np.stack([t.covariance for t in self.tracks]))
-        for track, mean, covariance in zip(self.tracks, means, covariances):
+    def _predict(self) -> TrackStack:
+        """One Kalman predict over the stack of all live tracks.
+
+        Each track's mean and covariance become views of its row of the
+        returned stack, so the update's write-back reaches the track.
+        """
+        stack = TrackStack.of(self.tracks)
+        if not stack.tracks:
+            return stack
+        means, covariances = self.kalman.predict(stack.mean, stack.covariance)
+        tracks = stack.tracks
+        # A track whose predicted aspect or height is no longer positive
+        # (or is NaN) has no box; it is deleted before any stage asks for
+        # one.
+        if not means[:, 2:4].min() > 0:
+            physical = (means[:, 2] > 0) & (means[:, 3] > 0)
+            tracks = [t for t, keep in zip(tracks, physical.tolist()) if keep]
+            means, covariances = means[physical], covariances[physical]
+            self.tracks = list(tracks)
+        for track, mean, covariance in zip(tracks, means, covariances):
             track.mean, track.covariance = mean, covariance
             track.age += 1
             track.time_since_update += 1
+        return TrackStack(tracks, means, covariances)
 
-    def _update(self, pairs) -> None:
-        """One Kalman update over the stack of the frame's (track,
-        detection) matches.
+    def _update(self, stack: TrackStack, detections: FrameDetections,
+                matches) -> None:
+        """One Kalman update over the stacked rows of the frame's (track,
+        detection) matches, written back into the stack.
 
         The stacked factorization fails as a whole if one track's does;
         the matches are then redone one at a time through `Track.update`,
         so only a failing track keeps its predicted state.
         """
-        if not pairs:
+        if not matches:
             return
         n_init = self.config.n_init
+        rows = [i for i, _ in matches]
         try:
             means, covariances = self.kalman.update(
-                np.stack([t.mean for t, _ in pairs]),
-                np.stack([t.covariance for t, _ in pairs]),
-                np.stack([d.box.to_center() for _, d in pairs]))
+                stack.mean[rows], stack.covariance[rows],
+                detections.measurements[[j for _, j in matches]])
         except NumericalError:
-            for track, detection in pairs:
-                track.update(self.kalman, detection, n_init)
+            for i, j in matches:
+                track = stack.tracks[i]
+                track.update(self.kalman, detections, j, n_init)
+                stack.mean[i], stack.covariance[i] = track.mean, track.covariance
             return
-        for (track, detection), mean, covariance in zip(pairs, means, covariances):
-            track.mean, track.covariance = mean, covariance
-            track.mark_hit(detection, n_init)
+        stack.mean[rows], stack.covariance[rows] = means, covariances
+        for i, j in matches:
+            stack.tracks[i].mark_hit(detections, j, n_init)
 
-    def _match(self, detections):
-        confirmed = [i for i, t in enumerate(self.tracks)
+    def _match(self, stack: TrackStack, detections: FrameDetections):
+        tracks = stack.tracks
+        confirmed = [i for i, t in enumerate(tracks)
                      if t.state == TrackState.Confirmed]
-        tentative = [i for i, t in enumerate(self.tracks)
+        tentative = [i for i, t in enumerate(tracks)
                      if t.state == TrackState.Tentative]
 
         cascade_matches, cascade_unmatched, unmatched_dets = \
             association.matching_cascade(
-                [self.tracks[i] for i in confirmed], detections,
-                self.config, self.kalman)
+                stack.take(confirmed), detections, self.config, self.kalman)
         matches = [(confirmed[r], c) for r, c in cascade_matches]
 
         # Recently lost confirmed tracks get one IoU-based second chance,
         # together with the not-yet-confirmed tracks.
         iou_candidates = tentative + [
             confirmed[r] for r in cascade_unmatched
-            if self.tracks[confirmed[r]].time_since_update == 1]
+            if tracks[confirmed[r]].time_since_update == 1]
         leftover = [confirmed[r] for r in cascade_unmatched
-                    if self.tracks[confirmed[r]].time_since_update != 1]
+                    if tracks[confirmed[r]].time_since_update != 1]
 
         cost = association.iou_cost(
-            [self.tracks[i] for i in iou_candidates],
-            [detections[j] for j in unmatched_dets],
+            stack.take(iou_candidates), detections.take(unmatched_dets),
             self.config.max_iou_distance)
         iou_matches, iou_unmatched_tracks, iou_unmatched_dets = \
             association.solve_assignment(cost)
@@ -207,29 +260,29 @@ class Tracker:
         unmatched_dets = [unmatched_dets[c] for c in iou_unmatched_dets]
         return sorted(matches), unmatched_tracks, unmatched_dets
 
-    def _initiate(self, detection: Detection) -> None:
-        mean, covariance = self.kalman.initiate(detection.box.to_center())
+    def _initiate(self, detections: FrameDetections, row: int) -> None:
+        mean, covariance = self.kalman.initiate(detections.measurements[row])
         track = Track(
             track_id=self._next_id,
             mean=mean,
             covariance=covariance,
             features=association.FeatureBuffer(self.config.feature_buffer_size),
-            last_confidence=detection.confidence,
+            last_confidence=float(detections.confidence[row]),
         )
-        track.features.push(detection.embedding)
+        track.features.push(detections.embeddings[row])
         self.tracks.append(track)
         self._next_id += 1
 
-    def _emit(self, frame: int) -> FrameResult:
+    def _emit(self, frame: int, stack: TrackStack) -> FrameResult:
         # A confirmed track missing for a single frame is reported at its
         # predicted box; longer gaps are suppressed until re-matched.
-        records = []
-        for track in self.tracks:
-            if track.state != TrackState.Confirmed:
-                continue
-            if track.time_since_update > 1:
-                continue
-            records.append((track.track_id, track.to_box(), track.last_confidence))
+        # Tracks born this frame are tentative, so every reported track
+        # has a row in the stack.
+        rows = [i for i, t in enumerate(stack.tracks)
+                if t.state == TrackState.Confirmed and t.time_since_update <= 1]
+        ltwh = ltwh_from_centers(stack.mean[rows, :4]).tolist() if rows else []
+        records = [(stack.tracks[i].track_id, BoundingBox(*box),
+                    stack.tracks[i].last_confidence) for i, box in zip(rows, ltwh)]
         records.sort(key=lambda r: r[0])
         return FrameResult(frame=frame, records=tuple(records))
 
@@ -239,10 +292,8 @@ def run_sequence(detections, config: TrackerConfig,
     """Track a whole detection stream and return one FrameResult per frame.
 
     Frames run from 1 to `frame_count`; frames without detections still
-    advance the tracker.
+    advance the tracker. The stream's columns are built once per call.
     """
-    by_frame: dict[int, list[Detection]] = {}
-    for det in detections:
-        by_frame.setdefault(det.frame, []).append(det)
     tracker = Tracker(config)
-    return [tracker.step(f, by_frame.get(f, [])) for f in range(1, frame_count + 1)]
+    return [tracker.step(columns.frame, columns)
+            for columns in FrameDetections.stream(detections, frame_count)]

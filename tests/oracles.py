@@ -272,8 +272,28 @@ def lexicographic_assignment_oracle(cost, infeasible):
                if count == most and total <= lowest + tol)
 
 
+def preprocess_oracle(detections, config):
+    """`tracker.preprocess` on a list of Detection objects, as it ran before
+    detections became columns: filter by min_confidence, stable-sort by
+    descending confidence, build the candidates' IoU matrix from their
+    BoundingBox objects, and keep a box iff its IoU with every kept box is
+    <= nms_max_overlap. Returns the kept Detection objects in order."""
+    from mttsort.association import iou_matrix
+
+    candidates = [d for d in detections if d.confidence >= config.min_confidence]
+    candidates.sort(key=lambda d: -d.confidence)
+    boxes = [d.box for d in candidates]
+    allowed = (iou_matrix(boxes, boxes) <= config.nms_max_overlap).tolist()
+    kept = []
+    for k, row in enumerate(allowed):
+        if all(row[j] for j in kept):
+            kept.append(k)
+    return [candidates[k] for k in kept]
+
+
 def cascade_oracle(tracks, detections, config, kalman):
-    """The matching cascade as a loop over the depths 1..max_age.
+    """The matching cascade as a loop over the depths 1..max_age, on a
+    track stack and a frame's detection columns.
 
     Each depth builds its own `appearance_cost` matrix for the tracks last
     updated that many frames ago against the detections still unmatched,
@@ -287,11 +307,10 @@ def cascade_oracle(tracks, detections, config, kalman):
     for depth in range(1, config.max_age + 1):
         if not unmatched:
             break
-        level = [i for i, t in enumerate(tracks) if t.time_since_update == depth]
+        level = [i for i, t in enumerate(tracks.tracks) if t.time_since_update == depth]
         if not level:
             continue
-        cost = appearance_cost([tracks[i] for i in level],
-                               [detections[j] for j in unmatched],
+        cost = appearance_cost(tracks.take(level), detections.take(unmatched),
                                kalman, config.max_dist)
         pairs = lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
         matches += [(level[r], unmatched[c]) for r, c in pairs]

@@ -10,8 +10,8 @@ from mttsort.association import (
     matching_cascade, solve_assignment,
 )
 from mttsort.kalman import KalmanModel
-from mttsort.model import BoundingBox, Detection, TrackerConfig
-from mttsort.tracker import Track
+from mttsort.model import BoundingBox, Detection, FrameDetections, TrackerConfig
+from mttsort.tracker import Track, TrackStack
 
 from oracles import (
     assignment_oracle, box_iou, cascade_oracle, lexicographic_assignment_oracle,
@@ -203,12 +203,14 @@ def test_appearance_cost_values():
     same = make_detection(box, e1)
     ortho = make_detection(box, unit(0, 1))
 
-    cost = appearance_cost([track], [same, ortho], kalman, max_dist=1.0)
+    cost = appearance_cost(TrackStack.of([track]), FrameDetections.of([same, ortho]),
+                           kalman, max_dist=1.0)
     assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert cost[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     track_diag = make_track(box, diag, kalman=kalman)
-    cost = appearance_cost([track_diag], [same], kalman, max_dist=1.0)
+    cost = appearance_cost(TrackStack.of([track_diag]), FrameDetections.of([same]),
+                           kalman, max_dist=1.0)
     assert cost[0, 0] == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-9)
 
 
@@ -217,7 +219,8 @@ def test_appearance_cost_max_dist_gate():
     box = BoundingBox(100, 100, 40, 80)
     track = make_track(box, unit(1, 0), kalman=kalman)
     ortho = make_detection(box, unit(0, 1))
-    cost = appearance_cost([track], [ortho], kalman, max_dist=0.2)
+    cost = appearance_cost(TrackStack.of([track]), FrameDetections.of([ortho]),
+                           kalman, max_dist=0.2)
     assert cost[0, 0] == INFEASIBLE
 
 
@@ -226,7 +229,8 @@ def test_appearance_cost_mahalanobis_gate():
     e1 = unit(1, 0)
     track = make_track(BoundingBox(100, 100, 40, 80), e1, kalman=kalman)
     far = make_detection(BoundingBox(500, 400, 40, 80), e1)
-    cost = appearance_cost([track], [far], kalman, max_dist=1.0)
+    cost = appearance_cost(TrackStack.of([track]), FrameDetections.of([far]),
+                           kalman, max_dist=1.0)
     assert cost[0, 0] == INFEASIBLE
 
 
@@ -239,7 +243,8 @@ def test_buffer_size_one_is_single_frame_cosine():
     track.features.push(unit(*rng.normal(size=4)))  # newest overwrites
     newest = track.features.entries[-1]
     det = make_detection(box, unit(*rng.normal(size=4)))
-    cost = appearance_cost([track], [det], kalman, max_dist=2.0)
+    cost = appearance_cost(TrackStack.of([track]), FrameDetections.of([det]),
+                           kalman, max_dist=2.0)
     assert cost[0, 0] == pytest.approx(
         1.0 - float(newest @ det.embedding), abs=1e-12)
 
@@ -253,13 +258,15 @@ def test_iou_cost_thresholds():
     same = make_detection(box, unit(1, 0))
     disjoint = make_detection(BoundingBox(100, 100, 10, 10), unit(1, 0))
 
-    cost = iou_cost([track], [same, disjoint], max_iou_distance=0.7)
+    cost = iou_cost(TrackStack.of([track]), FrameDetections.of([same, disjoint]),
+                    max_iou_distance=0.7)
     assert cost[0, 0] == 0.0
     assert cost[0, 1] == INFEASIBLE
 
     # overlap of exactly 0.5 against threshold 0.3 is infeasible
     half = make_detection(BoundingBox(0, 0, 10, 5), unit(1, 0))
-    cost = iou_cost([track], [half], max_iou_distance=0.3)
+    cost = iou_cost(TrackStack.of([track]), FrameDetections.of([half]),
+                    max_iou_distance=0.3)
     assert cost[0, 0] == INFEASIBLE
 
 
@@ -406,7 +413,7 @@ def test_cascade_prefers_fresher_track():
     det = make_detection(box, e1)
     config = TrackerConfig()
     matches, unmatched_tracks, unmatched_dets = matching_cascade(
-        [stale, fresh], [det], config, kalman)
+        TrackStack.of([stale, fresh]), FrameDetections.of([det]), config, kalman)
     assert matches == [(1, 0)]  # index of `fresh` in the input list
     assert unmatched_tracks == [0]
     assert unmatched_dets == []
@@ -422,7 +429,7 @@ def test_cascade_matches_both_when_unambiguous():
               make_track(box_b, e_b, track_id=2, kalman=kalman)]
     dets = [make_detection(box_b, e_b), make_detection(box_a, e_a)]
     matches, unmatched_tracks, unmatched_dets = matching_cascade(
-        tracks, dets, config, kalman)
+        TrackStack.of(tracks), FrameDetections.of(dets), config, kalman)
     assert matches == [(0, 1), (1, 0)]
     assert unmatched_tracks == [] and unmatched_dets == []
 
@@ -449,6 +456,7 @@ def test_cascade_matches_per_depth_oracle(seed, n_tracks, n_dets):
               for k in range(n_tracks)]
     dets = [make_detection(box(), rng.choice([0.5, 0.75, 1.0]) * axes[rng.integers(3)])
             for _ in range(n_dets)]
+    tracks, dets = TrackStack.of(tracks), FrameDetections.of(dets)
     assert (matching_cascade(tracks, dets, config, kalman)
             == cascade_oracle(tracks, dets, config, kalman))
 
@@ -457,5 +465,5 @@ def test_cascade_no_detections():
     kalman = KalmanModel()
     tracks = [make_track(BoundingBox(0, 0, 10, 10), unit(1, 0), kalman=kalman)]
     matches, unmatched_tracks, unmatched_dets = matching_cascade(
-        tracks, [], TrackerConfig(), kalman)
+        TrackStack.of(tracks), FrameDetections.of([]), TrackerConfig(), kalman)
     assert matches == [] and unmatched_tracks == [0] and unmatched_dets == []

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from mttsort import association
 from mttsort.cli import cli
 from mttsort.model import load_config
 from mttsort.seqio import load_sequence, parse_results
@@ -198,3 +199,25 @@ def test_track_rejects_out_of_range_meta(seq_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(seq_dir / "meta.txt") in err and "frame_count" in err
     assert not out.exists()
+
+
+def test_program_fault_propagates_out_of_cli(seq_dir, tmp_path, monkeypatch):
+    # A ValueError from inside the tracker is a bug, not a data error: it
+    # keeps its traceback instead of becoming exit 2.
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(association, "iou_cost", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        cli(["track", "--seq", str(seq_dir), "--preset", "config1",
+             "--out", str(tmp_path / "pred.txt")])
+
+
+def test_negative_seeds_exit_2(tmp_path, capsys):
+    assert cli(["synth", "--preset", "clean", "--seed", "-1",
+                "--out", str(tmp_path / "scene")]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    ga_cfg = tmp_path / "ga.cfg"
+    ga_cfg.write_text("seed = -3\n")
+    assert cli(["optimize", "--seqs", str(tmp_path), "--ga-config", str(ga_cfg),
+                "--out", str(tmp_path / "best.cfg")]) == 2

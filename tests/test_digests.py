@@ -15,7 +15,7 @@ import pytest
 import scipy
 
 from mttsort import ga, metrics, seqio, synth
-from mttsort.model import format_config
+from mttsort.model import PRESETS, format_config
 from mttsort.tracker import run_sequence
 
 from mttbench import workloads
@@ -33,6 +33,21 @@ SCENE_DIGESTS = {
     "shrink": "5d9c5c411ea205061e10c63c6cf1491c4bf8b8f152babf89b7050aba91e5a1dd",
     "big30-40": "b2f0fddb9b817c882962a0667320c24d8b967da0394ab1708cb83b5792953688",
     "big30": "353e51ae802788da7ab36c7a2ae41cdf6e7a56c31370c787284a5115502043ba",
+}
+# Presets config2-config6 on two seed-0 presets: between them they run the
+# confidence prefix at min_confidence 0.3 and 0.7 and NMS at
+# nms_max_overlap 0.3 and 0.9, not only config1's 0.5 and 0.7.
+CONFIG_DIGESTS = {
+    ("crowded", "config2"): "3366f7baf84cfc549c621b17e074b0415e9b7fcdf42f682f920385e91dc4b366",
+    ("crowded", "config3"): "b16e460f620dfbba587052aff189ce673da77095b9e6198249393e0822a955f0",
+    ("crowded", "config4"): "44eeebea0494f571e5562f6179f6c9ce28b7a24bd488401a732db76e63b4f862",
+    ("crowded", "config5"): "5ab9a6ffb19e7aa85c0df4e807d44bcc1a5a19dbd08b85eff7bed4552f15dc80",
+    ("crowded", "config6"): "cb973b7493773648a6eb726f0424788dc0276b2e713fe619185144ee719919ff",
+    ("lookalike", "config2"): "a25b013d9645b01c87acd326623d2c525c531b3a341e5f527e9d8af18e271a35",
+    ("lookalike", "config3"): "b8fa21fd88ab190eccef8510e30543b0fe8d763cf156253046f78fd47d9ae6d4",
+    ("lookalike", "config4"): "b8f8e07a3948c9cb951590a2596332431f59d18e2a7289ae60b1de1ea23d4453",
+    ("lookalike", "config5"): "d9837615073f23269c211463e1cd2d6b85ad144d5e7b7bacd7b67d12fb68f77e",
+    ("lookalike", "config6"): "f64ffc1f98dec609da6e10b08d407c8f85ebbae99285d4927bcaa57c7be0e106",
 }
 GA_DIGEST = "a951ce105714bdf4676618bf7c4868cdb203b9185d24966bd71939427a61d7d7"
 GA_CONFIG = ga.GAConfig(population_size=6, max_generations=4, seed=0)
@@ -67,6 +82,15 @@ def file_pipeline_digest(scene, directory):
 def test_file_pipeline_digest(scene, tmp_path):
     got = file_pipeline_digest(scene, tmp_path / scene.name)
     assert_digest(scene.name, got, SCENE_DIGESTS[scene.name])
+
+
+@pytest.mark.parametrize("scene_name, preset", sorted(CONFIG_DIGESTS),
+                         ids=lambda v: v)
+def test_preset_config_digest(scene_name, preset, tmp_path):
+    scene = {s.name: s for s in workloads.scenes("presets", 0)}[scene_name]
+    scene = replace(scene, config=PRESETS[preset])
+    got = file_pipeline_digest(scene, tmp_path / scene_name)
+    assert_digest(f"{scene_name}/{preset}", got, CONFIG_DIGESTS[scene_name, preset])
 
 
 def test_small_ga_digest():

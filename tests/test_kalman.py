@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mttsort.association import FeatureBuffer
+from mttsort import kalman
 from mttsort.kalman import CHI2_GATE_4DOF, KalmanModel, NumericalError
-from mttsort.model import BoundingBox, Detection
+from mttsort.model import BoundingBox, Detection, FrameDetections
 from mttsort.tracker import Track
 
 
@@ -183,7 +184,7 @@ def test_non_positive_definite_covariance_raises_numerical_error(kf):
     embedding = np.array([1.0, 0.0])
     detection = Detection(frame=2, box=BoundingBox(0, 0, 20, 40),
                           confidence=0.8, embedding=embedding)
-    track.update(kf, detection, n_init=2)
+    track.update(kf, FrameDetections.of([detection]), 0, n_init=2)
     assert np.array_equal(track.mean, mean)
     assert np.array_equal(track.covariance, covariance)
     assert len(track.features) == 1
@@ -225,3 +226,25 @@ def test_noiseless_tracking_error_shrinks(kf):
     assert max(errors) < 1.0
     assert errors[-1] < 0.3 * errors[0]
     assert all(b <= a + 1e-9 for a, b in zip(errors[1:], errors[2:]))
+
+
+NOISE_WEIGHTS = {
+    "motion": (kalman._MOTION_RELATIVE, kalman._MOTION_FIXED),
+    "innovation": (kalman._INNOVATION_RELATIVE, kalman._INNOVATION_FIXED),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(sorted(NOISE_WEIGHTS)), st.sampled_from([(), (1,), (3,), (30,)]),
+       st.data())
+def test_diagonal_noise_rows_are_each_heights_diagonal(kind, shape, data):
+    relative, fixed = NOISE_WEIGHTS[kind]
+    heights = data.draw(st.lists(st.floats(1e-3, 1e6), min_size=int(np.prod(shape)),
+                                 max_size=int(np.prod(shape))))
+    height = np.array(heights).reshape(shape)
+    covariance = kalman._diagonal_noise(height, relative, fixed)
+    k = len(relative)
+    assert covariance.shape == shape + (k, k)
+    for index in np.ndindex(shape):
+        want = np.diag(np.square(height[index] * relative + fixed))
+        assert covariance[index].tobytes() == want.tobytes()

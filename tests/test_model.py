@@ -3,12 +3,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mttsort.ga import load_ga_config
 from mttsort.model import (
-    BoundingBox, ConfigError, Detection, TrackerConfig, format_config,
-    load_config, load_preset, parse_config_text, parse_kv_lines, PRESETS,
+    BoundingBox, ConfigError, DataError, Detection, FrameDetections, TrackerConfig,
+    box_columns, format_config, load_config, load_preset, ltwh_from_centers,
+    parse_config_text, parse_kv_lines, PRESETS,
 )
 from mttsort.seqio import ParseError, parse_meta
 from mttsort.synth import load_scenario
@@ -175,3 +176,97 @@ def test_settings_range_errors_name_the_file_and_key(tmp_path, kind, value):
     with pytest.raises((ConfigError, ParseError),
                        match=re.escape(str(path)) + f": {float_key} "):
         loader(path)
+
+
+# ------------------------------------------------------ detection columns
+
+finite_boxes = st.builds(
+    BoundingBox, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+    st.floats(1e-3, 1e6), st.floats(1e-3, 1e6))
+
+
+@st.composite
+def detection_streams(draw, max_frame=4):
+    """Detections over frames 1..max_frame (in no particular order) with
+    3-d embeddings and confidences that often tie."""
+    return [Detection(draw(st.integers(1, max_frame)), draw(finite_boxes),
+                      draw(st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0])),
+                      np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3))))
+            for _ in range(draw(st.integers(0, 8)))]
+
+
+def assert_columns_of(columns, detections):
+    """`columns` rows are `detections`, with each column equal to the
+    per-object value bit for bit."""
+    assert list(columns) == list(detections)
+    for row, d in enumerate(detections):
+        box = d.box
+        assert columns.confidence[row] == d.confidence
+        assert columns.boxes[row].tobytes() == np.array(
+            [box.left, box.top, box.right, box.bottom, box.area]).tobytes()
+        assert columns.measurements[row].tobytes() == box.to_center().tobytes()
+        assert columns.embeddings[row].tobytes() == np.asarray(
+            d.embedding, dtype=float).tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(detection_streams(max_frame=1))
+def test_frame_columns_equal_the_objects_in_descending_confidence(detections):
+    columns = FrameDetections.of(detections)
+    ordered = sorted(detections, key=lambda d: -d.confidence)  # stable
+    assert_columns_of(columns, ordered)
+    assert columns.frame == (1 if detections else None)
+    rows = list(range(len(ordered)))[::-2]
+    assert_columns_of(columns.take(rows), [ordered[i] for i in rows])
+
+
+@settings(deadline=None, max_examples=150)
+@given(detection_streams(), st.integers(0, 5))
+def test_stream_columns_are_each_frames_columns(detections, frame_count):
+    frames = FrameDetections.stream(detections, frame_count)
+    assert [f.frame for f in frames] == list(range(1, frame_count + 1))
+    for columns in frames:
+        here = [d for d in detections if d.frame == columns.frame]
+        assert_columns_of(columns, sorted(here, key=lambda d: -d.confidence))
+
+
+def test_columns_reject_detections_of_two_frames():
+    box, emb = BoundingBox(0, 0, 4, 4), np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match=r"frames \[1, 2\]"):
+        FrameDetections.of([Detection(1, box, 0.5, emb), Detection(2, box, 0.5, emb)])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+                          st.floats(1e-6, 1e3), st.floats(1e-3, 1e6)),
+                max_size=6))
+def test_boxes_from_centers_equal_from_center_bit_for_bit(rows):
+    centers = np.array(rows, dtype=float).reshape(-1, 4)
+    ltwh = ltwh_from_centers(centers)
+    columns = box_columns(ltwh)
+    for row, center in enumerate(centers):
+        box = BoundingBox.from_center(center)
+        assert ltwh[row].tobytes() == np.array(
+            [box.left, box.top, box.width, box.height]).tobytes()
+        assert columns[row].tobytes() == np.array(
+            [box.left, box.top, box.right, box.bottom, box.area]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    (0.0, 0.0, 1e-200, 1e-200),     # the width underflows to 0
+    (0.0, 0.0, 1e200, 1e200),       # the width overflows
+    (math.nan, 0.0, 1.0, 1.0),
+    (0.0, 0.0, 1.0, -2.0),
+])
+def test_boxes_from_centers_raise_the_first_invalid_rows_box_error(bad):
+    centers = np.array([(5.0, 5.0, 0.5, 10.0), bad, (0.0, 0.0, -1.0, 1.0)])
+    with pytest.raises(ValueError) as want:
+        BoundingBox.from_center(bad)
+    with pytest.raises(ValueError) as got:
+        ltwh_from_centers(centers)
+    assert str(got.value) == str(want.value)
+
+
+def test_data_errors_share_one_base():
+    assert issubclass(ConfigError, DataError) and issubclass(ParseError, DataError)
+    assert issubclass(DataError, ValueError)

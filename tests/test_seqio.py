@@ -86,6 +86,14 @@ def test_non_finite_detection_fields_name_file_and_line(tmp_path, row):
         parse_detections(path, expected_dim=2)
 
 
+@pytest.mark.parametrize("box", ["10,10,1e-200,1e200", "1.5e308,10,1e308,5"])
+def test_detection_without_a_finite_center_form_names_file_and_line(tmp_path, box):
+    # Valid boxes whose aspect underflows to 0 or whose center overflows.
+    path = write(tmp_path / "det.txt", f"1,-1,10,20,30,40,0.9,1,0\n1,-1,{box},0.9,1,0\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2:") + ".*aspect"):
+        parse_detections(path, expected_dim=2)
+
+
 def test_rows_sorted_by_frame(tmp_path):
     path = write(tmp_path / "det.txt",
                  "3,-1,1,1,5,5,0.9,1,0\n1,-1,2,2,5,5,0.9,1,0\n")

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mttsort import seqio, synth
+from mttsort import association, seqio, synth
 from mttsort.association import FeatureBuffer
 from mttsort.kalman import NumericalError
-from mttsort.model import BoundingBox, Detection, TrackerConfig, TrackState
+from mttsort.model import (BoundingBox, Detection, FrameDetections, TrackerConfig,
+                           TrackState)
 from mttsort.tracker import FrameResult, Track, Tracker, preprocess, run_sequence
 
-from oracles import box_iou
+from oracles import box_iou, preprocess_oracle
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -40,13 +41,15 @@ def linear_stream(frames, start=(100, 100), step=(3, 0), emb=(1, 0),
 
 def test_preprocess_confidence_filter():
     config = TrackerConfig(min_confidence=0.5)
-    kept = preprocess([det(1, 0, 0, conf=0.9), det(1, 100, 0, conf=0.4)], config)
+    kept = preprocess(
+        FrameDetections.of([det(1, 0, 0, conf=0.9), det(1, 100, 0, conf=0.4)]), config)
     assert [d.confidence for d in kept] == [0.9]
 
 
 def test_preprocess_nms_suppresses_duplicates():
     config = TrackerConfig(nms_max_overlap=0.7)
-    kept = preprocess([det(1, 0, 0, conf=0.8), det(1, 0, 0, conf=0.95)], config)
+    kept = preprocess(
+        FrameDetections.of([det(1, 0, 0, conf=0.8), det(1, 0, 0, conf=0.95)]), config)
     assert len(kept) == 1
     assert kept[0].confidence == 0.95
 
@@ -55,7 +58,7 @@ def test_preprocess_keeps_moderate_overlap():
     config = TrackerConfig(nms_max_overlap=0.3)
     a = det(1, 0, 0, w=10, h=10)
     b = det(1, 7, 0, w=10, h=10, conf=0.8)  # IoU = 3/17 < 0.3
-    kept = preprocess([a, b], config)
+    kept = preprocess(FrameDetections.of([a, b]), config)
     assert len(kept) == 2
 
 
@@ -81,9 +84,51 @@ def greedy_nms_oracle(detections, config):
 def test_preprocess_matches_greedy_nms_oracle(raw, overlap):
     detections = [det(1, left, top, w, h, conf) for left, top, w, h, conf in raw]
     config = TrackerConfig(nms_max_overlap=overlap)
-    kept = preprocess(detections, config)
+    kept = preprocess(FrameDetections.of(detections), config)
     expected = greedy_nms_oracle(detections, config)
     assert [id(d) for d in kept] == [id(d) for d in expected]
+
+
+@pytest.mark.parametrize("confidences, calls", [
+    ((0.2, 0.3), 0), ((0.9, 0.3), 0), ((0.9, 0.6, 0.3), 1)])
+def test_preprocess_calls_the_iou_kernel_only_for_two_candidates(
+        monkeypatch, confidences, calls):
+    # Candidates are the detections at or above min_confidence 0.5.
+    kernel, seen = association.iou_columns, []
+
+    def counting(a, b):
+        seen.append(len(a))
+        return kernel(a, b)
+
+    monkeypatch.setattr(association, "iou_columns", counting)
+    detections = [det(1, 40 * k, 0, conf=c) for k, c in enumerate(confidences)]
+    kept = preprocess(FrameDetections.of(detections), TrackerConfig(min_confidence=0.5))
+    assert len(kept) == sum(c >= 0.5 for c in confidences)
+    assert seen == [2] * calls
+
+
+# Boxes on a 5 px grid with sides 5 or 10 px: duplicates are common, and the
+# IoUs are small rationals that the thresholds below hit exactly (1/3, 1/2,
+# 1/4, 1/7 and 1 all occur).
+grid_detections = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([5, 10]),
+              st.sampled_from([5, 10]), st.sampled_from([0.3, 0.5, 0.7, 0.9])),
+    max_size=9)
+
+
+@settings(deadline=None, max_examples=300)
+@given(grid_detections, st.sampled_from([0.3, 0.5, 0.7]),
+       st.sampled_from([1 / 7, 0.25, 1 / 3, 0.5, 0.7, 1.0]))
+def test_preprocess_equals_the_object_version(raw, min_confidence, overlap):
+    detections = [det(1, 5 * x, 5 * y, w, h, conf) for x, y, w, h, conf in raw]
+    config = TrackerConfig(min_confidence=min_confidence, nms_max_overlap=overlap)
+    kept = preprocess(FrameDetections.of(detections), config)
+    expected = preprocess_oracle(detections, config)
+    assert [id(d) for d in kept] == [id(d) for d in expected]
+    # The kept rows are the columns of the kept detections, bit for bit.
+    want = FrameDetections.of(expected)
+    for name in ("confidence", "boxes", "measurements", "embeddings"):
+        assert getattr(kept, name).tobytes() == getattr(want, name).tobytes()
 
 
 # -------------------------------------------------------------- lifecycle
@@ -121,17 +166,17 @@ def test_short_occlusion_resumes_same_id():
 
 def test_out_of_order_frames_rejected():
     tracker = Tracker(TrackerConfig())
-    tracker.step(5, [])
+    tracker.step(5, FrameDetections.of([]))
     with pytest.raises(ValueError, match="strictly increasing"):
-        tracker.step(5, [])
+        tracker.step(5, FrameDetections.of([]))
     with pytest.raises(ValueError, match="strictly increasing"):
-        tracker.step(3, [])
+        tracker.step(3, FrameDetections.of([]))
 
 
 def test_step_rejects_foreign_frame_detections():
     tracker = Tracker(TrackerConfig())
     with pytest.raises(ValueError, match="frame"):
-        tracker.step(1, [det(2, 0, 0)])
+        tracker.step(1, FrameDetections.of([det(2, 0, 0)]))
 
 
 def test_empty_stream():
@@ -141,7 +186,7 @@ def test_empty_stream():
 def test_only_confirmed_tracks_reported():
     config = TrackerConfig(n_init=3)
     tracker = Tracker(config)
-    result = tracker.step(1, [det(1, 100, 100)])
+    result = tracker.step(1, FrameDetections.of([det(1, 100, 100)]))
     assert result.records == ()
     assert tracker.tracks[0].state == TrackState.Tentative
 
@@ -173,17 +218,17 @@ def test_single_frame_gap_reports_predicted_box():
 def test_counters_and_deletion_rules():
     config = TrackerConfig(n_init=2, max_age=3)
     tracker = Tracker(config)
-    tracker.step(1, [det(1, 100, 100)])
+    tracker.step(1, FrameDetections.of([det(1, 100, 100)]))
     track = tracker.tracks[0]
     assert (track.hits, track.age, track.time_since_update) == (1, 1, 0)
-    tracker.step(2, [det(2, 103, 100)])
+    tracker.step(2, FrameDetections.of([det(2, 103, 100)]))
     assert (track.hits, track.age, track.time_since_update) == (2, 2, 0)
     assert track.state == TrackState.Confirmed
     for f in range(3, 6):
-        tracker.step(f, [])
+        tracker.step(f, FrameDetections.of([]))
     assert track.time_since_update == 3
     assert track.state == TrackState.Confirmed
-    tracker.step(6, [])
+    tracker.step(6, FrameDetections.of([]))
     assert track.state == TrackState.Deleted
     assert len(track.features) == 0  # buffer cleared on termination
     assert tracker.tracks == []
@@ -199,7 +244,7 @@ def test_deleted_ids_never_reappear():
     ever_live = set()
     dead = set()
     for f in range(1, spec.frames + 1):
-        result = tracker.step(f, by_frame.get(f, []))
+        result = tracker.step(f, FrameDetections.of(by_frame.get(f, [])))
         assert not (dead & {tid for tid, _, _ in result.records})
         live = {t.track_id for t in tracker.tracks}
         dead |= ever_live - live
@@ -217,7 +262,7 @@ def test_track_ids_strictly_increasing():
     seen_max = 0
     created = []
     for f in range(1, spec.frames + 1):
-        tracker.step(f, by_frame.get(f, []))
+        tracker.step(f, FrameDetections.of(by_frame.get(f, [])))
         for t in tracker.tracks:
             if t.track_id > seen_max:
                 created.append(t.track_id)
@@ -299,7 +344,8 @@ def test_failed_update_keeps_only_that_track_predicted():
                          a.box.to_center())
     predicted = kalman.predict(broken.mean, broken.covariance)
 
-    tracker.step(2, [det(2, 100, 100, emb=(1, 0)), det(2, 400, 100, emb=(0, 1))])
+    tracker.step(2, FrameDetections.of([det(2, 100, 100, emb=(1, 0)),
+                                        det(2, 400, 100, emb=(0, 1))]))
     assert np.array_equal(healthy.mean, want[0])
     assert np.array_equal(healthy.covariance, want[1])
     assert np.array_equal(broken.mean, predicted[0])
@@ -318,7 +364,23 @@ def test_gate_covers_tracks_past_the_last_detection():
                               (b, TrackState.Confirmed, 1))
     tracker.tracks[1].covariance = BROKEN_COVARIANCE.copy()
     with pytest.raises(NumericalError):
-        tracker.step(2, [det(2, 100, 100, emb=(1, 0))])
+        tracker.step(2, FrameDetections.of([det(2, 100, 100, emb=(1, 0))]))
+
+
+def test_track_whose_predicted_width_underflows_raises_the_box_error():
+    # Aspect and height stay positive, so the track is kept at predict,
+    # but their product underflows to a zero width. The IoU stage, which a
+    # tentative track enters, raises what BoundingBox.from_center raises.
+    tracker = tracker_holding(TrackerConfig(), (det(1, 100, 100), TrackState.Tentative, 0))
+    track = tracker.tracks[0]
+    track.mean = np.array([100.0, 100.0, 1e-200, 1e-200, 0, 0, 0, 0])
+    predicted, _ = tracker.kalman.predict(track.mean, track.covariance)
+    with pytest.raises(ValueError) as want:
+        BoundingBox.from_center(predicted[:4])
+    with pytest.raises(ValueError) as got:
+        tracker.step(2, FrameDetections.of([det(2, 100, 100)]))
+    assert str(got.value) == str(want.value)
+    assert "iou_cost" in [entry.name for entry in got.traceback]
 
 
 @st.composite
