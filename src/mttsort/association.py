@@ -279,7 +279,8 @@ def matching_cascade(tracks, detections, config, kalman):
     update is within 1..max_age. The depths present are then visited in
     ascending order; at each, the tracks last updated that many frames ago
     compete, on their rows of that matrix, for the detections still
-    unmatched. All `tracks` must be confirmed.
+    unmatched. A depth whose block has no feasible entry is skipped
+    without a solve. All `tracks` must be confirmed.
 
     Returns ``(matches, unmatched_tracks, unmatched_detections)`` with
     row indices into `tracks` and `detections`.
@@ -298,8 +299,11 @@ def matching_cascade(tracks, detections, config, kalman):
             if not unmatched_dets:
                 break
             level = levels[depth]
-            level_matches, _, level_unmatched = solve_assignment(
-                full[level][:, unmatched_dets])
+            block = full[level][:, unmatched_dets]
+            # A block with no feasible entry matches nothing.
+            if not np.isfinite(block).any():
+                continue
+            level_matches, _, level_unmatched = solve_assignment(block)
             matches.extend((candidates[level[r]], unmatched_dets[c])
                            for r, c in level_matches)
             unmatched_dets = [unmatched_dets[c] for c in level_unmatched]

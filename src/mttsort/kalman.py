@@ -21,12 +21,14 @@ CHI2_GATE_4DOF = 9.4877
 
 _POSITION_WEIGHT = 1.0 / 20
 _VELOCITY_WEIGHT = 1.0 / 160
-# Per-component noise standard deviations are relative * height + fixed:
-# of the motion (predict) over the 8 state components, and of the
-# innovation (project) over the 4 measured ones.
+# Per-component standard deviations are relative * height + fixed: of the
+# motion (predict) and of a new track's state (initiate, twice the motion's
+# position and ten times its velocity terms) over the 8 state components,
+# and of the innovation (project) over the 4 measured ones.
 _MOTION_RELATIVE = np.array([_POSITION_WEIGHT, _POSITION_WEIGHT, 0, _POSITION_WEIGHT,
                              _VELOCITY_WEIGHT, _VELOCITY_WEIGHT, 0, _VELOCITY_WEIGHT])
-_MOTION_FIXED = np.array([0, 0, 1e-2, 0, 0, 0, 1e-5, 0])
+_INITIAL_RELATIVE = _MOTION_RELATIVE * np.repeat([2, 10], 4)
+_STATE_FIXED = np.array([0, 0, 1e-2, 0, 0, 0, 1e-5, 0])
 _INNOVATION_RELATIVE = np.array([_POSITION_WEIGHT, _POSITION_WEIGHT, 0, _POSITION_WEIGHT])
 _INNOVATION_FIXED = np.array([0, 0, 1e-1, 0])
 
@@ -36,51 +38,49 @@ class NumericalError(RuntimeError):
 
 
 class KalmanModel:
-    """Kalman prediction/update/gating for track states.
+    """Kalman initiation/prediction/update/gating for track states.
 
+    `initiate` takes one `(4,)` measurement or a stack of N, `(N, 4)`, and
     `predict`, `project`, `update` and `gating_distance` take one state, an
     `(8,)` mean with an `(8, 8)` covariance, or a stack of N states, `(N, 8)`
     means with `(N, 8, 8)` covariances, through the same code: every
-    product is a matmul on the stack, so each row of a stacked call equals
-    the call on that row alone bit for bit.
+    product is a matmul or an elementwise operation on the stack, so each
+    row of a stacked call equals the call on that row alone bit for bit.
 
-    The noise standard deviations are the current box height times
-    `position_noise_weight` for the position-like state components and
-    times `velocity_noise_weight` for the velocity components.
+    The noise is fixed: the motion and innovation standard deviations are
+    the current box height times 1/20 for the position-like components and
+    1/160 for the velocity components, and a new track's are twice and ten
+    times those.
     """
 
-    position_noise_weight = _POSITION_WEIGHT
-    velocity_noise_weight = _VELOCITY_WEIGHT
     _motion_mat = np.eye(8) + np.eye(8, k=4)  # dt = 1
     _update_mat = np.eye(4, 8)
 
     def initiate(self, measurement) -> tuple[np.ndarray, np.ndarray]:
-        """Create a new track state from an unassociated measurement.
+        """Create new track states from unassociated measurements.
 
         Velocities start at zero; the diagonal covariance expresses high
         uncertainty about them.
         """
         measurement = np.asarray(measurement, dtype=float)
-        cx, cy, a, h = measurement
-        if not (h > 0 and a > 0):
+        valid = (measurement[..., 2] > 0) & (measurement[..., 3] > 0)
+        if not valid.all():
+            _, _, a, h = measurement[~valid][0] if valid.ndim else measurement
             raise ValueError(
                 f"invalid measurement: aspect and height must be positive, "
                 f"got a={a}, h={h}"
             )
-        mean = np.concatenate([measurement, np.zeros(4)])
-        wp, wv = self.position_noise_weight, self.velocity_noise_weight
-        std = [
-            2 * wp * h, 2 * wp * h, 1e-2, 2 * wp * h,
-            10 * wv * h, 10 * wv * h, 1e-5, 10 * wv * h,
-        ]
-        covariance = np.diag(np.square(std))
+        mean = np.concatenate(
+            [measurement, np.zeros(measurement.shape[:-1] + (4,))], axis=-1)
+        covariance = _diagonal_noise(
+            measurement[..., 3], _INITIAL_RELATIVE, _STATE_FIXED)
         return mean, covariance
 
     def predict(self, mean, covariance) -> tuple[np.ndarray, np.ndarray]:
         """Run the prediction step: x' = F x, P' = F P F^T + Q."""
         mean = np.asarray(mean, dtype=float)
         covariance = np.asarray(covariance, dtype=float)
-        motion_cov = _diagonal_noise(mean[..., 3], _MOTION_RELATIVE, _MOTION_FIXED)
+        motion_cov = _diagonal_noise(mean[..., 3], _MOTION_RELATIVE, _STATE_FIXED)
         new_mean = np.matmul(self._motion_mat, mean[..., None])[..., 0]
         new_covariance = (
             self._motion_mat @ covariance @ self._motion_mat.T + motion_cov

@@ -96,6 +96,24 @@ def _parse_int(text: str, path, lineno: int, what: str) -> int:
         raise ParseError(f"{path}:{lineno}: {what} is not an integer: {text!r}") from None
 
 
+def _unit_embedding(values, path, lineno: int) -> np.ndarray:
+    """`values` divided by their L2 norm; first by their largest magnitude
+    where that norm overflows or is below 1e-9, so only an all-zero row
+    has no direction."""
+    embedding = np.array(values)
+    if not np.isfinite(embedding).all():
+        raise ParseError(f"{path}:{lineno}: embedding values must be finite")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(embedding)
+    if not 1e-9 <= norm < np.inf:
+        scale = np.abs(embedding).max()
+        if scale == 0:
+            raise ParseError(f"{path}:{lineno}: embedding has zero norm")
+        embedding = embedding / scale
+        norm = np.linalg.norm(embedding)
+    return embedding / norm
+
+
 def parse_detections(path, expected_dim: int) -> list[Detection]:
     """Load detections-with-embeddings rows, sorted by frame.
 
@@ -123,10 +141,7 @@ def parse_detections(path, expected_dim: int) -> list[Detection]:
                 f"{fields[1]!r}"
             )
         numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:]]
-        embedding = np.array(numbers[5:])
-        norm = np.linalg.norm(embedding)
-        if norm < 1e-9:
-            raise ParseError(f"{path}:{lineno}: embedding has zero norm")
+        embedding = _unit_embedding(numbers[5:], path, lineno)
         box = _box(numbers[:4], path, lineno)
         # The tracker works on the (cx, cy, aspect, height) form of a box.
         center = (box.left + box.width / 2.0, box.top + box.height / 2.0,
@@ -140,7 +155,7 @@ def parse_detections(path, expected_dim: int) -> list[Detection]:
                 frame=frame,
                 box=box,
                 confidence=numbers[4],
-                embedding=embedding / norm,
+                embedding=embedding,
             ))
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None

@@ -2,11 +2,14 @@
 
 Each frame: filter and NMS the detections, Kalman-predict all live tracks,
 match confirmed tracks by pooled appearance (cascade), match the remainder
-by IoU, update lifecycles, start new tracks, and emit the confirmed ones.
+by IoU, update lifecycles, emit the confirmed tracks, drop the deleted
+ones and start new tracks.
 
-A frame's detections arrive as columns (`FrameDetections`), and the live
-tracks' predicted states are stacked once a frame (`TrackStack`); every
-stage reads rows of those arrays.
+A frame's detections arrive as columns (`FrameDetections`), and the
+tracker holds its live tracks as one `TrackStack` for its whole life:
+row i's Kalman state is `mean[i]` and `covariance[i]`, and `tracks[i]`
+its id, lifecycle counters and feature buffer. Every stage reads rows of
+those arrays; rows stay in ascending track id.
 """
 
 from __future__ import annotations
@@ -23,31 +26,16 @@ from .model import (BoundingBox, FrameDetections, TrackerConfig, TrackState,
 
 @dataclass
 class Track:
-    """One hypothesized trajectory with Kalman state and feature buffer."""
+    """One hypothesized trajectory's id, lifecycle counters and feature
+    buffer; its Kalman state is its row of the tracker's `TrackStack`."""
 
     track_id: int
-    mean: np.ndarray
-    covariance: np.ndarray
     features: association.FeatureBuffer
     state: TrackState = TrackState.Tentative
     hits: int = 1
     time_since_update: int = 0
     age: int = 1
     last_confidence: float = 0.0
-
-    def update(self, kalman: KalmanModel, detections: FrameDetections,
-               row: int, n_init: int) -> None:
-        """Fold detection `row` of `detections` into the track on its own.
-
-        A numerically failed Kalman update leaves the predicted state in
-        place; the association bookkeeping still happens.
-        """
-        try:
-            self.mean, self.covariance = kalman.update(
-                self.mean, self.covariance, detections.measurements[row])
-        except NumericalError:
-            pass
-        self.mark_hit(detections, row, n_init)
 
     def mark_hit(self, detections: FrameDetections, row: int, n_init: int) -> None:
         """Lifecycle step for a track matched to detection `row` this
@@ -74,11 +62,7 @@ class Track:
 @dataclass(eq=False)
 class TrackStack:
     """Track states as rows: `mean` (N, 8) and `covariance` (N, 8, 8), with
-    `tracks[i]` holding row i's id, lifecycle counters and feature buffer.
-
-    The stack built by a frame's predict is the tracks' state for the rest
-    of that frame: each track's mean and covariance are views of its row.
-    """
+    `tracks[i]` holding row i's id, lifecycle counters and feature buffer."""
 
     tracks: list
     mean: np.ndarray
@@ -94,15 +78,6 @@ class TrackStack:
             return self
         return TrackStack([self.tracks[i] for i in rows], self.mean[rows],
                           self.covariance[rows])
-
-    @classmethod
-    def of(cls, tracks) -> TrackStack:
-        """The stack of the tracks' own states."""
-        tracks = list(tracks)
-        if not tracks:
-            return cls(tracks, np.zeros((0, 8)), np.zeros((0, 8, 8)))
-        return cls(tracks, np.array([t.mean for t in tracks]),
-                   np.array([t.covariance for t in tracks]))
 
 
 @dataclass(frozen=True)
@@ -144,7 +119,7 @@ class Tracker:
     def __init__(self, config: TrackerConfig):
         self.config = config
         self.kalman = KalmanModel()
-        self.tracks: list[Track] = []
+        self.stack = TrackStack([], np.zeros((0, 8)), np.zeros((0, 8, 8)))
         self._next_id = 1
         self._last_frame = 0
 
@@ -162,72 +137,63 @@ class Tracker:
         self._last_frame = frame
 
         detections = preprocess(detections, self.config)
-        stack = self._predict()
-        matches, unmatched_track_idx, unmatched_det_idx = self._match(stack, detections)
+        self._predict()
+        matches, unmatched_track_idx, unmatched_det_idx = self._match(detections)
 
-        self._update(stack, detections, matches)
+        self._update(detections, matches)
         for track_idx in unmatched_track_idx:
-            stack.tracks[track_idx].mark_missed(self.config.max_age)
-        for det_idx in unmatched_det_idx:
-            self._initiate(detections, det_idx)
+            self.stack.tracks[track_idx].mark_missed(self.config.max_age)
 
-        result = self._emit(frame, stack)
-        self.tracks = [t for t in self.tracks if t.state != TrackState.Deleted]
+        result = self._emit(frame)
+        self._drop_deleted_and_initiate(detections, unmatched_det_idx)
         return result
 
-    def _predict(self) -> TrackStack:
-        """One Kalman predict over the stack of all live tracks.
-
-        Each track's mean and covariance become views of its row of the
-        returned stack, so the update's write-back reaches the track.
-        """
-        stack = TrackStack.of(self.tracks)
+    def _predict(self) -> None:
+        """One Kalman predict over the stack of all live tracks, replacing
+        its arrays."""
+        stack = self.stack
         if not stack.tracks:
-            return stack
-        means, covariances = self.kalman.predict(stack.mean, stack.covariance)
-        tracks = stack.tracks
+            return
+        stack.mean, stack.covariance = self.kalman.predict(stack.mean, stack.covariance)
         # A track whose predicted aspect or height is no longer positive
         # (or is NaN) has no box; it is deleted before any stage asks for
         # one.
-        if not means[:, 2:4].min() > 0:
-            physical = (means[:, 2] > 0) & (means[:, 3] > 0)
-            tracks = [t for t, keep in zip(tracks, physical.tolist()) if keep]
-            means, covariances = means[physical], covariances[physical]
-            self.tracks = list(tracks)
-        for track, mean, covariance in zip(tracks, means, covariances):
-            track.mean, track.covariance = mean, covariance
+        if not stack.mean[:, 2:4].min() > 0:
+            physical = (stack.mean[:, 2] > 0) & (stack.mean[:, 3] > 0)
+            self.stack = stack = stack.take(np.flatnonzero(physical).tolist())
+        for track in stack.tracks:
             track.age += 1
             track.time_since_update += 1
-        return TrackStack(tracks, means, covariances)
 
-    def _update(self, stack: TrackStack, detections: FrameDetections,
-                matches) -> None:
+    def _update(self, detections: FrameDetections, matches) -> None:
         """One Kalman update over the stacked rows of the frame's (track,
-        detection) matches, written back into the stack.
+        detection) matches, in place.
 
         The stacked factorization fails as a whole if one track's does;
-        the matches are then redone one at a time through `Track.update`,
-        so only a failing track keeps its predicted state.
+        the matches are then redone one row at a time, so only a failing
+        track keeps its predicted state. Every matched track gets its hit.
         """
         if not matches:
             return
-        n_init = self.config.n_init
+        stack = self.stack
         rows = [i for i, _ in matches]
         try:
-            means, covariances = self.kalman.update(
+            stack.mean[rows], stack.covariance[rows] = self.kalman.update(
                 stack.mean[rows], stack.covariance[rows],
                 detections.measurements[[j for _, j in matches]])
         except NumericalError:
             for i, j in matches:
-                track = stack.tracks[i]
-                track.update(self.kalman, detections, j, n_init)
-                stack.mean[i], stack.covariance[i] = track.mean, track.covariance
-            return
-        stack.mean[rows], stack.covariance[rows] = means, covariances
+                try:
+                    stack.mean[i], stack.covariance[i] = self.kalman.update(
+                        stack.mean[i], stack.covariance[i],
+                        detections.measurements[j])
+                except NumericalError:
+                    pass
         for i, j in matches:
-            stack.tracks[i].mark_hit(detections, j, n_init)
+            stack.tracks[i].mark_hit(detections, j, self.config.n_init)
 
-    def _match(self, stack: TrackStack, detections: FrameDetections):
+    def _match(self, detections: FrameDetections):
+        stack = self.stack
         tracks = stack.tracks
         confirmed = [i for i, t in enumerate(tracks)
                      if t.state == TrackState.Confirmed]
@@ -260,31 +226,38 @@ class Tracker:
         unmatched_dets = [unmatched_dets[c] for c in iou_unmatched_dets]
         return sorted(matches), unmatched_tracks, unmatched_dets
 
-    def _initiate(self, detections: FrameDetections, row: int) -> None:
-        mean, covariance = self.kalman.initiate(detections.measurements[row])
-        track = Track(
-            track_id=self._next_id,
-            mean=mean,
-            covariance=covariance,
-            features=association.FeatureBuffer(self.config.feature_buffer_size),
-            last_confidence=float(detections.confidence[row]),
-        )
-        track.features.push(detections.embeddings[row])
-        self.tracks.append(track)
-        self._next_id += 1
+    def _drop_deleted_and_initiate(self, detections: FrameDetections,
+                                   births: list) -> None:
+        """End of frame: drop the deleted rows, then append one new track
+        per detection row of `births`, numbered in that order."""
+        stack = self.stack.take([i for i, t in enumerate(self.stack.tracks)
+                                 if t.state != TrackState.Deleted])
+        if births:
+            means, covariances = self.kalman.initiate(detections.measurements[births])
+            size, tracks = self.config.feature_buffer_size, []
+            for row in births:
+                track = Track(self._next_id, association.FeatureBuffer(size),
+                              last_confidence=float(detections.confidence[row]))
+                track.features.push(detections.embeddings[row])
+                tracks.append(track)
+                self._next_id += 1
+            stack = TrackStack(stack.tracks + tracks,
+                               np.concatenate([stack.mean, means]),
+                               np.concatenate([stack.covariance, covariances]))
+        self.stack = stack
 
-    def _emit(self, frame: int, stack: TrackStack) -> FrameResult:
+    def _emit(self, frame: int) -> FrameResult:
         # A confirmed track missing for a single frame is reported at its
-        # predicted box; longer gaps are suppressed until re-matched.
-        # Tracks born this frame are tentative, so every reported track
-        # has a row in the stack.
+        # predicted box; longer gaps are suppressed until re-matched. Rows
+        # are in ascending track id, and so are the records.
+        stack = self.stack
         rows = [i for i, t in enumerate(stack.tracks)
                 if t.state == TrackState.Confirmed and t.time_since_update <= 1]
         ltwh = ltwh_from_centers(stack.mean[rows, :4]).tolist() if rows else []
-        records = [(stack.tracks[i].track_id, BoundingBox(*box),
-                    stack.tracks[i].last_confidence) for i, box in zip(rows, ltwh)]
-        records.sort(key=lambda r: r[0])
-        return FrameResult(frame=frame, records=tuple(records))
+        records = tuple((stack.tracks[i].track_id, BoundingBox(*box),
+                         stack.tracks[i].last_confidence)
+                        for i, box in zip(rows, ltwh))
+        return FrameResult(frame=frame, records=records)
 
 
 def run_sequence(detections, config: TrackerConfig,

@@ -319,3 +319,17 @@ def cascade_oracle(tracks, detections, config, kalman):
     matched = {i for i, _ in matches}
     return (sorted(matches), [i for i in range(len(tracks)) if i not in matched],
             unmatched)
+
+
+def initiate_oracle(measurement):
+    """A new Kalman track state as DeepSORT writes it: the measurement with
+    zero velocities, and a diagonal covariance from a literal list of
+    standard deviations (position weight 1/20, velocity weight 1/160)."""
+    import numpy as np
+
+    measurement = np.asarray(measurement, dtype=float)
+    h = measurement[3]
+    wp, wv = 1.0 / 20, 1.0 / 160
+    std = [2 * wp * h, 2 * wp * h, 1e-2, 2 * wp * h,
+           10 * wv * h, 10 * wv * h, 1e-5, 10 * wv * h]
+    return np.concatenate([measurement, np.zeros(4)]), np.diag(np.square(std))

@@ -25,13 +25,22 @@ def unit(*values):
 
 def make_track(box, embedding, time_since_update=1, buffer_size=5,
                track_id=1, kalman=None):
+    """A one-row track stack started from `box`, with `embedding` in its
+    feature buffer."""
     kalman = kalman or KalmanModel()
     mean, cov = kalman.initiate(box.to_center())
-    track = Track(track_id=track_id, mean=mean, covariance=cov,
-                  features=FeatureBuffer(buffer_size),
+    track = Track(track_id=track_id, features=FeatureBuffer(buffer_size),
                   time_since_update=time_since_update)
     track.features.push(embedding)
-    return track
+    return TrackStack([track], mean[None], cov[None])
+
+
+def stack_of(*rows):
+    """The rows of one-row track stacks, in order, as one stack."""
+    return TrackStack([row.tracks[0] for row in rows],
+                      np.concatenate([np.zeros((0, 8))] + [row.mean for row in rows]),
+                      np.concatenate([np.zeros((0, 8, 8))]
+                                     + [row.covariance for row in rows]))
 
 
 def make_detection(box, embedding, frame=1, confidence=0.9):
@@ -203,13 +212,13 @@ def test_appearance_cost_values():
     same = make_detection(box, e1)
     ortho = make_detection(box, unit(0, 1))
 
-    cost = appearance_cost(TrackStack.of([track]), FrameDetections.of([same, ortho]),
+    cost = appearance_cost(track, FrameDetections.of([same, ortho]),
                            kalman, max_dist=1.0)
     assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert cost[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     track_diag = make_track(box, diag, kalman=kalman)
-    cost = appearance_cost(TrackStack.of([track_diag]), FrameDetections.of([same]),
+    cost = appearance_cost(track_diag, FrameDetections.of([same]),
                            kalman, max_dist=1.0)
     assert cost[0, 0] == pytest.approx(1 - 1 / math.sqrt(2), abs=1e-9)
 
@@ -219,7 +228,7 @@ def test_appearance_cost_max_dist_gate():
     box = BoundingBox(100, 100, 40, 80)
     track = make_track(box, unit(1, 0), kalman=kalman)
     ortho = make_detection(box, unit(0, 1))
-    cost = appearance_cost(TrackStack.of([track]), FrameDetections.of([ortho]),
+    cost = appearance_cost(track, FrameDetections.of([ortho]),
                            kalman, max_dist=0.2)
     assert cost[0, 0] == INFEASIBLE
 
@@ -229,7 +238,7 @@ def test_appearance_cost_mahalanobis_gate():
     e1 = unit(1, 0)
     track = make_track(BoundingBox(100, 100, 40, 80), e1, kalman=kalman)
     far = make_detection(BoundingBox(500, 400, 40, 80), e1)
-    cost = appearance_cost(TrackStack.of([track]), FrameDetections.of([far]),
+    cost = appearance_cost(track, FrameDetections.of([far]),
                            kalman, max_dist=1.0)
     assert cost[0, 0] == INFEASIBLE
 
@@ -240,10 +249,11 @@ def test_buffer_size_one_is_single_frame_cosine():
     rng = np.random.default_rng(0)
     track = make_track(box, unit(*rng.normal(size=4)), buffer_size=1,
                        kalman=kalman)
-    track.features.push(unit(*rng.normal(size=4)))  # newest overwrites
-    newest = track.features.entries[-1]
+    features = track.tracks[0].features
+    features.push(unit(*rng.normal(size=4)))  # newest overwrites
+    newest = features.entries[-1]
     det = make_detection(box, unit(*rng.normal(size=4)))
-    cost = appearance_cost(TrackStack.of([track]), FrameDetections.of([det]),
+    cost = appearance_cost(track, FrameDetections.of([det]),
                            kalman, max_dist=2.0)
     assert cost[0, 0] == pytest.approx(
         1.0 - float(newest @ det.embedding), abs=1e-12)
@@ -258,14 +268,14 @@ def test_iou_cost_thresholds():
     same = make_detection(box, unit(1, 0))
     disjoint = make_detection(BoundingBox(100, 100, 10, 10), unit(1, 0))
 
-    cost = iou_cost(TrackStack.of([track]), FrameDetections.of([same, disjoint]),
+    cost = iou_cost(track, FrameDetections.of([same, disjoint]),
                     max_iou_distance=0.7)
     assert cost[0, 0] == 0.0
     assert cost[0, 1] == INFEASIBLE
 
     # overlap of exactly 0.5 against threshold 0.3 is infeasible
     half = make_detection(BoundingBox(0, 0, 10, 5), unit(1, 0))
-    cost = iou_cost(TrackStack.of([track]), FrameDetections.of([half]),
+    cost = iou_cost(track, FrameDetections.of([half]),
                     max_iou_distance=0.3)
     assert cost[0, 0] == INFEASIBLE
 
@@ -413,7 +423,7 @@ def test_cascade_prefers_fresher_track():
     det = make_detection(box, e1)
     config = TrackerConfig()
     matches, unmatched_tracks, unmatched_dets = matching_cascade(
-        TrackStack.of([stale, fresh]), FrameDetections.of([det]), config, kalman)
+        stack_of(stale, fresh), FrameDetections.of([det]), config, kalman)
     assert matches == [(1, 0)]  # index of `fresh` in the input list
     assert unmatched_tracks == [0]
     assert unmatched_dets == []
@@ -429,7 +439,7 @@ def test_cascade_matches_both_when_unambiguous():
               make_track(box_b, e_b, track_id=2, kalman=kalman)]
     dets = [make_detection(box_b, e_b), make_detection(box_a, e_a)]
     matches, unmatched_tracks, unmatched_dets = matching_cascade(
-        TrackStack.of(tracks), FrameDetections.of(dets), config, kalman)
+        stack_of(*tracks), FrameDetections.of(dets), config, kalman)
     assert matches == [(0, 1), (1, 0)]
     assert unmatched_tracks == [] and unmatched_dets == []
 
@@ -456,14 +466,40 @@ def test_cascade_matches_per_depth_oracle(seed, n_tracks, n_dets):
               for k in range(n_tracks)]
     dets = [make_detection(box(), rng.choice([0.5, 0.75, 1.0]) * axes[rng.integers(3)])
             for _ in range(n_dets)]
-    tracks, dets = TrackStack.of(tracks), FrameDetections.of(dets)
+    tracks, dets = stack_of(*tracks), FrameDetections.of(dets)
     assert (matching_cascade(tracks, dets, config, kalman)
             == cascade_oracle(tracks, dets, config, kalman))
+
+
+@pytest.mark.parametrize("depths", [(1, 2), (2, 1)])
+def test_cascade_skips_a_level_without_feasible_entries(monkeypatch, depths):
+    # Track 0 sits on detection 0; track 1 and detection 1 are far from
+    # each other and from everything else, so the gate rejects every pair
+    # of track 1 or detection 1. Only the level holding track 0, shallower
+    # or deeper, needs a solve.
+    kalman, config, e1 = KalmanModel(), TrackerConfig(), unit(1, 0)
+    near, far = BoundingBox(100, 100, 40, 80), BoundingBox(900, 700, 40, 80)
+    tracks = stack_of(
+        make_track(near, e1, time_since_update=depths[0], kalman=kalman),
+        make_track(BoundingBox(500, 100, 40, 80), e1, time_since_update=depths[1],
+                   track_id=2, kalman=kalman))
+    dets = FrameDetections.of([make_detection(near, e1), make_detection(far, e1)])
+    solve, blocks = association.solve_assignment, []
+
+    def counting(cost):
+        blocks.append(np.shape(cost))
+        return solve(cost)
+
+    monkeypatch.setattr(association, "solve_assignment", counting)
+    got = matching_cascade(tracks, dets, config, kalman)
+    assert got == cascade_oracle(tracks, dets, config, kalman)
+    assert got[0] == [(0, 0)]
+    assert blocks == [(1, 2)]
 
 
 def test_cascade_no_detections():
     kalman = KalmanModel()
     tracks = [make_track(BoundingBox(0, 0, 10, 10), unit(1, 0), kalman=kalman)]
     matches, unmatched_tracks, unmatched_dets = matching_cascade(
-        TrackStack.of(tracks), FrameDetections.of([]), TrackerConfig(), kalman)
+        stack_of(*tracks), FrameDetections.of([]), TrackerConfig(), kalman)
     assert matches == [] and unmatched_tracks == [0] and unmatched_dets == []

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mttsort.association import FeatureBuffer
 from mttsort import kalman
 from mttsort.kalman import CHI2_GATE_4DOF, KalmanModel, NumericalError
-from mttsort.model import BoundingBox, Detection, FrameDetections
-from mttsort.tracker import Track
+
+from oracles import initiate_oracle
 
 
 @pytest.fixture
@@ -28,7 +27,7 @@ def textbook_predict(kf, mean, covariance):
     """Dense-formula oracle built from explicit matrices."""
     f = np.eye(8)
     f[:4, 4:] = np.eye(4)
-    wp, wv = kf.position_noise_weight, kf.velocity_noise_weight
+    wp, wv = 1 / 20, 1 / 160
     h = mean[3]
     q = np.diag(np.square(
         [wp * h, wp * h, 1e-2, wp * h, wv * h, wv * h, 1e-5, wv * h]))
@@ -37,7 +36,7 @@ def textbook_predict(kf, mean, covariance):
 
 def textbook_update(kf, mean, covariance, z):
     h_mat = np.eye(4, 8)
-    wp = kf.position_noise_weight
+    wp = 1 / 20
     h = mean[3]
     r = np.diag(np.square([wp * h, wp * h, 1e-1, wp * h]))
     s = h_mat @ covariance @ h_mat.T + r
@@ -62,8 +61,27 @@ def test_initiate_variances_scale_with_height(kf):
 
 @pytest.mark.parametrize("measurement", [[0, 0, -1, 40], [0, 0, 1, 0], [0, 0, 0.5, -3]])
 def test_initiate_rejects_bad_measurement(kf, measurement):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="aspect and height must be positive"):
         kf.initiate(measurement)
+    # In a stack, the first bad row is named.
+    with pytest.raises(ValueError, match=f"a={measurement[2]:.1f}, h={measurement[3]:.1f}"):
+        kf.initiate([[0, 0, 1, 40], measurement, [0, 0, -9, -9]])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
+                          st.floats(1e-3, 1e2), st.floats(1e-3, 1e5)),
+                min_size=1, max_size=6))
+def test_stacked_initiate_rows_equal_single_calls_and_the_literal_oracle(rows):
+    kf = KalmanModel()
+    means, covariances = kf.initiate(np.array(rows))
+    assert means.shape == (len(rows), 8) and covariances.shape == (len(rows), 8, 8)
+    for i, row in enumerate(rows):
+        mean, covariance = kf.initiate(row)
+        want_mean, want_covariance = initiate_oracle(row)
+        for got, want in ((means[i], mean), (covariances[i], covariance),
+                          (mean, want_mean), (covariance, want_covariance)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_predict_moves_position_by_velocity(kf):
@@ -178,20 +196,6 @@ def test_non_positive_definite_covariance_raises_numerical_error(kf):
     with pytest.raises(NumericalError):
         kf.gating_distance(mean, covariance, [mean[:4]])
 
-    # Track.update keeps the predicted state but does the bookkeeping.
-    track = Track(track_id=1, mean=mean.copy(), covariance=covariance.copy(),
-                  features=FeatureBuffer(5))
-    embedding = np.array([1.0, 0.0])
-    detection = Detection(frame=2, box=BoundingBox(0, 0, 20, 40),
-                          confidence=0.8, embedding=embedding)
-    track.update(kf, FrameDetections.of([detection]), 0, n_init=2)
-    assert np.array_equal(track.mean, mean)
-    assert np.array_equal(track.covariance, covariance)
-    assert len(track.features) == 1
-    assert np.array_equal(track.features.entries[0], embedding)
-    assert track.hits == 2 and track.time_since_update == 0
-    assert track.last_confidence == 0.8
-
 
 def test_gate_threshold_constant():
     assert CHI2_GATE_4DOF == 9.4877
@@ -229,7 +233,8 @@ def test_noiseless_tracking_error_shrinks(kf):
 
 
 NOISE_WEIGHTS = {
-    "motion": (kalman._MOTION_RELATIVE, kalman._MOTION_FIXED),
+    "initial": (kalman._INITIAL_RELATIVE, kalman._STATE_FIXED),
+    "motion": (kalman._MOTION_RELATIVE, kalman._STATE_FIXED),
     "innovation": (kalman._INNOVATION_RELATIVE, kalman._INNOVATION_FIXED),
 }
 

@@ -44,6 +44,24 @@ def test_embedding_scale_invariance(tmp_path):
     assert np.allclose(det_a.embedding, det_b.embedding, atol=1e-12)
 
 
+@pytest.mark.parametrize("embedding, want", [
+    ("1e200,1e200", [2 ** -0.5, 2 ** -0.5]),  # the plain norm overflows
+    ("1e200,0", [1.0, 0.0]),
+    ("3e-10,4e-10", [0.6, 0.8]),  # nonzero, with a plain norm under 1e-9
+])
+def test_embedding_of_any_positive_scale_loads_as_its_direction(tmp_path, embedding, want):
+    path = write(tmp_path / "det.txt", f"1,-1,10,20,30,40,0.9,{embedding}\n")
+    (det,) = parse_detections(path, expected_dim=2)
+    assert np.allclose(det.embedding, want, rtol=0, atol=1e-15)
+    assert np.linalg.norm(det.embedding) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_all_zero_embedding_names_file_and_line(tmp_path):
+    path = write(tmp_path / "det.txt", "1,-1,10,20,30,40,0.9,1,0\n2,-1,10,20,30,40,0.9,0,0\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: embedding has zero norm")):
+        parse_detections(path, expected_dim=2)
+
+
 def test_short_row_errors_with_line_number(tmp_path):
     path = write(tmp_path / "det.txt",
                  "1,-1,10,20,30,40,0.9,1,0\n1,-1,10,20,30,40\n")

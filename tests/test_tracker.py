@@ -9,7 +9,8 @@ from mttsort.association import FeatureBuffer
 from mttsort.kalman import NumericalError
 from mttsort.model import (BoundingBox, Detection, FrameDetections, TrackerConfig,
                            TrackState)
-from mttsort.tracker import FrameResult, Track, Tracker, preprocess, run_sequence
+from mttsort.tracker import (FrameResult, Track, Tracker, TrackStack, preprocess,
+                             run_sequence)
 
 from oracles import box_iou, preprocess_oracle
 
@@ -188,7 +189,7 @@ def test_only_confirmed_tracks_reported():
     tracker = Tracker(config)
     result = tracker.step(1, FrameDetections.of([det(1, 100, 100)]))
     assert result.records == ()
-    assert tracker.tracks[0].state == TrackState.Tentative
+    assert tracker.stack.tracks[0].state == TrackState.Tentative
 
 
 def test_records_unique_and_sorted():
@@ -219,7 +220,7 @@ def test_counters_and_deletion_rules():
     config = TrackerConfig(n_init=2, max_age=3)
     tracker = Tracker(config)
     tracker.step(1, FrameDetections.of([det(1, 100, 100)]))
-    track = tracker.tracks[0]
+    track = tracker.stack.tracks[0]
     assert (track.hits, track.age, track.time_since_update) == (1, 1, 0)
     tracker.step(2, FrameDetections.of([det(2, 103, 100)]))
     assert (track.hits, track.age, track.time_since_update) == (2, 2, 0)
@@ -231,7 +232,7 @@ def test_counters_and_deletion_rules():
     tracker.step(6, FrameDetections.of([]))
     assert track.state == TrackState.Deleted
     assert len(track.features) == 0  # buffer cleared on termination
-    assert tracker.tracks == []
+    assert tracker.stack.tracks == []
 
 
 def test_deleted_ids_never_reappear():
@@ -246,7 +247,7 @@ def test_deleted_ids_never_reappear():
     for f in range(1, spec.frames + 1):
         result = tracker.step(f, FrameDetections.of(by_frame.get(f, [])))
         assert not (dead & {tid for tid, _, _ in result.records})
-        live = {t.track_id for t in tracker.tracks}
+        live = {t.track_id for t in tracker.stack.tracks}
         dead |= ever_live - live
         ever_live |= live
     assert dead, "scenario should actually delete some tracks"
@@ -263,7 +264,7 @@ def test_track_ids_strictly_increasing():
     created = []
     for f in range(1, spec.frames + 1):
         tracker.step(f, FrameDetections.of(by_frame.get(f, [])))
-        for t in tracker.tracks:
+        for t in tracker.stack.tracks:
             if t.track_id > seen_max:
                 created.append(t.track_id)
                 seen_max = t.track_id
@@ -320,14 +321,16 @@ def tracker_holding(config, *specs):
     """A Tracker whose live tracks are given directly, one per (detection,
     state, time_since_update); each starts from its detection's box."""
     tracker = Tracker(config)
+    tracks = []
     for detection, state, time_since_update in specs:
-        mean, covariance = tracker.kalman.initiate(detection.box.to_center())
-        track = Track(track_id=tracker._next_id, mean=mean, covariance=covariance,
+        track = Track(track_id=len(tracks) + 1,
                       features=FeatureBuffer(config.feature_buffer_size),
                       state=state, time_since_update=time_since_update)
         track.features.push(detection.embedding)
-        tracker.tracks.append(track)
-        tracker._next_id += 1
+        tracks.append(track)
+    tracker.stack = TrackStack(tracks, *tracker.kalman.initiate(
+        [detection.box.to_center() for detection, _, _ in specs]))
+    tracker._next_id = len(tracks) + 1
     return tracker
 
 
@@ -337,22 +340,27 @@ def test_failed_update_keeps_only_that_track_predicted():
     a, b = det(1, 100, 100, emb=(1, 0)), det(1, 400, 100, emb=(0, 1))
     tracker = tracker_holding(TrackerConfig(n_init=3), (a, TrackState.Tentative, 0),
                               (b, TrackState.Tentative, 0))
-    healthy, broken = tracker.tracks
-    broken.covariance = BROKEN_COVARIANCE.copy()
+    stack = tracker.stack
+    stack.covariance[1] = BROKEN_COVARIANCE
     kalman = tracker.kalman
-    want = kalman.update(*kalman.predict(healthy.mean, healthy.covariance),
+    want = kalman.update(*kalman.predict(stack.mean[0], stack.covariance[0]),
                          a.box.to_center())
-    predicted = kalman.predict(broken.mean, broken.covariance)
+    predicted = kalman.predict(stack.mean[1], stack.covariance[1])
 
-    tracker.step(2, FrameDetections.of([det(2, 100, 100, emb=(1, 0)),
-                                        det(2, 400, 100, emb=(0, 1))]))
-    assert np.array_equal(healthy.mean, want[0])
-    assert np.array_equal(healthy.covariance, want[1])
-    assert np.array_equal(broken.mean, predicted[0])
-    assert np.array_equal(broken.covariance, predicted[1])
-    for track in (healthy, broken):
+    detections = [det(2, 100, 100, emb=(1, 0), conf=0.8),
+                  det(2, 400, 100, emb=(0, 1), conf=0.7)]
+    tracker.step(2, FrameDetections.of(detections))
+    stack = tracker.stack
+    assert np.array_equal(stack.mean[0], want[0])
+    assert np.array_equal(stack.covariance[0], want[1])
+    assert np.array_equal(stack.mean[1], predicted[0])
+    assert np.array_equal(stack.covariance[1], predicted[1])
+    # Both matched tracks, the failed one too, get the hit bookkeeping.
+    for track, detection in zip(stack.tracks, detections):
         assert track.hits == 2 and track.time_since_update == 0
+        assert track.last_confidence == detection.confidence
         assert len(track.features) == 2
+        assert np.array_equal(track.features.entries[-1], detection.embedding)
 
 
 def test_gate_covers_tracks_past_the_last_detection():
@@ -362,7 +370,7 @@ def test_gate_covers_tracks_past_the_last_detection():
     a, b = det(1, 100, 100, emb=(1, 0)), det(1, 400, 100, emb=(0, 1))
     tracker = tracker_holding(TrackerConfig(), (a, TrackState.Confirmed, 0),
                               (b, TrackState.Confirmed, 1))
-    tracker.tracks[1].covariance = BROKEN_COVARIANCE.copy()
+    tracker.stack.covariance[1] = BROKEN_COVARIANCE
     with pytest.raises(NumericalError):
         tracker.step(2, FrameDetections.of([det(2, 100, 100, emb=(1, 0))]))
 
@@ -372,9 +380,9 @@ def test_track_whose_predicted_width_underflows_raises_the_box_error():
     # but their product underflows to a zero width. The IoU stage, which a
     # tentative track enters, raises what BoundingBox.from_center raises.
     tracker = tracker_holding(TrackerConfig(), (det(1, 100, 100), TrackState.Tentative, 0))
-    track = tracker.tracks[0]
-    track.mean = np.array([100.0, 100.0, 1e-200, 1e-200, 0, 0, 0, 0])
-    predicted, _ = tracker.kalman.predict(track.mean, track.covariance)
+    stack = tracker.stack
+    stack.mean[0] = [100.0, 100.0, 1e-200, 1e-200, 0, 0, 0, 0]
+    predicted, _ = tracker.kalman.predict(stack.mean[0], stack.covariance[0])
     with pytest.raises(ValueError) as want:
         BoundingBox.from_center(predicted[:4])
     with pytest.raises(ValueError) as got:
@@ -415,3 +423,18 @@ def test_run_sequence_never_raises_on_valid_streams(stream, n_init, max_age):
     config = TrackerConfig(n_init=n_init, max_age=max_age)
     results = run_sequence(stream, config, frame_count=12)
     assert [r.frame for r in results] == list(range(1, 13))
+
+
+@settings(deadline=None, max_examples=150)
+@given(scaling_streams(), st.integers(1, 3), st.integers(1, 5))
+def test_stack_rows_stay_live_and_in_id_order(stream, n_init, max_age):
+    # Records come out in stack order, so the stack must keep its rows in
+    # ascending track id with no deleted track left between frames.
+    tracker = Tracker(TrackerConfig(n_init=n_init, max_age=max_age))
+    for columns in FrameDetections.stream(stream, 12):
+        tracker.step(columns.frame, columns)
+        stack = tracker.stack
+        ids = [t.track_id for t in stack.tracks]
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+        assert len(stack.tracks) == len(stack.mean) == len(stack.covariance)
+        assert all(t.state != TrackState.Deleted for t in stack.tracks)
