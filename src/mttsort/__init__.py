@@ -14,7 +14,7 @@ from .model import (
     PRESETS,
 )
 from .kalman import KalmanModel, NumericalError, CHI2_GATE_4DOF
-from .association import FeatureBuffer, INFEASIBLE, iou_matrix, solve_assignment
+from .association import FeatureBuffer, INFEASIBLE, iou_columns, solve_assignment
 from .tracker import FrameResult, Track, Tracker, preprocess, run_sequence
 from .metrics import EvalReport, GtEntry, evaluate, score, average_reports
 from .ga import GAConfig, GeneSpec, DEFAULT_GENE_SPECS, run_ga
@@ -26,7 +26,7 @@ __all__ = [
     "TrackerConfig", "TrackState",
     "load_preset", "PRESETS",
     "KalmanModel", "NumericalError", "CHI2_GATE_4DOF",
-    "FeatureBuffer", "INFEASIBLE", "iou_matrix", "solve_assignment",
+    "FeatureBuffer", "INFEASIBLE", "iou_columns", "solve_assignment",
     "FrameResult", "Track", "Tracker", "preprocess", "run_sequence",
     "EvalReport", "GtEntry", "evaluate", "score", "average_reports",
     "GAConfig", "GeneSpec", "DEFAULT_GENE_SPECS", "run_ga",

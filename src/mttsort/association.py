@@ -108,16 +108,6 @@ def iou_columns(a, b) -> np.ndarray:
     return inter / (a[4] + b[4] - inter)
 
 
-def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
-    """`iou_columns` for two lists of BoundingBox objects."""
-    n, m = len(boxes_a), len(boxes_b)
-    if n == 0 or m == 0:
-        return np.zeros((n, m))
-    return iou_columns(
-        np.array([(x.left, x.top, x.right, x.bottom, x.area) for x in boxes_a]),
-        np.array([(x.left, x.top, x.right, x.bottom, x.area) for x in boxes_b]))
-
-
 def appearance_cost(tracks, detections, kalman, max_dist: float) -> np.ndarray:
     """Gated cosine-cost matrix between the rows of a track stack and the
     rows of a frame's detection columns.

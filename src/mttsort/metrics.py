@@ -1,6 +1,11 @@
 """Tracking evaluation: CLEAR counts (MOTA), IDF1, the HOTA family,
 fragmentations, and the scalar fitness score used by the optimizer.
 
+`evaluate` reads its `GtEntry` lists once, into one per-frame table built
+from box columns: for each frame with a GT or predicted box, the GT and
+the predicted identities in ascending order and their IoU matrix. CLEAR,
+IDF1 and HOTA read only that table, identity counts included.
+
 All final ratios are built from integer event counts, and means use
 math.fsum, so results are bit-reproducible and safe to compare against
 enumeration oracles.
@@ -9,14 +14,15 @@ enumeration oracles.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .association import INFEASIBLE, iou_matrix, solve_assignment, solve_matchings
-from .model import BoundingBox
+from .association import INFEASIBLE, iou_columns, solve_assignment, solve_matchings
+from .model import BoundingBox, box_columns
 
 # Per-frame GT/prediction overlap threshold for CLEAR and identity metrics.
 MATCH_IOU = 0.5
@@ -54,15 +60,6 @@ def results_to_entries(results) -> list[GtEntry]:
     return [GtEntry(frame=res.frame, identity=tid, box=box)
             for res in results
             for tid, box, _ in res.records]
-
-
-def _by_frame(entries) -> dict[int, list[tuple[int, BoundingBox]]]:
-    frames: dict[int, list[tuple[int, BoundingBox]]] = {}
-    for e in entries:
-        frames.setdefault(e.frame, []).append((e.identity, e.box))
-    for items in frames.values():
-        items.sort(key=lambda item: item[0])
-    return frames
 
 
 def clear_match(g_ids, p_ids, ious, prior_correspondence):
@@ -139,7 +136,18 @@ def _clear_sequence(per_frame):
     return fn, fp, idsw, frag
 
 
-def idf1(gt, pred, per_frame) -> float:
+def _identity_counts(per_frame):
+    """The number of entries of each GT and of each predicted identity in
+    `per_frame`, whose id lists hold every entry once."""
+    gt_count: Counter = Counter()
+    pred_count: Counter = Counter()
+    for g_ids, p_ids, _ in per_frame:
+        gt_count.update(g_ids)
+        pred_count.update(p_ids)
+    return gt_count, pred_count
+
+
+def idf1(per_frame) -> float:
     """Identity F1 under the best single global GT<->prediction mapping.
 
     A GT and a predicted trajectory co-occur on every frame where their
@@ -151,8 +159,8 @@ def idf1(gt, pred, per_frame) -> float:
         for i, j in zip(*np.nonzero(ious >= MATCH_IOU)):
             cooccur[(g_ids[i], p_ids[j])] += 1
 
-    gt_ids = sorted({e.identity for e in gt})
-    pred_ids = sorted({e.identity for e in pred})
+    gt_count, pred_count = _identity_counts(per_frame)
+    gt_ids, pred_ids = sorted(gt_count), sorted(pred_count)
     idtp = 0
     if cooccur and pred_ids:
         counts = np.zeros((len(gt_ids), len(pred_ids)), dtype=int)
@@ -160,27 +168,41 @@ def idf1(gt, pred, per_frame) -> float:
             counts[gt_ids.index(gid), pred_ids.index(pid)] = c
         rows, cols = linear_sum_assignment(counts, maximize=True)
         idtp = int(counts[rows, cols].sum())
-    idfn = len(gt) - idtp
-    idfp = len(pred) - idtp
+    idfn = sum(gt_count.values()) - idtp
+    idfp = sum(pred_count.values()) - idtp
     return 2 * idtp / (2 * idtp + idfp + idfn)
+
+
+def _sorted_columns(entries):
+    """The frames and identities of `entries` sorted by (frame, identity),
+    a stable sort, and the (left, top, right, bottom, area) rows of their
+    boxes in that order."""
+    entries = sorted(entries, key=lambda e: (e.frame, e.identity))
+    ltwh = np.array([(e.box.left, e.box.top, e.box.width, e.box.height)
+                     for e in entries], dtype=float).reshape(len(entries), 4)
+    return [e.frame for e in entries], [e.identity for e in entries], box_columns(ltwh)
 
 
 def _frame_overlaps(gt, pred):
     """Per-frame (gt_ids, pred_ids, iou matrix) over every frame with a GT
     or predicted box, in frame order and with ids ascending; shared by
-    CLEAR, IDF1 and the HOTA sweep."""
-    gt_frames = _by_frame(gt)
-    pred_frames = _by_frame(pred)
+    CLEAR, IDF1 and the HOTA sweep.
+
+    Each side's box columns are built once, and a frame's matrix is
+    `iou_columns` of the two sides' blocks of rows for that frame.
+    """
+    g_frames, g_ids, g_boxes = _sorted_columns(gt)
+    p_frames, p_ids, p_boxes = _sorted_columns(pred)
     out = []
-    for f in sorted(set(gt_frames) | set(pred_frames)):
-        gt_here = gt_frames.get(f, [])
-        pred_here = pred_frames.get(f, [])
-        ious = iou_matrix([b for _, b in gt_here], [b for _, b in pred_here])
-        out.append(([g for g, _ in gt_here], [p for p, _ in pred_here], ious))
+    for f in sorted(set(g_frames) | set(p_frames)):
+        ga, gb = bisect_left(g_frames, f), bisect_right(g_frames, f)
+        pa, pb = bisect_left(p_frames, f), bisect_right(p_frames, f)
+        out.append((g_ids[ga:gb], p_ids[pa:pb],
+                    iou_columns(g_boxes[ga:gb], p_boxes[pa:pb])))
     return out
 
 
-def hota(gt, pred, per_frame):
+def hota(per_frame):
     """HOTA and its components, averaged over the 19 localization levels.
 
     Per level alpha: frames are matched maximizing match count then total
@@ -200,8 +222,7 @@ def hota(gt, pred, per_frame):
     Returns (hota, det_a, ass_a, det_re, det_pr).
     """
     carried = [([], -math.inf)] * len(per_frame)  # per frame: (matches, floor)
-    gt_count = Counter(e.identity for e in gt)
-    pred_count = Counter(e.identity for e in pred)
+    gt_count, pred_count = _identity_counts(per_frame)
 
     hota_levels, deta_levels, assa_levels = [], [], []
     detre_levels, detpr_levels = [], []
@@ -257,11 +278,11 @@ def evaluate(gt, pred) -> EvalReport:
         raise ValueError("evaluation requires at least one ground-truth box")
     per_frame = _frame_overlaps(gt, pred)
     fn, fp, idsw, frag = _clear_sequence(per_frame)
-    hota_value, det_a, ass_a, det_re, det_pr = hota(gt, pred, per_frame)
+    hota_value, det_a, ass_a, det_re, det_pr = hota(per_frame)
     return EvalReport(
         hota=hota_value,
         mota=1.0 - (fn + fp + idsw) / len(gt),
-        idf1=idf1(gt, pred, per_frame),
+        idf1=idf1(per_frame),
         det_re=det_re,
         det_pr=det_pr,
         det_a=det_a,

@@ -150,36 +150,23 @@ class FrameDetections:
     order). `boxes` rows are (left, top, right, bottom, area) and
     `measurements` rows are `to_center()` vectors, computed as
     BoundingBox computes them, so every entry equals the per-object value
-    bit for bit. `detections` holds the Detection of each row; iterating
-    or indexing the columns yields those. `frame` is None for a frame
-    built from no detections. Instances are not changed once built.
+    bit for bit. `frame` is None for a frame built from no detections.
+    Instances are not changed once built.
     """
 
     frame: int | None
-    detections: tuple
     confidence: np.ndarray
     boxes: np.ndarray
     measurements: np.ndarray
     embeddings: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.detections)
-
-    def __iter__(self):
-        return iter(self.detections)
-
-    def __getitem__(self, row: int) -> Detection:
-        return self.detections[row]
+        return len(self.confidence)
 
     def take(self, rows) -> "FrameDetections":
         """The rows `rows` (a list of indices or a slice), in that order."""
-        if isinstance(rows, slice):
-            detections = self.detections[rows]
-        else:
-            detections = tuple(self.detections[i] for i in rows)
-        return FrameDetections(self.frame, detections, self.confidence[rows],
-                               self.boxes[rows], self.measurements[rows],
-                               self.embeddings[rows])
+        return FrameDetections(self.frame, self.confidence[rows], self.boxes[rows],
+                               self.measurements[rows], self.embeddings[rows])
 
     @classmethod
     def of(cls, detections) -> "FrameDetections":
@@ -200,9 +187,8 @@ class FrameDetections:
         """
         frames, columns = _sorted_columns(detections)
         starts = np.searchsorted(frames, np.arange(1, frame_count + 2)).tolist()
-        return [cls(frame, columns.detections[a:b], columns.confidence[a:b],
-                    columns.boxes[a:b], columns.measurements[a:b],
-                    columns.embeddings[a:b])
+        return [cls(frame, columns.confidence[a:b], columns.boxes[a:b],
+                    columns.measurements[a:b], columns.embeddings[a:b])
                 for frame, a, b in zip(range(1, frame_count + 1), starts, starts[1:])]
 
 
@@ -214,6 +200,8 @@ def _sorted_columns(detections) -> tuple[np.ndarray, FrameDetections]:
     confidence = np.array([d.confidence for d in detections], dtype=float)
     order = np.argsort(-confidence, kind="stable")
     order = order[np.argsort(frames[order], kind="stable")]
+    # Reordering the objects, not the built arrays, keeps one copy of the
+    # embeddings.
     detections = tuple(detections[i] for i in order.tolist())
     n = len(detections)
     ltwh = np.array([(d.box.left, d.box.top, d.box.width, d.box.height)
@@ -221,8 +209,7 @@ def _sorted_columns(detections) -> tuple[np.ndarray, FrameDetections]:
     embeddings = (np.array([d.embedding for d in detections], dtype=float)
                   .reshape(n, -1) if n else np.zeros((0, 0)))
     return frames[order], FrameDetections(
-        None, detections, confidence[order], box_columns(ltwh), center_columns(ltwh),
-        embeddings)
+        None, confidence[order], box_columns(ltwh), center_columns(ltwh), embeddings)
 
 
 class TrackState(enum.Enum):

@@ -9,7 +9,9 @@ A sequence directory holds:
 
 Tracking results use the familiar ``frame,id,left,top,width,height,conf,
 -1,-1,-1`` rows with fixed two-decimal coordinates so outputs are byte
-stable. Reports serialize as ``metric = value`` lines with five decimals.
+stable. Every writer prints a box's width and height as at least 0.01, so
+that a box it writes is never rejected when read back. Reports serialize
+as ``metric = value`` lines with five decimals.
 """
 
 from __future__ import annotations
@@ -163,15 +165,19 @@ def parse_detections(path, expected_dim: int) -> list[Detection]:
     return detections
 
 
+def _box_fields(box: BoundingBox) -> str:
+    """A box's ``left,top,width,height`` fields with two decimals; a side
+    below 0.01 is written as 0.01, so it does not print as 0.00 and every
+    written box reads back as a box."""
+    return (f"{box.left:.2f},{box.top:.2f},"
+            f"{max(box.width, 0.01):.2f},{max(box.height, 0.01):.2f}")
+
+
 def write_detections(detections, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for det in detections:
-            box = det.box
             emb = ",".join(format(v, ".10g") for v in det.embedding)
-            fh.write(
-                f"{det.frame},-1,{box.left:.2f},{box.top:.2f},"
-                f"{box.width:.2f},{box.height:.2f},{det.confidence:.4f},{emb}\n"
-            )
+            fh.write(f"{det.frame},-1,{_box_fields(det.box)},{det.confidence:.4f},{emb}\n")
 
 
 def parse_gt(path) -> list[GtEntry]:
@@ -197,10 +203,7 @@ def write_gt(entries, path) -> None:
     rows = sorted(entries, key=lambda e: (e.frame, e.identity))
     with open(path, "w", encoding="utf-8") as fh:
         for e in rows:
-            fh.write(
-                f"{e.frame},{e.identity},{e.box.left:.2f},{e.box.top:.2f},"
-                f"{e.box.width:.2f},{e.box.height:.2f}\n"
-            )
+            fh.write(f"{e.frame},{e.identity},{_box_fields(e.box)}\n")
 
 
 def parse_meta(path) -> SequenceMeta:
@@ -263,10 +266,7 @@ def write_results(results, path) -> None:
     rows.sort(key=lambda r: (r[0], r[1]))
     with open(path, "w", encoding="utf-8") as fh:
         for frame, track_id, box, confidence in rows:
-            fh.write(
-                f"{frame},{track_id},{box.left:.2f},{box.top:.2f},"
-                f"{box.width:.2f},{box.height:.2f},{confidence:.2f},-1,-1,-1\n"
-            )
+            fh.write(f"{frame},{track_id},{_box_fields(box)},{confidence:.2f},-1,-1,-1\n")
 
 
 def parse_results(path) -> list[FrameResult]:

@@ -34,7 +34,6 @@ class Track:
     state: TrackState = TrackState.Tentative
     hits: int = 1
     time_since_update: int = 0
-    age: int = 1
     last_confidence: float = 0.0
 
     def mark_hit(self, detections: FrameDetections, row: int, n_init: int) -> None:
@@ -162,7 +161,6 @@ class Tracker:
             physical = (stack.mean[:, 2] > 0) & (stack.mean[:, 3] > 0)
             self.stack = stack = stack.take(np.flatnonzero(physical).tolist())
         for track in stack.tracks:
-            track.age += 1
             track.time_since_update += 1
 
     def _update(self, detections: FrameDetections, matches) -> None:

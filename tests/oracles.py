@@ -275,15 +275,14 @@ def lexicographic_assignment_oracle(cost, infeasible):
 def preprocess_oracle(detections, config):
     """`tracker.preprocess` on a list of Detection objects, as it ran before
     detections became columns: filter by min_confidence, stable-sort by
-    descending confidence, build the candidates' IoU matrix from their
-    BoundingBox objects, and keep a box iff its IoU with every kept box is
-    <= nms_max_overlap. Returns the kept Detection objects in order."""
-    from mttsort.association import iou_matrix
-
+    descending confidence, build the candidates' IoU matrix with `box_iou`
+    from their BoundingBox objects, and keep a box iff its IoU with every
+    kept box is <= nms_max_overlap. Returns the kept Detection objects in
+    order."""
     candidates = [d for d in detections if d.confidence >= config.min_confidence]
     candidates.sort(key=lambda d: -d.confidence)
     boxes = [d.box for d in candidates]
-    allowed = (iou_matrix(boxes, boxes) <= config.nms_max_overlap).tolist()
+    allowed = [[box_iou(a, b) <= config.nms_max_overlap for b in boxes] for a in boxes]
     kept = []
     for k, row in enumerate(allowed):
         if all(row[j] for j in kept):

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from mttsort import association
 from mttsort.association import (
-    FeatureBuffer, INFEASIBLE, appearance_cost, iou_cost, iou_matrix,
+    FeatureBuffer, INFEASIBLE, appearance_cost, iou_columns, iou_cost,
     matching_cascade, solve_assignment,
 )
 from mttsort.kalman import KalmanModel
-from mttsort.model import BoundingBox, Detection, FrameDetections, TrackerConfig
+from mttsort.model import (BoundingBox, Detection, FrameDetections, TrackerConfig,
+                           box_columns)
 from mttsort.tracker import Track, TrackStack
 
 from oracles import (
@@ -159,9 +160,15 @@ def test_pooled_cache_equals_fresh_pooling(capacity, ops):
 
 # ------------------------------------------------------------------- iou
 
+def columns_of(boxes):
+    """The (left, top, right, bottom, area) rows of a list of boxes."""
+    return box_columns(np.array([(b.left, b.top, b.width, b.height) for b in boxes],
+                                dtype=float).reshape(len(boxes), 4))
+
+
 def iou(a, b):
     """One box against one box, through a 1x1 matrix."""
-    matrix = iou_matrix([a], [b])
+    matrix = iou_columns(columns_of([a]), columns_of([b]))
     assert matrix.shape == (1, 1)
     return matrix[0, 0]
 
@@ -192,13 +199,13 @@ float_boxes = st.lists(st.builds(BoundingBox, coord, coord, extent, extent),
 
 
 @given(float_boxes, float_boxes)
-def test_iou_matrix_equals_scalar_oracle_bit_for_bit(boxes_a, boxes_b):
-    matrix = iou_matrix(boxes_a, boxes_b)
+def test_iou_columns_equals_scalar_oracle_bit_for_bit(boxes_a, boxes_b):
+    matrix = iou_columns(columns_of(boxes_a), columns_of(boxes_b))
     assert matrix.shape == (len(boxes_a), len(boxes_b))
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
             assert matrix[i, j] == box_iou(a, b)
-    assert np.array_equal(iou_matrix(boxes_b, boxes_a), matrix.T)
+    assert np.array_equal(iou_columns(columns_of(boxes_b), columns_of(boxes_a)), matrix.T)
 
 
 # ------------------------------------------------------- appearance cost

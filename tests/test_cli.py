@@ -201,6 +201,33 @@ def test_track_rejects_out_of_range_meta(seq_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_track_then_evaluate_a_box_below_the_written_precision(tmp_path, capsys):
+    # The track of a 0.004 px wide box is that thin too; its result rows
+    # must read back, so that evaluate scores them.
+    seq, pred = tmp_path / "thin", tmp_path / "pred.txt"
+    seq.mkdir()
+    (seq / "meta.txt").write_text(
+        "name = thin\nframe_count = 6\nwidth = 64\nheight = 48\nembedding_dim = 2\n")
+    (seq / "det.txt").write_text(
+        "".join(f"{f},-1,10,10,0.004,10,0.9,1,0\n" for f in range(1, 7)))
+    (seq / "gt.txt").write_text("".join(f"{f},1,10,10,0.004,10\n" for f in range(1, 7)))
+    assert cli(["track", "--seq", str(seq), "--preset", "config1",
+                "--out", str(pred)]) == 0
+    assert pred.read_text().splitlines()[0] == "3,1,10.00,10.00,0.01,10.00,0.90,-1,-1,-1"
+    assert cli(["evaluate", "--seq", str(seq), "--pred", str(pred)]) == 0
+    assert "hota = " in capsys.readouterr().out
+
+
+def test_synth_of_a_tiny_arena_then_track(tmp_path):
+    # Boxes a few thousandths of a pixel wide are written as 0.01 px.
+    spec, seq = tmp_path / "tiny.txt", tmp_path / "tiny"
+    spec.write_text("arena_width = 0.05\narena_height = 0.05\nidentities = 1\nframes = 3\n")
+    assert cli(["synth", "--spec", str(spec), "--out", str(seq)]) == 0
+    assert len(load_sequence(seq).detections) == 3
+    assert cli(["track", "--seq", str(seq), "--preset", "config1",
+                "--out", str(tmp_path / "pred.txt")]) == 0
+
+
 def test_program_fault_propagates_out_of_cli(seq_dir, tmp_path, monkeypatch):
     # A ValueError from inside the tracker is a bug, not a data error: it
     # keeps its traceback instead of becoming exit 2.

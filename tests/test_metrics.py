@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mttsort import metrics, synth
-from mttsort.association import INFEASIBLE, iou_matrix, solve_assignment
+from mttsort.association import INFEASIBLE, iou_columns, solve_assignment
 from mttsort.metrics import (
     EvalReport, GtEntry, _clear_sequence, _frame_overlaps, average_reports,
     clear_match, evaluate, hota, idf1, score,
 )
-from mttsort.model import BoundingBox
+from mttsort.model import BoundingBox, box_columns
 
 from oracles import assa_oracle, clear_oracle, idf1_oracle, random_micro_scenario
 
@@ -33,9 +33,15 @@ def report(**overrides):
 
 # ------------------------------------------------------------- clear_match
 
+def columns_of(boxes):
+    return box_columns(np.array([(b.left, b.top, b.width, b.height) for b in boxes],
+                                dtype=float).reshape(len(boxes), 4))
+
+
 def clear_frame(gt_frame, pred_frame, prior):
     """clear_match on one frame given as (identity, box) lists."""
-    ious = iou_matrix([b for _, b in gt_frame], [b for _, b in pred_frame])
+    ious = iou_columns(columns_of([b for _, b in gt_frame]),
+                       columns_of([b for _, b in pred_frame]))
     return clear_match([g for g, _ in gt_frame], [p for p, _ in pred_frame],
                        ious, prior)
 
@@ -163,7 +169,7 @@ def test_hota_solves_a_frame_once_while_its_mask_is_unchanged(monkeypatch):
           for f in range(1, 6) for i in range(1, 4)]
     per_frame = _frame_overlaps(gt, gt)
     calls = count_solves(monkeypatch)
-    assert hota(gt, gt, per_frame) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert hota(per_frame) == (1.0, 1.0, 1.0, 1.0, 1.0)
     assert calls == [(3, 3)] * 5
 
 
@@ -176,14 +182,14 @@ def test_hota_keeps_a_matching_when_only_a_neighbour_overlap_drops(monkeypatch):
     per_frame = _frame_overlaps(gt, gt)
     assert per_frame[0][2][0, 1] == pytest.approx(1 / 9)
     calls = count_solves(monkeypatch)
-    assert hota(gt, gt, per_frame) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert hota(per_frame) == (1.0, 1.0, 1.0, 1.0, 1.0)
     assert calls == [(2, 2)] * 5
 
 
-def hota_solving_every_level(gt, pred, per_frame):
+def hota_solving_every_level(per_frame):
     """`hota` with every frame solved from scratch at every level."""
-    gt_count = Counter(e.identity for e in gt)
-    pred_count = Counter(e.identity for e in pred)
+    gt_count = Counter(g for g_ids, _, _ in per_frame for g in g_ids)
+    pred_count = Counter(p for _, p_ids, _ in per_frame for p in p_ids)
     levels = []
     for alpha in metrics.ALPHAS:
         tp = fn = fp = 0
@@ -206,16 +212,6 @@ def hota_solving_every_level(gt, pred, per_frame):
     return tuple(math.fsum(column) / len(levels) for column in zip(*levels))
 
 
-def tables_with_entries(tables):
-    """`per_frame` from (g_ids, p_ids, ious) tables, frames numbered from
-    1, with the GT and predicted entries `hota` counts identities in."""
-    gt = [GtEntry(f, g, BOX) for f, (g_ids, _, _) in enumerate(tables, 1)
-          for g in g_ids]
-    pred = [GtEntry(f, p, BOX) for f, (_, p_ids, _) in enumerate(tables, 1)
-            for p in p_ids]
-    return gt, pred, tables
-
-
 def test_hota_resolves_when_the_minimum_cost_matching_loses_a_pair():
     # Frame 1 is a near tie (t is the tie window of its feasible total).
     # At alpha 0.05, (0, 1), (1, 0), (2, 2) costs 1.22, the cheapest;
@@ -236,9 +232,8 @@ def test_hota_resolves_when_the_minimum_cost_matching_loses_a_pair():
 
     assert at(0.05) == [(0, 0), (1, 2), (2, 1)]
     assert at(0.10) == [(0, 0), (1, 1), (2, 2)]
-    gt, pred, per_frame = tables_with_entries(
-        [([1, 2, 3], [11, 12, 13], ious), ([1, 2, 3], [11, 12, 13], np.eye(3))])
-    assert hota(gt, pred, per_frame) == hota_solving_every_level(gt, pred, per_frame)
+    per_frame = [([1, 2, 3], [11, 12, 13], ious), ([1, 2, 3], [11, 12, 13], np.eye(3))]
+    assert hota(per_frame) == hota_solving_every_level(per_frame)
 
 
 @settings(deadline=None, max_examples=60)
@@ -249,32 +244,41 @@ def test_hota_equals_solving_every_level(seed):
     rng = np.random.default_rng(seed)
     gt, pred = random_micro_scenario(rng)
     per_frame = _frame_overlaps(gt, pred)
-    assert hota(gt, pred, per_frame) == hota_solving_every_level(gt, pred, per_frame)
+    assert hota(per_frame) == hota_solving_every_level(per_frame)
     tables = []
     for _ in range(int(rng.integers(1, 5))):
         n, m = int(rng.integers(0, 6)), int(rng.integers(0, 6))
         ious = rng.integers(0, 11, (n, m)) / 10
         tables.append((list(range(1, n + 1)), list(range(11, 11 + m)), ious))
-    gt, pred, per_frame = tables_with_entries(tables)
-    assert hota(gt, pred, per_frame) == hota_solving_every_level(gt, pred, per_frame)
+    assert hota(tables) == hota_solving_every_level(tables)
 
 
 def test_evaluate_builds_one_overlap_table(monkeypatch):
-    # GT on frames 1-4 and predictions on frames 3-6: one iou_matrix call
+    # GT on frames 1-4 and predictions on frames 3-6: one iou_columns call
     # for each of the six frames, shared by CLEAR, IDF1 and HOTA.
     gt = track_entries(1, range(1, 5)) + track_entries(2, range(1, 5), FAR)
     pred = track_entries(11, range(3, 7))
-    kernel = metrics.iou_matrix
+    kernel = metrics.iou_columns
     calls = []
 
-    def counting(boxes_a, boxes_b):
-        calls.append((len(boxes_a), len(boxes_b)))
-        return kernel(boxes_a, boxes_b)
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return kernel(a, b)
 
-    monkeypatch.setattr(metrics, "iou_matrix", counting)
+    monkeypatch.setattr(metrics, "iou_columns", counting)
     rep = evaluate(gt, pred)
     assert calls == [(2, 0), (2, 0), (2, 1), (2, 1), (0, 1), (0, 1)]
     assert (rep.fn_count, rep.fp_count, rep.idsw_count) == (6, 2, 0)
+
+
+def test_identities_and_frames_beyond_int64():
+    # Identities and frames are any Python integers, as the loaders accept.
+    gt = [GtEntry(1, 2 ** 70, BOX), GtEntry(2, 2 ** 70, BOX), GtEntry(2, 1, FAR)]
+    pred = [GtEntry(1, 2 ** 70, BOX), GtEntry(2, 2 ** 70 + 1, BOX),
+            GtEntry(2 ** 64, 3, BOX)]
+    assert evaluate(gt, pred) == EvalReport(
+        hota=0.5, mota=0.0, idf1=1 / 3, det_re=2 / 3, det_pr=2 / 3, det_a=0.5,
+        ass_a=0.5, fn_count=1, fp_count=1, idsw_count=1, frag_count=0)
 
 
 def test_hota_no_predictions():
@@ -369,7 +373,7 @@ def test_micro_scenarios_match_brute_force_oracles(seed):
     # evaluate shares one overlap table between CLEAR, HOTA and IDF1
     per_frame = _frame_overlaps(gt, pred)
     assert (rep.hota, rep.det_a, rep.ass_a, rep.det_re, rep.det_pr) == \
-        hota(gt, pred, per_frame)
-    assert rep.idf1 == idf1(gt, pred, per_frame)
+        hota(per_frame)
+    assert rep.idf1 == idf1(per_frame)
     assert (rep.fn_count, rep.fp_count, rep.idsw_count, rep.frag_count) == \
         _clear_sequence(per_frame)

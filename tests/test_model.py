@@ -198,7 +198,7 @@ def detection_streams(draw, max_frame=4):
 def assert_columns_of(columns, detections):
     """`columns` rows are `detections`, with each column equal to the
     per-object value bit for bit."""
-    assert list(columns) == list(detections)
+    assert len(columns) == len(detections)
     for row, d in enumerate(detections):
         box = d.box
         assert columns.confidence[row] == d.confidence

@@ -203,6 +203,25 @@ def test_results_sorted_by_frame_then_id(tmp_path):
         ["1", "9"], ["2", "1"], ["2", "2"]]
 
 
+@pytest.mark.parametrize("side, text", [(0.004, "0.01"), (0.005, "0.01"),
+                                        (12.345, "12.35")])
+def test_writers_print_sides_that_read_back(tmp_path, side, text):
+    # A side below 0.005 would print as 0.00, which no reader accepts.
+    box = BoundingBox(1.5, 2.25, side, side)
+    fields = f"1.50,2.25,{text},{text}"
+    det, gt, out = tmp_path / "det.txt", tmp_path / "gt.txt", tmp_path / "out.txt"
+    write_detections([Detection(1, box, 0.5, np.array([1.0, 0.0]))], det)
+    write_gt([GtEntry(1, 7, box)], gt)
+    write_results([frame_result(1, (7, box, 0.5))], out)
+    assert det.read_text() == f"1,-1,{fields},0.5000,1,0\n"
+    assert gt.read_text() == f"1,7,{fields}\n"
+    assert out.read_text() == f"1,7,{fields},0.50,-1,-1,-1\n"
+    want = BoundingBox(1.5, 2.25, float(text), float(text))
+    assert parse_detections(det, expected_dim=2)[0].box == want
+    assert parse_gt(gt)[0].box == want
+    assert parse_results(out)[0].records[0][1] == want
+
+
 def test_parse_results_schema_errors(tmp_path):
     bad_tail = write(tmp_path / "a.txt", "1,1,0,0,5,5,0.9,-1,-1,0\n")
     with pytest.raises(ParseError, match="-1,-1,-1"):

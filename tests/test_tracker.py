@@ -44,7 +44,7 @@ def test_preprocess_confidence_filter():
     config = TrackerConfig(min_confidence=0.5)
     kept = preprocess(
         FrameDetections.of([det(1, 0, 0, conf=0.9), det(1, 100, 0, conf=0.4)]), config)
-    assert [d.confidence for d in kept] == [0.9]
+    assert kept.confidence.tolist() == [0.9]
 
 
 def test_preprocess_nms_suppresses_duplicates():
@@ -52,7 +52,7 @@ def test_preprocess_nms_suppresses_duplicates():
     kept = preprocess(
         FrameDetections.of([det(1, 0, 0, conf=0.8), det(1, 0, 0, conf=0.95)]), config)
     assert len(kept) == 1
-    assert kept[0].confidence == 0.95
+    assert kept.confidence[0] == 0.95
 
 
 def test_preprocess_keeps_moderate_overlap():
@@ -61,6 +61,15 @@ def test_preprocess_keeps_moderate_overlap():
     b = det(1, 7, 0, w=10, h=10, conf=0.8)  # IoU = 3/17 < 0.3
     kept = preprocess(FrameDetections.of([a, b]), config)
     assert len(kept) == 2
+
+
+def assert_kept_columns(kept, expected):
+    """The rows `preprocess` kept are the columns of the Detection objects
+    `expected`, bit for bit."""
+    want = FrameDetections.of(expected)
+    assert len(kept) == len(want)
+    for name in ("confidence", "boxes", "measurements", "embeddings"):
+        assert getattr(kept, name).tobytes() == getattr(want, name).tobytes()
 
 
 def greedy_nms_oracle(detections, config):
@@ -86,8 +95,7 @@ def test_preprocess_matches_greedy_nms_oracle(raw, overlap):
     detections = [det(1, left, top, w, h, conf) for left, top, w, h, conf in raw]
     config = TrackerConfig(nms_max_overlap=overlap)
     kept = preprocess(FrameDetections.of(detections), config)
-    expected = greedy_nms_oracle(detections, config)
-    assert [id(d) for d in kept] == [id(d) for d in expected]
+    assert_kept_columns(kept, greedy_nms_oracle(detections, config))
 
 
 @pytest.mark.parametrize("confidences, calls", [
@@ -124,12 +132,7 @@ def test_preprocess_equals_the_object_version(raw, min_confidence, overlap):
     detections = [det(1, 5 * x, 5 * y, w, h, conf) for x, y, w, h, conf in raw]
     config = TrackerConfig(min_confidence=min_confidence, nms_max_overlap=overlap)
     kept = preprocess(FrameDetections.of(detections), config)
-    expected = preprocess_oracle(detections, config)
-    assert [id(d) for d in kept] == [id(d) for d in expected]
-    # The kept rows are the columns of the kept detections, bit for bit.
-    want = FrameDetections.of(expected)
-    for name in ("confidence", "boxes", "measurements", "embeddings"):
-        assert getattr(kept, name).tobytes() == getattr(want, name).tobytes()
+    assert_kept_columns(kept, preprocess_oracle(detections, config))
 
 
 # -------------------------------------------------------------- lifecycle
@@ -221,9 +224,9 @@ def test_counters_and_deletion_rules():
     tracker = Tracker(config)
     tracker.step(1, FrameDetections.of([det(1, 100, 100)]))
     track = tracker.stack.tracks[0]
-    assert (track.hits, track.age, track.time_since_update) == (1, 1, 0)
+    assert (track.hits, track.time_since_update) == (1, 0)
     tracker.step(2, FrameDetections.of([det(2, 103, 100)]))
-    assert (track.hits, track.age, track.time_since_update) == (2, 2, 0)
+    assert (track.hits, track.time_since_update) == (2, 0)
     assert track.state == TrackState.Confirmed
     for f in range(3, 6):
         tracker.step(f, FrameDetections.of([]))
