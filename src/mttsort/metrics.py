@@ -6,6 +6,12 @@ from box columns: for each frame with a GT or predicted box, the GT and
 the predicted identities in ascending order and their IoU matrix. CLEAR,
 IDF1 and HOTA read only that table, identity counts included.
 
+HOTA solves only the frames where two cells of the loosest level's mask
+share a row or a column, and each of those once per span of levels its
+matching holds; every other frame's matching is its mask. The matches
+accumulate as integer counts per (GT id, predicted id) pair and level,
+which `hota_levels` reports level by level and `hota` averages.
+
 All final ratios are built from integer event counts, and means use
 math.fsum, so results are bit-reproducible and safe to compare against
 enumeration oracles.
@@ -163,9 +169,11 @@ def idf1(per_frame) -> float:
     gt_ids, pred_ids = sorted(gt_count), sorted(pred_count)
     idtp = 0
     if cooccur and pred_ids:
+        gt_index = {gid: i for i, gid in enumerate(gt_ids)}
+        pred_index = {pid: j for j, pid in enumerate(pred_ids)}
         counts = np.zeros((len(gt_ids), len(pred_ids)), dtype=int)
         for (gid, pid), c in cooccur.items():
-            counts[gt_ids.index(gid), pred_ids.index(pid)] = c
+            counts[gt_index[gid], pred_index[pid]] = c
         rows, cols = linear_sum_assignment(counts, maximize=True)
         idtp = int(counts[rows, cols].sum())
     idfn = sum(gt_count.values()) - idtp
@@ -202,8 +210,8 @@ def _frame_overlaps(gt, pred):
     return out
 
 
-def hota(per_frame):
-    """HOTA and its components, averaged over the 19 localization levels.
+def hota_levels(per_frame):
+    """HOTA and its components at each of the 19 localization levels.
 
     Per level alpha: frames are matched maximizing match count then total
     IoU over pairs with IoU >= alpha. DetA = TP/(TP+FN+FP). Each matched
@@ -213,59 +221,113 @@ def hota(per_frame):
     HOTA_alpha = sqrt(DetA * AssA). `per_frame` is `_frame_overlaps(gt,
     pred)`.
 
-    The levels' masks IoU >= alpha are nested, so a frame keeps its
-    matching M up to its floor, the lowest IoU over the pairs of M and of
-    the minimum-cost matching `solve_matchings` returns with it (which
-    says why M stands while both are feasible), and is solved again only
-    at the first level above that floor.
+    A frame is uncontested when no row and no column of its mask IoU >=
+    ALPHAS[0] holds two cells. Each level's mask is a subset of that one,
+    so it is one-to-one too, and `solve_matchings` reads it off as the
+    matching: a cell is matched at exactly the levels alpha <= its IoU,
+    with no solve. One vectorized pass over every frame's cells finds them.
 
-    Returns (hota, det_a, ass_a, det_re, det_pr).
+    Each contested frame walks up the levels once. The levels' masks are
+    nested, so a frame keeps its matching M up to its floor, the lowest
+    IoU over the pairs of M and of the minimum-cost matching
+    `solve_matchings` returns with it (which says why M stands while both
+    are feasible), and is solved again only at the first level above that
+    floor.
+
+    Each pair's span of levels goes into a difference array of integer
+    counts per (GT id, predicted id) pair and level. AssA sums one term
+    per match with math.fsum, which is correctly rounded in any order.
+
+    Returns the per-level lists (hota, det_a, ass_a, det_re, det_pr).
     """
-    carried = [([], -math.inf)] * len(per_frame)  # per frame: (matches, floor)
+    n_levels = len(ALPHAS)
     gt_count, pred_count = _identity_counts(per_frame)
+    # Dense ranks: identities are any Python integers.
+    gt_rank = {g: r for r, g in enumerate(gt_count)}
+    pred_rank = {p: r for r, p in enumerate(pred_count)}
+    n_pred = len(pred_rank)
+    g_ranks = np.array([gt_rank[g] for g_ids, _, _ in per_frame for g in g_ids],
+                       dtype=np.int64)
+    p_ranks = np.array([pred_rank[p] for _, p_ids, _ in per_frame for p in p_ids],
+                       dtype=np.int64)
 
-    hota_levels, deta_levels, assa_levels = [], [], []
-    detre_levels, detpr_levels = [], []
-    for alpha in ALPHAS:
-        tp = fn = fp = 0
-        pair_count: Counter = Counter()
-        events: list[tuple[int, int]] = []
-        for k, (g_ids, p_ids, ious) in enumerate(per_frame):
-            if alpha > carried[k][1]:
-                matches, optimal = solve_matchings(
-                    np.where(ious >= alpha, 1.0 - ious, INFEASIBLE))
-                floor = min((ious[i, j] for i, j in matches + optimal),
-                            default=math.inf)
-                carried[k] = (matches, floor)
-            matches = carried[k][0]
-            tp += len(matches)
-            fn += len(g_ids) - len(matches)
-            fp += len(p_ids) - len(matches)
+    # Every frame's cells in one flat array; for each live cell (IoU >=
+    # ALPHAS[0]), its frame and its GT and predicted entry (an index into
+    # g_ranks and p_ranks).
+    rows = np.array([len(g_ids) for g_ids, _, _ in per_frame], dtype=np.int64)
+    cols = np.array([len(p_ids) for _, p_ids, _ in per_frame], dtype=np.int64)
+    starts = np.cumsum(rows * cols) - rows * cols
+    flat = np.concatenate([ious.ravel() for _, _, ious in per_frame] + [np.empty(0)])
+    live = np.flatnonzero(flat >= ALPHAS[0])
+    frame = np.searchsorted(starts, live, side="right") - 1
+    local = live - starts[frame]
+    entry_g = (np.cumsum(rows) - rows)[frame] + local // cols[frame]
+    entry_p = (np.cumsum(cols) - cols)[frame] + local % cols[frame]
+
+    shared = ((np.bincount(entry_g, minlength=len(g_ranks))[entry_g] > 1)
+              | (np.bincount(entry_p, minlength=len(p_ranks))[entry_p] > 1))
+    contested = np.zeros(len(per_frame), dtype=bool)
+    contested[frame[shared]] = True
+    easy = ~contested[frame]
+    keys = [g_ranks[entry_g[easy]] * n_pred + p_ranks[entry_p[easy]]]
+    lows = [np.zeros(len(keys[0]), dtype=np.int64)]
+    highs = [np.searchsorted(np.array(ALPHAS), flat[live[easy]], side="right")]
+
+    span_keys, span_lows, span_highs = [], [], []
+    for k in np.flatnonzero(contested).tolist():
+        g_ids, p_ids, ious = per_frame[k]
+        level = 0
+        while level < n_levels:
+            matches, optimal = solve_matchings(
+                np.where(ious >= ALPHAS[level], 1.0 - ious, INFEASIBLE))
+            floor = min((ious[i, j] for i, j in matches + optimal), default=math.inf)
+            top = bisect_right(ALPHAS, floor)
             for i, j in matches:
-                pair = (g_ids[i], p_ids[j])
-                pair_count[pair] += 1
-                events.append(pair)
+                span_keys.append(gt_rank[g_ids[i]] * n_pred + pred_rank[p_ids[j]])
+                span_lows.append(level)
+                span_highs.append(top)
+            level = top
+    keys.append(np.array(span_keys, dtype=np.int64))
+    lows.append(np.array(span_lows, dtype=np.int64))
+    highs.append(np.array(span_highs, dtype=np.int64))
+
+    # counts[pair, level]: the frames that match the pair at that level.
+    pairs, pair_of_span = np.unique(np.concatenate(keys), return_inverse=True)
+    stride = n_levels + 1
+    bins = len(pairs) * stride
+    diff = (np.bincount(pair_of_span * stride + np.concatenate(lows), minlength=bins)
+            - np.bincount(pair_of_span * stride + np.concatenate(highs), minlength=bins))
+    counts = np.cumsum(diff.reshape(len(pairs), stride), axis=1)[:, :n_levels]
+    g_of_pair, p_of_pair = np.divmod(pairs, n_pred)
+    appearances = (np.array(list(gt_count.values()), dtype=np.int64)[g_of_pair]
+                   + np.array(list(pred_count.values()), dtype=np.int64)[p_of_pair])
+    # int64 -> float64 is exact below 2**53, so each term equals Python's
+    # int division.
+    pair_scores = counts / (appearances[:, None] - counts)
+
+    per_level = []
+    for level, tp in enumerate(counts.sum(axis=0).tolist()):
+        fn = len(g_ranks) - tp
+        fp = len(p_ranks) - tp
         det_a = tp / (tp + fn + fp) if tp + fn + fp else 0.0
         det_re = tp / (tp + fn) if tp + fn else 0.0
         det_pr = tp / (tp + fp) if tp + fp else 0.0
         if tp:
-            ass_a = math.fsum(
-                pair_count[(g, p)] / (gt_count[g] + pred_count[p] - pair_count[(g, p)])
-                for g, p in events) / tp
+            ass_a = math.fsum(np.repeat(pair_scores[:, level],
+                                        counts[:, level]).tolist()) / tp
         else:
             ass_a = 0.0
-        hota_levels.append(math.sqrt(det_a * ass_a))
-        deta_levels.append(det_a)
-        assa_levels.append(ass_a)
-        detre_levels.append(det_re)
-        detpr_levels.append(det_pr)
+        per_level.append((math.sqrt(det_a * ass_a), det_a, ass_a, det_re, det_pr))
+    return tuple(list(values) for values in zip(*per_level))
 
-    n = len(ALPHAS)
-    return (math.fsum(hota_levels) / n,
-            math.fsum(deta_levels) / n,
-            math.fsum(assa_levels) / n,
-            math.fsum(detre_levels) / n,
-            math.fsum(detpr_levels) / n)
+
+def hota(per_frame):
+    """HOTA and its components, the means of `hota_levels` over the 19
+    localization levels.
+
+    Returns (hota, det_a, ass_a, det_re, det_pr).
+    """
+    return tuple(math.fsum(values) / len(ALPHAS) for values in hota_levels(per_frame))
 
 
 def evaluate(gt, pred) -> EvalReport:

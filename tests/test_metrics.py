@@ -131,6 +131,23 @@ def test_idf1_split_track():
     assert evaluate(gt, pred).idf1 == 0.5
 
 
+def test_idf1_over_300_identities():
+    # GT identity k co-occurs with predicted identity 5000 + 7k mod 300 on
+    # frames 1 and 2 and with the next GT's partner on frame 3; frame 4
+    # holds half the GT and no predictions. The best mapping keeps the
+    # frame 1-2 partners: IDTP 600 of 1,050 GT and 900 predicted boxes.
+    gt_ids = [2 ** 64 + k for k in range(300)]
+    pred_ids = list(range(5000, 5300))
+    per_frame = []
+    for shift in (0, 0, 1):
+        ious = np.zeros((300, 300))
+        for k in range(300):
+            ious[k, 7 * ((k + shift) % 300) % 300] = 1.0
+        per_frame.append((gt_ids, pred_ids, ious))
+    per_frame.append((gt_ids[:150], [], np.zeros((150, 0))))
+    assert idf1(per_frame) == 2 * 600 / (2 * 600 + 300 + 450)
+
+
 # ------------------------------------------------------------------- hota
 
 def test_hota_perfect():
@@ -162,15 +179,40 @@ def count_solves(monkeypatch):
     return calls
 
 
-def test_hota_solves_a_frame_once_while_its_mask_is_unchanged(monkeypatch):
+def test_hota_solves_no_one_to_one_frame(monkeypatch):
     # Identities never overlap, so each frame's mask IoU >= alpha is the
-    # same diagonal at all 19 levels: one solve per frame, not 19.
+    # same diagonal at all 19 levels: a one-to-one mask is its own
+    # matching, and no frame is solved.
     gt = [GtEntry(f, i, BoundingBox(100 * i + f, 50, 20, 40))
           for f in range(1, 6) for i in range(1, 4)]
     per_frame = _frame_overlaps(gt, gt)
     calls = count_solves(monkeypatch)
     assert hota(per_frame) == (1.0, 1.0, 1.0, 1.0, 1.0)
-    assert calls == [(3, 3)] * 5
+    assert calls == []
+
+
+def test_hota_solves_a_contested_frame_once_per_matching_span(monkeypatch):
+    # Frame 1 is contested: GT 1 overlaps both predictions. Its matching
+    # (0, 0), (1, 1) holds up to IoU 0.62, then (0, 0) alone up to 0.87,
+    # then nothing: three solves, at alpha 0.05, 0.65 and 0.9 in that
+    # order. Frame 2 is one-to-one and is not solved.
+    ious = np.array([[0.87, 0.33], [0.0, 0.62]])
+    per_frame = [([1, 2], [11, 12], ious), ([1, 2], [11, 12], np.eye(2))]
+    solve = metrics.solve_matchings
+    costs = []
+
+    def recording(cost):
+        costs.append(cost)
+        return solve(cost)
+
+    monkeypatch.setattr(metrics, "solve_matchings", recording)
+    assert hota(per_frame) == hota_solving_every_level(per_frame)
+    levels = [0, 12, 17]
+    assert [metrics.ALPHAS[k] for k in levels] == pytest.approx([0.05, 0.65, 0.9])
+    assert len(costs) == len(levels)
+    for cost, k in zip(costs, levels):
+        expected = np.where(ious >= metrics.ALPHAS[k], 1.0 - ious, INFEASIBLE)
+        assert np.array_equal(cost, expected)
 
 
 def test_hota_keeps_a_matching_when_only_a_neighbour_overlap_drops(monkeypatch):
@@ -186,8 +228,9 @@ def test_hota_keeps_a_matching_when_only_a_neighbour_overlap_drops(monkeypatch):
     assert calls == [(2, 2)] * 5
 
 
-def hota_solving_every_level(per_frame):
-    """`hota` with every frame solved from scratch at every level."""
+def levels_solving_every_level(per_frame):
+    """`hota_levels` with every frame solved from scratch at every level,
+    as one (hota, det_a, ass_a, det_re, det_pr) tuple per level."""
     gt_count = Counter(g for g_ids, _, _ in per_frame for g in g_ids)
     pred_count = Counter(p for _, p_ids, _ in per_frame for p in p_ids)
     levels = []
@@ -209,6 +252,12 @@ def hota_solving_every_level(per_frame):
         levels.append((math.sqrt(det_a * ass_a), det_a, ass_a,
                        tp / (tp + fn) if tp + fn else 0.0,
                        tp / (tp + fp) if tp + fp else 0.0))
+    return levels
+
+
+def hota_solving_every_level(per_frame):
+    """`hota` with every frame solved from scratch at every level."""
+    levels = levels_solving_every_level(per_frame)
     return tuple(math.fsum(column) / len(levels) for column in zip(*levels))
 
 
@@ -251,6 +300,54 @@ def test_hota_equals_solving_every_level(seed):
         ious = rng.integers(0, 11, (n, m)) / 10
         tables.append((list(range(1, n + 1)), list(range(11, 11 + m)), ious))
     assert hota(tables) == hota_solving_every_level(tables)
+
+
+# Cells at and around the levels, tenths, and any IoU in [0, 1].
+IOU_VALUES = st.one_of(st.sampled_from([0.0, 1.0] + metrics.ALPHAS),
+                       st.integers(0, 10).map(lambda k: k / 10),
+                       st.floats(0.0, 1.0))
+# Identities as a frame lists them: distinct and ascending, possibly none.
+ID_LISTS = st.lists(st.sampled_from([1, 2, 3, 2 ** 64, 2 ** 64 + 1, 2 ** 70]),
+                    unique=True, max_size=4).map(sorted)
+
+
+@st.composite
+def overlap_tables(draw):
+    """Per-frame (gt_ids, pred_ids, ious) tables mixing one-to-one frames,
+    frames drawn cell by cell (mostly contested) and frames with an empty
+    side."""
+    tables = []
+    for _ in range(draw(st.integers(0, 6))):
+        g_ids, p_ids = draw(ID_LISTS), draw(ID_LISTS)
+        n, m = len(g_ids), len(p_ids)
+        if draw(st.booleans()):
+            ious = np.zeros((n, m))
+            columns = draw(st.permutations(range(max(n, m))))
+            for i, j in enumerate(columns[:n]):
+                if j < m:
+                    ious[i, j] = draw(IOU_VALUES)
+        else:
+            cells = draw(st.lists(IOU_VALUES, min_size=n * m, max_size=n * m))
+            ious = np.array(cells, dtype=float).reshape(n, m)
+        tables.append((g_ids, p_ids, ious))
+    return tables
+
+
+@settings(deadline=None, max_examples=200)
+@given(overlap_tables())
+def test_hota_levels_equal_solving_every_level(tables):
+    levels = metrics.hota_levels(tables)
+    assert all(len(values) == len(metrics.ALPHAS) for values in levels)
+    assert list(zip(*levels)) == levels_solving_every_level(tables)
+    assert hota(tables) == tuple(math.fsum(values) / len(metrics.ALPHAS)
+                                 for values in levels)
+
+
+@settings(deadline=None, max_examples=100)
+@given(overlap_tables(), st.data())
+def test_hota_ignores_frame_order(tables, data):
+    shuffled = data.draw(st.permutations(tables))
+    assert hota(shuffled) == hota(tables)
 
 
 def test_evaluate_builds_one_overlap_table(monkeypatch):
