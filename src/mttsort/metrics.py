@@ -3,13 +3,15 @@ fragmentations, and the scalar fitness score used by the optimizer.
 
 `evaluate` reads its `GtEntry` lists once, into one per-frame table built
 from box columns: for each frame with a GT or predicted box, the GT and
-the predicted identities in ascending order and their IoU matrix. CLEAR,
-IDF1 and HOTA read only that table, identity counts included.
+the predicted identities in ascending order and their IoU matrix. CLEAR
+walks that table frame by frame; IDF1 and HOTA each read it through
+`_cells`, one flat table of its live cells with every identity as a dense
+int64 rank. IDF1 is one `np.bincount` of rank pairs and one assignment.
 
 HOTA solves only the frames where two cells of the loosest level's mask
 share a row or a column, and each of those once per span of levels its
 matching holds; every other frame's matching is its mask. The matches
-accumulate as integer counts per (GT id, predicted id) pair and level,
+accumulate as integer counts per (GT rank, predicted rank) pair and level,
 which `hota_levels` reports level by level and `hota` averages.
 
 All final ratios are built from integer event counts, and means use
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -142,15 +143,34 @@ def _clear_sequence(per_frame):
     return fn, fp, idsw, frag
 
 
-def _identity_counts(per_frame):
-    """The number of entries of each GT and of each predicted identity in
-    `per_frame`, whose id lists hold every entry once."""
-    gt_count: Counter = Counter()
-    pred_count: Counter = Counter()
-    for g_ids, p_ids, _ in per_frame:
-        gt_count.update(g_ids)
-        pred_count.update(p_ids)
-    return gt_count, pred_count
+def _cells(per_frame):
+    """The flat table of `per_frame` that IDF1 and HOTA read.
+
+    Entries are numbered in table order (frame by frame, ids ascending).
+    Returns g_rank and p_rank, each GT and predicted entry's identity as a
+    dense int64 rank in order of first appearance, so identities stay any
+    Python integers; g_first and p_first, each frame's first GT and first
+    predicted entry; and for each live cell (IoU >= ALPHAS[0]) its iou,
+    frame, entry_g and entry_p.
+    """
+    ranks = []
+    for side in (0, 1):
+        rank = {}
+        ranks.append(np.array([rank.setdefault(i, len(rank))
+                               for table in per_frame for i in table[side]],
+                              dtype=np.int64))
+    g_rank, p_rank = ranks
+    rows = np.array([len(g_ids) for g_ids, _, _ in per_frame], dtype=np.int64)
+    cols = np.array([len(p_ids) for _, p_ids, _ in per_frame], dtype=np.int64)
+    g_first, p_first = np.cumsum(rows) - rows, np.cumsum(cols) - cols
+    starts = np.cumsum(rows * cols) - rows * cols
+    flat = np.concatenate([ious.ravel() for _, _, ious in per_frame] + [np.empty(0)])
+    live = np.flatnonzero(flat >= ALPHAS[0])
+    frame = np.searchsorted(starts, live, side="right") - 1
+    local = live - starts[frame]
+    entry_g = g_first[frame] + local // cols[frame]
+    entry_p = p_first[frame] + local % cols[frame]
+    return g_rank, p_rank, g_first, p_first, flat[live], frame, entry_g, entry_p
 
 
 def idf1(per_frame) -> float:
@@ -158,27 +178,19 @@ def idf1(per_frame) -> float:
 
     A GT and a predicted trajectory co-occur on every frame where their
     boxes overlap with IoU >= 0.5; IDTP is the total co-occurrence of the
-    best one-to-one mapping. `per_frame` is `_frame_overlaps(gt, pred)`.
+    best one-to-one mapping, and IDF1 = 2 IDTP / (|GT| + |predicted|).
+    `per_frame` is `_frame_overlaps(gt, pred)`.
     """
-    cooccur: Counter = Counter()
-    for g_ids, p_ids, ious in per_frame:
-        for i, j in zip(*np.nonzero(ious >= MATCH_IOU)):
-            cooccur[(g_ids[i], p_ids[j])] += 1
-
-    gt_count, pred_count = _identity_counts(per_frame)
-    gt_ids, pred_ids = sorted(gt_count), sorted(pred_count)
+    g_rank, p_rank, _, _, iou, _, entry_g, entry_p = _cells(per_frame)
+    hit = iou >= MATCH_IOU
     idtp = 0
-    if cooccur and pred_ids:
-        gt_index = {gid: i for i, gid in enumerate(gt_ids)}
-        pred_index = {pid: j for j, pid in enumerate(pred_ids)}
-        counts = np.zeros((len(gt_ids), len(pred_ids)), dtype=int)
-        for (gid, pid), c in cooccur.items():
-            counts[gt_index[gid], pred_index[pid]] = c
+    if hit.any():
+        n_gt, n_pred = int(g_rank.max()) + 1, int(p_rank.max()) + 1
+        counts = np.bincount(g_rank[entry_g[hit]] * n_pred + p_rank[entry_p[hit]],
+                             minlength=n_gt * n_pred).reshape(n_gt, n_pred)
         rows, cols = linear_sum_assignment(counts, maximize=True)
         idtp = int(counts[rows, cols].sum())
-    idfn = sum(gt_count.values()) - idtp
-    idfp = sum(pred_count.values()) - idtp
-    return 2 * idtp / (2 * idtp + idfp + idfn)
+    return 2 * idtp / (len(g_rank) + len(p_rank))
 
 
 def _sorted_columns(entries):
@@ -241,74 +253,53 @@ def hota_levels(per_frame):
     Returns the per-level lists (hota, det_a, ass_a, det_re, det_pr).
     """
     n_levels = len(ALPHAS)
-    gt_count, pred_count = _identity_counts(per_frame)
-    # Dense ranks: identities are any Python integers.
-    gt_rank = {g: r for r, g in enumerate(gt_count)}
-    pred_rank = {p: r for r, p in enumerate(pred_count)}
-    n_pred = len(pred_rank)
-    g_ranks = np.array([gt_rank[g] for g_ids, _, _ in per_frame for g in g_ids],
-                       dtype=np.int64)
-    p_ranks = np.array([pred_rank[p] for _, p_ids, _ in per_frame for p in p_ids],
-                       dtype=np.int64)
+    g_rank, p_rank, g_first, p_first, iou, frame, entry_g, entry_p = _cells(per_frame)
 
-    # Every frame's cells in one flat array; for each live cell (IoU >=
-    # ALPHAS[0]), its frame and its GT and predicted entry (an index into
-    # g_ranks and p_ranks).
-    rows = np.array([len(g_ids) for g_ids, _, _ in per_frame], dtype=np.int64)
-    cols = np.array([len(p_ids) for _, p_ids, _ in per_frame], dtype=np.int64)
-    starts = np.cumsum(rows * cols) - rows * cols
-    flat = np.concatenate([ious.ravel() for _, _, ious in per_frame] + [np.empty(0)])
-    live = np.flatnonzero(flat >= ALPHAS[0])
-    frame = np.searchsorted(starts, live, side="right") - 1
-    local = live - starts[frame]
-    entry_g = (np.cumsum(rows) - rows)[frame] + local // cols[frame]
-    entry_p = (np.cumsum(cols) - cols)[frame] + local % cols[frame]
-
-    shared = ((np.bincount(entry_g, minlength=len(g_ranks))[entry_g] > 1)
-              | (np.bincount(entry_p, minlength=len(p_ranks))[entry_p] > 1))
+    shared = ((np.bincount(entry_g, minlength=len(g_rank))[entry_g] > 1)
+              | (np.bincount(entry_p, minlength=len(p_rank))[entry_p] > 1))
     contested = np.zeros(len(per_frame), dtype=bool)
     contested[frame[shared]] = True
     easy = ~contested[frame]
-    keys = [g_ranks[entry_g[easy]] * n_pred + p_ranks[entry_p[easy]]]
-    lows = [np.zeros(len(keys[0]), dtype=np.int64)]
-    highs = [np.searchsorted(np.array(ALPHAS), flat[live[easy]], side="right")]
 
-    span_keys, span_lows, span_highs = [], [], []
+    # Spans (GT entry, predicted entry, low, high): the pair is matched at
+    # the levels [low, high).
+    spans = []
     for k in np.flatnonzero(contested).tolist():
-        g_ids, p_ids, ious = per_frame[k]
+        ious = per_frame[k][2]
+        g0, p0 = int(g_first[k]), int(p_first[k])
         level = 0
         while level < n_levels:
             matches, optimal = solve_matchings(
                 np.where(ious >= ALPHAS[level], 1.0 - ious, INFEASIBLE))
             floor = min((ious[i, j] for i, j in matches + optimal), default=math.inf)
             top = bisect_right(ALPHAS, floor)
-            for i, j in matches:
-                span_keys.append(gt_rank[g_ids[i]] * n_pred + pred_rank[p_ids[j]])
-                span_lows.append(level)
-                span_highs.append(top)
+            spans.extend((g0 + i, p0 + j, level, top) for i, j in matches)
             level = top
-    keys.append(np.array(span_keys, dtype=np.int64))
-    lows.append(np.array(span_lows, dtype=np.int64))
-    highs.append(np.array(span_highs, dtype=np.int64))
+    cell_spans = np.stack([entry_g, entry_p, np.zeros_like(frame),
+                           np.searchsorted(np.array(ALPHAS), iou, side="right")], axis=1)
+    span_g, span_p, lows, highs = np.concatenate(
+        [cell_spans[easy], np.array(spans, dtype=np.int64).reshape(-1, 4)]).T
 
     # counts[pair, level]: the frames that match the pair at that level.
-    pairs, pair_of_span = np.unique(np.concatenate(keys), return_inverse=True)
+    gt_count, pred_count = np.bincount(g_rank), np.bincount(p_rank)
+    n_pred = len(pred_count)
+    pairs, pair_of_span = np.unique(g_rank[span_g] * n_pred + p_rank[span_p],
+                                    return_inverse=True)
     stride = n_levels + 1
     bins = len(pairs) * stride
-    diff = (np.bincount(pair_of_span * stride + np.concatenate(lows), minlength=bins)
-            - np.bincount(pair_of_span * stride + np.concatenate(highs), minlength=bins))
+    diff = (np.bincount(pair_of_span * stride + lows, minlength=bins)
+            - np.bincount(pair_of_span * stride + highs, minlength=bins))
     counts = np.cumsum(diff.reshape(len(pairs), stride), axis=1)[:, :n_levels]
     g_of_pair, p_of_pair = np.divmod(pairs, n_pred)
-    appearances = (np.array(list(gt_count.values()), dtype=np.int64)[g_of_pair]
-                   + np.array(list(pred_count.values()), dtype=np.int64)[p_of_pair])
+    appearances = gt_count[g_of_pair] + pred_count[p_of_pair]
     # int64 -> float64 is exact below 2**53, so each term equals Python's
     # int division.
     pair_scores = counts / (appearances[:, None] - counts)
 
     per_level = []
     for level, tp in enumerate(counts.sum(axis=0).tolist()):
-        fn = len(g_ranks) - tp
-        fp = len(p_ranks) - tp
+        fn = len(g_rank) - tp
+        fp = len(p_rank) - tp
         det_a = tp / (tp + fn + fp) if tp + fn + fp else 0.0
         det_re = tp / (tp + fn) if tp + fn else 0.0
         det_pr = tp / (tp + fp) if tp + fp else 0.0

@@ -98,6 +98,13 @@ def _parse_int(text: str, path, lineno: int, what: str) -> int:
         raise ParseError(f"{path}:{lineno}: {what} is not an integer: {text!r}") from None
 
 
+def _parse_frame(text: str, path, lineno: int, frame_count: int) -> int:
+    frame = _parse_int(text, path, lineno, "frame")
+    if not 1 <= frame <= frame_count:
+        raise ParseError(f"{path}:{lineno}: frame {frame} outside [1, {frame_count}]")
+    return frame
+
+
 def _unit_embedding(values, path, lineno: int) -> np.ndarray:
     """`values` divided by their L2 norm; first by their largest magnitude
     where that norm overflows or is below 1e-9, so only an all-zero row
@@ -116,11 +123,12 @@ def _unit_embedding(values, path, lineno: int) -> np.ndarray:
     return embedding / norm
 
 
-def parse_detections(path, expected_dim: int) -> list[Detection]:
+def parse_detections(path, expected_dim: int, frame_count: int) -> list[Detection]:
     """Load detections-with-embeddings rows, sorted by frame.
 
     Embeddings are L2-normalized here; a row whose embedding dimension
-    disagrees with `expected_dim` is a schema error.
+    disagrees with `expected_dim`, or whose frame is outside
+    [1, frame_count], is a schema error.
     """
     detections = []
     for lineno, fields in _rows(path):
@@ -135,7 +143,7 @@ def parse_detections(path, expected_dim: int) -> list[Detection]:
                 f"{path}:{lineno}: expected embedding dimension {expected_dim}, "
                 f"row has {len(fields) - 7} embedding fields"
             )
-        frame = _parse_int(fields[0], path, lineno, "frame")
+        frame = _parse_frame(fields[0], path, lineno, frame_count)
         sentinel = _parse_float(fields[1], path, lineno, "id field")
         if sentinel != -1:
             raise ParseError(
@@ -180,12 +188,13 @@ def write_detections(detections, path) -> None:
             fh.write(f"{det.frame},-1,{_box_fields(det.box)},{det.confidence:.4f},{emb}\n")
 
 
-def parse_gt(path) -> list[GtEntry]:
-    """Load ground-truth rows; (frame, identity) pairs must be unique."""
+def parse_gt(path, frame_count: int) -> list[GtEntry]:
+    """Load ground-truth rows; (frame, identity) pairs must be unique and
+    frames within [1, frame_count]."""
     entries = []
     seen = set()
     for lineno, fields in _rows(path, n_fields=6):
-        frame = _parse_int(fields[0], path, lineno, "frame")
+        frame = _parse_frame(fields[0], path, lineno, frame_count)
         identity = _parse_int(fields[1], path, lineno, "identity")
         if (frame, identity) in seen:
             raise ParseError(
@@ -228,24 +237,12 @@ def write_meta(meta: SequenceMeta, path) -> None:
 def load_sequence(directory) -> Sequence:
     """Read a sequence directory (meta + detections + optional GT)."""
     meta = parse_meta(os.path.join(directory, META_FILE))
-    detections = parse_detections(
-        os.path.join(directory, DET_FILE), expected_dim=meta.embedding_dim)
-    for det in detections:
-        if not (1 <= det.frame <= meta.frame_count):
-            raise ParseError(
-                f"{directory}: detection frame {det.frame} outside "
-                f"[1, {meta.frame_count}]"
-            )
+    detections = parse_detections(os.path.join(directory, DET_FILE),
+                                  meta.embedding_dim, meta.frame_count)
     gt = None
     gt_path = os.path.join(directory, GT_FILE)
     if os.path.exists(gt_path):
-        gt = tuple(parse_gt(gt_path))
-        for e in gt:
-            if not (1 <= e.frame <= meta.frame_count):
-                raise ParseError(
-                    f"{directory}: gt frame {e.frame} outside "
-                    f"[1, {meta.frame_count}]"
-                )
+        gt = tuple(parse_gt(gt_path, meta.frame_count))
     return Sequence(**asdict(meta), detections=tuple(detections), gt=gt)
 
 
@@ -272,6 +269,7 @@ def write_results(results, path) -> None:
 def parse_results(path) -> list[FrameResult]:
     """Inverse of write_results; rows grouped into per-frame results."""
     by_frame: dict[int, list] = {}
+    seen = set()
     for lineno, fields in _rows(path, n_fields=10):
         if fields[7:] != ["-1", "-1", "-1"]:
             raise ParseError(
@@ -286,13 +284,13 @@ def parse_results(path) -> list[FrameResult]:
                 f"{path}:{lineno}: confidence must be within [0, 1], "
                 f"got {confidence}"
             )
-        records = by_frame.setdefault(frame, [])
-        if any(track_id == existing[0] for existing in records):
+        if (frame, track_id) in seen:
             raise ParseError(
                 f"{path}:{lineno}: duplicate track id {track_id} in "
                 f"frame {frame}"
             )
-        records.append((track_id, box, confidence))
+        seen.add((frame, track_id))
+        by_frame.setdefault(frame, []).append((track_id, box, confidence))
     results = []
     for frame in sorted(by_frame):
         records = sorted(by_frame[frame], key=lambda r: r[0])

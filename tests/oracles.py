@@ -101,6 +101,41 @@ def idf1_oracle(gt, pred):
     return 2 * idtp / (2 * idtp + idfp + idfn)
 
 
+def injective_mappings(domain, codomain):
+    """Every partial injective mapping of `domain` into `codomain`, as a
+    list of (element, image) pairs; an element may stay unmapped."""
+    if not domain:
+        yield []
+        return
+    head, rest = domain[0], domain[1:]
+    yield from injective_mappings(rest, codomain)
+    for k, image in enumerate(codomain):
+        for tail in injective_mappings(rest, codomain[:k] + codomain[k + 1:]):
+            yield [(head, image)] + tail
+
+
+def idf1_table_oracle(tables):
+    """IDF1 of per-frame (gt_ids, pred_ids, ious) tables: co-occurrences
+    counted cell by cell, then every injective GT-to-prediction mapping
+    enumerated."""
+    cooccur = {}
+    n_gt = n_pred = 0
+    for g_ids, p_ids, ious in tables:
+        n_gt += len(g_ids)
+        n_pred += len(p_ids)
+        for i, gid in enumerate(g_ids):
+            for j, pid in enumerate(p_ids):
+                if ious[i][j] >= 0.5:
+                    cooccur[(gid, pid)] = cooccur.get((gid, pid), 0) + 1
+    gt_ids = sorted({gid for g_ids, _, _ in tables for gid in g_ids})
+    pred_ids = sorted({pid for _, p_ids, _ in tables for pid in p_ids})
+    idtp = max(sum(cooccur.get(pair, 0) for pair in mapping)
+               for mapping in injective_mappings(gt_ids, pred_ids))
+    idfp = n_pred - idtp
+    idfn = n_gt - idtp
+    return 2 * idtp / (2 * idtp + idfp + idfn)
+
+
 def assa_oracle(gt, pred):
     """Mean association accuracy over the 19 alpha levels.
 

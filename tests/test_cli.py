@@ -49,9 +49,9 @@ def test_track_and_evaluate_happy_path(seq_dir, tmp_path, capsys):
 
 def test_evaluate_gt_against_itself(seq_dir, tmp_path, capsys):
     # turn gt into a result file through the tracker-output format
-    from mttsort.seqio import parse_gt, write_results
+    from mttsort.seqio import load_sequence, write_results
     from mttsort.tracker import FrameResult
-    gt = parse_gt(seq_dir / "gt.txt")
+    gt = load_sequence(seq_dir).gt
     by_frame = {}
     for e in gt:
         by_frame.setdefault(e.frame, []).append((e.identity, e.box, 1.0))

@@ -1,10 +1,10 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mttsort import ga
+from mttsort import ga, metrics, synth
 from mttsort.ga import (
     DEFAULT_GENE_SPECS, GAConfig, GAState, GeneSpec, crossover,
     evaluate_fitness, format_history, initialize_population, mutate,
@@ -12,6 +12,7 @@ from mttsort.ga import (
 )
 from mttsort.kalman import NumericalError
 from mttsort.model import ConfigError, TrackerConfig
+from mttsort.seqio import Sequence
 
 GENE = GeneSpec("max_dist", 0.1, 0.9)
 
@@ -250,3 +251,35 @@ def test_evaluate_fitness_numerical_error_is_minus_inf(monkeypatch):
 
     monkeypatch.setattr(ga, "run_sequence", failing)
     assert evaluate_fitness(TrackerConfig(), [BadSeq()]) == float("-inf")
+
+
+def test_evaluate_fitness_tracks_and_evaluates_each_sub_scene_once(monkeypatch):
+    # The benchmark's GA frame rates count the frames of what ga.run_sequence
+    # returns and of the GT that metrics.evaluate gets, one call of each per
+    # sub-scene; a route around either call would read as a rate of 0. The
+    # second scene's last three frames hold no detection.
+    sequences = []
+    for name, frame_count in (("clean", 12), ("crowded", 15)):
+        spec = replace(synth.scenario_preset(name), frames=12)
+        gt, detections = synth.generate(spec)
+        sequences.append(Sequence(name, frame_count, *spec.arena, spec.embedding_dim,
+                                  detections=tuple(detections), gt=tuple(gt)))
+    run_sequence, evaluate = ga.run_sequence, metrics.evaluate
+    tracked, evaluated = [], []
+
+    def counting_run(detections, config, frame_count):
+        results = run_sequence(detections, config, frame_count)
+        tracked.append((detections, len(results)))
+        return results
+
+    def counting_evaluate(gt, pred):
+        evaluated.append(gt)
+        return evaluate(gt, pred)
+
+    monkeypatch.setattr(ga, "run_sequence", counting_run)
+    monkeypatch.setattr(metrics, "evaluate", counting_evaluate)
+    assert evaluate_fitness(TrackerConfig(), sequences) > 0
+    assert len(tracked) == len(evaluated) == len(sequences)
+    for seq, (detections, n_results), gt in zip(sequences, tracked, evaluated):
+        assert detections is seq.detections and n_results == seq.frame_count
+        assert gt is seq.gt

@@ -13,7 +13,9 @@ from mttsort.metrics import (
 )
 from mttsort.model import BoundingBox, box_columns
 
-from oracles import assa_oracle, clear_oracle, idf1_oracle, random_micro_scenario
+from oracles import (
+    assa_oracle, clear_oracle, idf1_oracle, idf1_table_oracle, random_micro_scenario,
+)
 
 BOX = BoundingBox(10, 10, 20, 40)
 FAR = BoundingBox(200, 200, 20, 40)
@@ -341,6 +343,16 @@ def test_hota_levels_equal_solving_every_level(tables):
     assert list(zip(*levels)) == levels_solving_every_level(tables)
     assert hota(tables) == tuple(math.fsum(values) / len(metrics.ALPHAS)
                                  for values in levels)
+
+
+@settings(deadline=None, max_examples=200)
+@given(overlap_tables())
+def test_idf1_equals_the_table_oracle(tables):
+    if any(g_ids or p_ids for g_ids, p_ids, _ in tables):
+        assert idf1(tables) == idf1_table_oracle(tables)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            idf1(tables)
 
 
 @settings(deadline=None, max_examples=100)

@@ -23,7 +23,7 @@ def write(path, text):
 
 def test_parse_detection_row(tmp_path):
     path = write(tmp_path / "det.txt", "1,-1,10,20,30,40,0.9,1,0\n")
-    (det,) = parse_detections(path, expected_dim=2)
+    (det,) = parse_detections(path, expected_dim=2, frame_count=3)
     assert det.frame == 1
     assert det.box == BoundingBox(10, 20, 30, 40)
     assert det.confidence == 0.9
@@ -32,15 +32,15 @@ def test_parse_detection_row(tmp_path):
 
 def test_embedding_normalized_on_load(tmp_path):
     path = write(tmp_path / "det.txt", "1,-1,10,20,30,40,0.9,3,4\n")
-    (det,) = parse_detections(path, expected_dim=2)
+    (det,) = parse_detections(path, expected_dim=2, frame_count=3)
     assert det.embedding.tolist() == [0.6, 0.8]
 
 
 def test_embedding_scale_invariance(tmp_path):
     a = write(tmp_path / "a.txt", "1,-1,10,20,30,40,0.9,0.3,0.4\n")
     b = write(tmp_path / "b.txt", "1,-1,10,20,30,40,0.9,2.1,2.8\n")
-    (det_a,), (det_b,) = (parse_detections(a, expected_dim=2),
-                          parse_detections(b, expected_dim=2))
+    (det_a,), (det_b,) = (parse_detections(a, expected_dim=2, frame_count=3),
+                          parse_detections(b, expected_dim=2, frame_count=3))
     assert np.allclose(det_a.embedding, det_b.embedding, atol=1e-12)
 
 
@@ -51,7 +51,7 @@ def test_embedding_scale_invariance(tmp_path):
 ])
 def test_embedding_of_any_positive_scale_loads_as_its_direction(tmp_path, embedding, want):
     path = write(tmp_path / "det.txt", f"1,-1,10,20,30,40,0.9,{embedding}\n")
-    (det,) = parse_detections(path, expected_dim=2)
+    (det,) = parse_detections(path, expected_dim=2, frame_count=3)
     assert np.allclose(det.embedding, want, rtol=0, atol=1e-15)
     assert np.linalg.norm(det.embedding) == pytest.approx(1.0, abs=1e-15)
 
@@ -59,39 +59,39 @@ def test_embedding_of_any_positive_scale_loads_as_its_direction(tmp_path, embedd
 def test_all_zero_embedding_names_file_and_line(tmp_path):
     path = write(tmp_path / "det.txt", "1,-1,10,20,30,40,0.9,1,0\n2,-1,10,20,30,40,0.9,0,0\n")
     with pytest.raises(ParseError, match=re.escape(f"{path}:2: embedding has zero norm")):
-        parse_detections(path, expected_dim=2)
+        parse_detections(path, expected_dim=2, frame_count=3)
 
 
 def test_short_row_errors_with_line_number(tmp_path):
     path = write(tmp_path / "det.txt",
                  "1,-1,10,20,30,40,0.9,1,0\n1,-1,10,20,30,40\n")
     with pytest.raises(ParseError, match=":2:"):
-        parse_detections(path, expected_dim=2)
+        parse_detections(path, expected_dim=2, frame_count=3)
 
 
 def test_dimension_mismatch_vs_meta(tmp_path):
     path = write(tmp_path / "det.txt", "1,-1,10,20,30,40,0.9,1,0\n")
     with pytest.raises(ParseError, match="dimension"):
-        parse_detections(path, expected_dim=3)
+        parse_detections(path, expected_dim=3, frame_count=3)
 
 
 def test_inconsistent_dimensions_between_rows(tmp_path):
     path = write(tmp_path / "det.txt",
                  "1,-1,10,20,30,40,0.9,1,0\n2,-1,10,20,30,40,0.9,1,0,0\n")
     with pytest.raises(ParseError, match=":2:"):
-        parse_detections(path, expected_dim=2)
+        parse_detections(path, expected_dim=2, frame_count=3)
 
 
 def test_id_field_must_be_minus_one(tmp_path):
     path = write(tmp_path / "det.txt", "1,7,10,20,30,40,0.9,1,0\n")
     with pytest.raises(ParseError, match="-1"):
-        parse_detections(path, expected_dim=2)
+        parse_detections(path, expected_dim=2, frame_count=3)
 
 
 def test_bad_confidence_rejected(tmp_path):
     path = write(tmp_path / "det.txt", "1,-1,10,20,30,40,1.7,1,0\n")
     with pytest.raises(ParseError, match=":1:"):
-        parse_detections(path, expected_dim=2)
+        parse_detections(path, expected_dim=2, frame_count=3)
 
 
 @pytest.mark.parametrize("row", [
@@ -101,7 +101,7 @@ def test_bad_confidence_rejected(tmp_path):
 def test_non_finite_detection_fields_name_file_and_line(tmp_path, row):
     path = write(tmp_path / "det.txt", f"1,-1,10,20,30,40,0.9,1,0\n{row}\n")
     with pytest.raises(ParseError, match=re.escape(f"{path}:2:") + ".*finite"):
-        parse_detections(path, expected_dim=2)
+        parse_detections(path, expected_dim=2, frame_count=3)
 
 
 @pytest.mark.parametrize("box", ["10,10,1e-200,1e200", "1.5e308,10,1e308,5"])
@@ -109,13 +109,13 @@ def test_detection_without_a_finite_center_form_names_file_and_line(tmp_path, bo
     # Valid boxes whose aspect underflows to 0 or whose center overflows.
     path = write(tmp_path / "det.txt", f"1,-1,10,20,30,40,0.9,1,0\n1,-1,{box},0.9,1,0\n")
     with pytest.raises(ParseError, match=re.escape(f"{path}:2:") + ".*aspect"):
-        parse_detections(path, expected_dim=2)
+        parse_detections(path, expected_dim=2, frame_count=3)
 
 
 def test_rows_sorted_by_frame(tmp_path):
     path = write(tmp_path / "det.txt",
                  "3,-1,1,1,5,5,0.9,1,0\n1,-1,2,2,5,5,0.9,1,0\n")
-    dets = parse_detections(path, expected_dim=2)
+    dets = parse_detections(path, expected_dim=2, frame_count=3)
     assert [d.frame for d in dets] == [1, 3]
 
 
@@ -128,7 +128,7 @@ def test_detections_write_parse_round_trip(tmp_path):
     ]
     path = tmp_path / "det.txt"
     write_detections(dets, path)
-    parsed = parse_detections(path, expected_dim=2)
+    parsed = parse_detections(path, expected_dim=2, frame_count=3)
     for orig, back in zip(dets, parsed):
         assert back.frame == orig.frame
         assert back.box == orig.box
@@ -143,18 +143,18 @@ def test_gt_round_trip_and_duplicate_rejection(tmp_path):
                GtEntry(1, 2, BoundingBox(1, 2, 3, 4))]
     path = tmp_path / "gt.txt"
     write_gt(entries, path)
-    parsed = parse_gt(path)
+    parsed = parse_gt(path, frame_count=2)
     assert [(e.frame, e.identity) for e in parsed] == [(1, 2), (2, 1)]
 
     bad = write(tmp_path / "bad.txt", "1,1,0,0,5,5\n1,1,2,2,5,5\n")
     with pytest.raises(ParseError, match="duplicate"):
-        parse_gt(bad)
+        parse_gt(bad, frame_count=2)
 
 
 def test_non_finite_gt_box_names_file_and_line(tmp_path):
     path = write(tmp_path / "gt.txt", "1,1,0,0,5,5\n2,1,0,0,inf,5\n")
     with pytest.raises(ParseError, match=re.escape(f"{path}:2:") + ".*finite"):
-        parse_gt(path)
+        parse_gt(path, frame_count=2)
 
 
 # ---------------------------------------------------------------- results
@@ -217,8 +217,8 @@ def test_writers_print_sides_that_read_back(tmp_path, side, text):
     assert gt.read_text() == f"1,7,{fields}\n"
     assert out.read_text() == f"1,7,{fields},0.50,-1,-1,-1\n"
     want = BoundingBox(1.5, 2.25, float(text), float(text))
-    assert parse_detections(det, expected_dim=2)[0].box == want
-    assert parse_gt(gt)[0].box == want
+    assert parse_detections(det, expected_dim=2, frame_count=3)[0].box == want
+    assert parse_gt(gt, frame_count=2)[0].box == want
     assert parse_results(out)[0].records[0][1] == want
 
 
@@ -298,8 +298,12 @@ def test_sequence_frame_bounds_checked(tmp_path):
     write(directory / "meta.txt",
           "name = x\nframe_count = 2\nwidth = 100\nheight = 100\n"
           "embedding_dim = 2\n")
-    write(directory / "det.txt", "5,-1,0,0,5,5,0.9,1,0\n")
-    with pytest.raises(ParseError, match="outside"):
+    det = write(directory / "det.txt", "5,-1,0,0,5,5,0.9,1,0\n")
+    with pytest.raises(ParseError, match=re.escape(f"{det}:1: frame 5 outside [1, 2]")):
+        load_sequence(directory)
+    write(directory / "det.txt", "2,-1,0,0,5,5,0.9,1,0\n")
+    gt = write(directory / "gt.txt", "1,1,0,0,5,5\n0,1,0,0,5,5\n")
+    with pytest.raises(ParseError, match=re.escape(f"{gt}:2: frame 0 outside [1, 2]")):
         load_sequence(directory)
 
 
