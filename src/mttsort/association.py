@@ -155,11 +155,20 @@ def _refine_lexicographic(cost: np.ndarray):
     cardinality.
 
     INFEASIBLE entries are replaced by a finite penalty dominating any
-    feasible total, so one full linear_sum_assignment solve of the masked
-    matrix maximizes the feasible pair count first and minimizes feasible
-    cost second. Its assignment is the incumbent.
+    feasible total, negative costs included, so one full
+    linear_sum_assignment solve of the masked matrix maximizes the feasible
+    pair count first and minimizes feasible cost second. Its assignment is
+    the incumbent.
 
-    The refine then fixes rows in ascending order, testing candidate
+    One more solve checks whether the incumbent is alone in the tie window:
+    a copy of the masked matrix with each feasible incumbent cell raised by
+    2 * tol. Any other feasible pair set in the window has the same count
+    and drops at least one incumbent cell, so on the copy it totals at
+    least tol below the incumbent. When the copy's optimum is not below
+    the incumbent's raised total by more than tol / 2, no such set exists
+    and the incumbent's feasible pairs are the answer.
+
+    Otherwise the refine fixes rows in ascending order, testing candidate
     columns in ascending order and keeping a candidate only when an
     optimal completion still exists (checked with a reduced solve). A row
     whose incumbent column is feasible tests only the columns left of it:
@@ -168,18 +177,28 @@ def _refine_lexicographic(cost: np.ndarray):
     makes that solve's assignment the incumbent of the rows still free.
     """
     n, m = cost.shape
-    penalty = (float(cost[cost != INFEASIBLE].max()) + 1.0) * (min(n, m) + 1)
+    feasible = cost != INFEASIBLE
+    values = cost[feasible]
+    hi, lo = float(values.max()), float(values.min())
+    # Equal to (hi + 1) * (min(n, m) + 1) when no cost is negative.
+    penalty = (hi + 1.0 - 2.0 * min(lo, 0.0)) * (min(n, m) + 1)
     masked = cost.copy()
-    masked[masked == INFEASIBLE] = penalty
+    masked[~feasible] = penalty
     rows, cols = linear_sum_assignment(masked)
     optimum = float(masked[rows, cols].sum())
     # Ties are judged against the feasible total: the INFEASIBLE penalties
     # in `optimum` must not widen the window.
-    incumbent_cost = cost[rows, cols]
-    feasible_total = float(incumbent_cost[incumbent_cost != INFEASIBLE].sum())
+    kept = feasible[rows, cols]
+    kr, kc = rows[kept], cols[kept]
+    feasible_total = float(cost[kr, kc].sum())
     tol = _TIE_RTOL * max(1.0, abs(feasible_total))
     incumbent = dict(zip(rows.tolist(), cols.tolist()))
-    optimal = [(i, j) for i, j in incumbent.items() if cost[i, j] != INFEASIBLE]
+    optimal = list(zip(kr.tolist(), kc.tolist()))
+    raised = masked.copy()
+    raised[kr, kc] += 2.0 * tol
+    r, c = linear_sum_assignment(raised)
+    if float(raised[r, c].sum()) >= float(raised[rows, cols].sum()) - tol / 2:
+        return optimal, optimal
     fixed: list[tuple[int, int]] = []
     fixed_total = 0.0
     free_rows = list(range(n))
@@ -228,7 +247,9 @@ def solve_matchings(cost: np.ndarray):
 
     When no two feasible entries share a row or a column, the only such
     matching is all of them, read off the mask without a solve. Any other
-    matrix goes through scipy and the lexicographic refine.
+    matrix goes through `_refine_lexicographic`: one scipy solve, one more
+    that checks whether that solution is alone in the tie window, and the
+    row-by-row refine only when it is not.
 
     Raising entries to INFEASIBLE outside `matches` and `optimal` keeps
     `matches`: `optimal` still attains the maximum cardinality and the

@@ -178,7 +178,8 @@ def idf1(per_frame) -> float:
 
     A GT and a predicted trajectory co-occur on every frame where their
     boxes overlap with IoU >= 0.5; IDTP is the total co-occurrence of the
-    best one-to-one mapping, and IDF1 = 2 IDTP / (|GT| + |predicted|).
+    best one-to-one mapping, and IDF1 = 2 IDTP / (|GT| + |predicted|),
+    or 0.0 on a table with no entries, as `hota` gives zeros there.
     `per_frame` is `_frame_overlaps(gt, pred)`.
     """
     g_rank, p_rank, _, _, iou, _, entry_g, entry_p = _cells(per_frame)
@@ -190,7 +191,8 @@ def idf1(per_frame) -> float:
                              minlength=n_gt * n_pred).reshape(n_gt, n_pred)
         rows, cols = linear_sum_assignment(counts, maximize=True)
         idtp = int(counts[rows, cols].sum())
-    return 2 * idtp / (len(g_rank) + len(p_rank))
+    entries = len(g_rank) + len(p_rank)
+    return 2 * idtp / entries if entries else 0.0
 
 
 def _sorted_columns(entries):

@@ -117,7 +117,7 @@ def injective_mappings(domain, codomain):
 def idf1_table_oracle(tables):
     """IDF1 of per-frame (gt_ids, pred_ids, ious) tables: co-occurrences
     counted cell by cell, then every injective GT-to-prediction mapping
-    enumerated."""
+    enumerated; 0.0 on a table with no entries."""
     cooccur = {}
     n_gt = n_pred = 0
     for g_ids, p_ids, ious in tables:
@@ -131,6 +131,8 @@ def idf1_table_oracle(tables):
     pred_ids = sorted({pid for _, p_ids, _ in tables for pid in p_ids})
     idtp = max(sum(cooccur.get(pair, 0) for pair in mapping)
                for mapping in injective_mappings(gt_ids, pred_ids))
+    if not n_gt + n_pred:
+        return 0.0
     idfp = n_pred - idtp
     idfn = n_gt - idtp
     return 2 * idtp / (2 * idtp + idfp + idfn)

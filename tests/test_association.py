@@ -364,6 +364,21 @@ def test_small_tie_heavy_assignments_match_lexicographic_oracle(seed):
     assert matches == lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
 
 
+def counted_solves(cost):
+    """`solve_assignment(cost)`'s matches and its number of scipy calls."""
+    calls = []
+    solve = association.linear_sum_assignment
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(association, "linear_sum_assignment", counted)
+        matches, _, _ = solve_assignment(cost)
+    return matches, len(calls)
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 7), st.integers(1, 7))
 def test_forced_assignments_are_read_off_without_a_solve(seed, n, m):
@@ -375,18 +390,9 @@ def test_forced_assignments_are_read_off_without_a_solve(seed, n, m):
     cost = np.full((n, m), INFEASIBLE)
     cost[rng.permutation(n)[:size], rng.permutation(m)[:size]] = np.round(
         rng.uniform(0, 1, size), 2)
-    calls = []
-    solve = association.linear_sum_assignment
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(association, "linear_sum_assignment", counted)
-        matches, _, _ = solve_assignment(cost)
+    matches, solves = counted_solves(cost)
     assert matches == lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
-    assert calls == []
+    assert solves == 0
 
 
 @pytest.mark.parametrize("infeasible_rows", [0, 2])
@@ -417,6 +423,64 @@ def test_refined_scipy_path_matches_lexicographic_oracle(seed):
     cost[rng.uniform(size=(n, m)) < 0.3] = INFEASIBLE
     matches, _, _ = solve_assignment(cost)
     assert matches == lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
+
+
+def test_negative_costs_keep_the_most_pairs():
+    matches, _, _ = solve_assignment(np.array([[-5.0, -5.0], [-5.0, INFEASIBLE]]))
+    assert matches == [(0, 1), (1, 0)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([0.5, 1.0, 5.0, 100.0]))
+def test_costs_shifted_below_zero_match_lexicographic_oracle(seed, shift):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    cost = np.round(rng.uniform(0, 1, (n, m)), 1) - shift
+    cost[rng.uniform(size=(n, m)) < 0.3] = INFEASIBLE
+    matches, _, _ = solve_assignment(cost)
+    assert matches == lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
+
+
+def near_tie(shape, gap):
+    """A matrix whose lexicographically first optimal matching costs `gap`
+    tie tolerances (1e-9 of the cheaper total, 1 or 2 here) more than the
+    cheaper one scipy finds. In "row" it drops one cell of the cheaper
+    matching, in "swap" two, and "penalty" adds a row with no feasible
+    cell."""
+    if shape == "row":
+        return np.array([[1.0 + gap * 1e-9, 1.0]])
+    if shape == "swap":
+        return np.array([[1.0 + gap * 2e-9, 1.0], [1.0, 1.0]])
+    return np.array([[1.0 + gap * 1e-9, 1.0, INFEASIBLE],
+                     [INFEASIBLE, INFEASIBLE, INFEASIBLE]])
+
+
+@pytest.mark.parametrize("shape", ["row", "swap", "penalty"])
+@pytest.mark.parametrize("gap", [0.5, 0.9, 1.1, 1.9])
+def test_near_ties_around_the_tolerance_match_lexicographic_oracle(shape, gap):
+    cost = near_tie(shape, gap)
+    matches, _, _ = solve_assignment(cost)
+    assert matches == lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
+    assert (matches[0] == (0, 0)) == (gap < 1)
+
+
+def test_a_unique_optimum_takes_two_solves():
+    # The check confirms the first solve's matching without the row loop,
+    # which would test column 0 for row 0 with a reduced solve.
+    cost = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 0.7], [0.3, 0.9, 2.0]])
+    matches, solves = counted_solves(cost)
+    assert matches == lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
+    assert solves == 2
+
+
+def test_an_exact_tie_goes_through_the_row_loop():
+    # Rows 0 and 1 tie between columns 1 and 2; whichever scipy returns,
+    # the row loop tests column 0 for rows 0 and 1 with a reduced solve.
+    cost = np.array([[9.0, 1.0, 1.0], [9.0, 1.0, 1.0], [0.0, 9.0, 1.0]])
+    matches, solves = counted_solves(cost)
+    assert matches == lexicographic_assignment_oracle(cost.tolist(), INFEASIBLE)
+    assert matches == [(0, 1), (1, 2), (2, 0)]
+    assert solves > 2
 
 
 # ----------------------------------------------------------------- cascade

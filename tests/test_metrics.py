@@ -347,12 +347,12 @@ def test_hota_levels_equal_solving_every_level(tables):
 
 @settings(deadline=None, max_examples=200)
 @given(overlap_tables())
+@example([])
+@example([([], [], np.zeros((0, 0)))])
 def test_idf1_equals_the_table_oracle(tables):
-    if any(g_ids or p_ids for g_ids, p_ids, _ in tables):
-        assert idf1(tables) == idf1_table_oracle(tables)
-    else:
-        with pytest.raises(ZeroDivisionError):
-            idf1(tables)
+    assert idf1(tables) == idf1_table_oracle(tables)
+    if not any(g_ids or p_ids for g_ids, p_ids, _ in tables):
+        assert idf1(tables) == 0.0
 
 
 @settings(deadline=None, max_examples=100)
