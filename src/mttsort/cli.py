@@ -72,7 +72,8 @@ def _cmd_evaluate(args) -> int:
     if not sequence.gt:
         raise seqio.ParseError(
             f"{args.seq}: no ground-truth boxes in {seqio.GT_FILE}; cannot evaluate")
-    predictions = metrics.results_to_entries(seqio.parse_results(args.pred))
+    predictions = metrics.results_to_entries(
+        seqio.parse_results(args.pred, sequence.frame_count))
     report = metrics.evaluate(sequence.gt, predictions)
     text = seqio.format_report(report)
     sys.stdout.write(text)

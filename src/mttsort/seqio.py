@@ -12,19 +12,31 @@ Tracking results use the familiar ``frame,id,left,top,width,height,conf,
 stable. Every writer prints a box's width and height as at least 0.01, so
 that a box it writes is never rejected when read back. Reports serialize
 as ``metric = value`` lines with five decimals.
+
+Each data file is converted by one ``np.loadtxt`` call and its rows are
+checked as columns. Numbers follow numpy's text grammar, which is that of
+Python's ``float()`` and ``int()`` (surrounding whitespace, a sign,
+leading zeros, ``nan``, ``inf``, exponents) except that underscores
+(``1_0``) and non-ASCII digits are not numbers. Frames and ids are
+integers (``1.0`` is not one), and ids load as Python ints of any size.
+Blank and whitespace-only lines are skipped. A file that fails is read
+again row by row, and its ParseError names the first bad line, with the
+checks of a row made in the order its parser documents.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import asdict, dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from .metrics import EvalReport, GtEntry
 from .model import (BoundingBox, ConfigError, DataError, Detection, build_settings,
-                    parse_kv_lines)
+                    center_columns, parse_kv_lines)
 from .tracker import FrameResult
 
 META_FILE = "meta.txt"
@@ -59,68 +71,202 @@ class Sequence(SequenceMeta):
     gt: tuple | None = None
 
 
-def _rows(path, n_fields: int | None = None):
-    """Yield (lineno, fields) for each non-blank line of a comma-separated
-    file, fields stripped; with `n_fields` given, a row with another field
-    count is a ParseError."""
+def _table(path, dtype: np.dtype) -> np.ndarray | None:
+    """The non-blank lines of a comma-separated file as one structured
+    array, converted by one `np.loadtxt` call; None if a line has another
+    field count than `dtype` or a field that does not convert."""
+    with open(path, "r", encoding="utf-8") as fh:
+        # loadtxt rejects whitespace-only lines and warns on no lines.
+        lines = (line for line in fh if not line.isspace())
+        first = next(lines, None)
+        if first is None:
+            return np.empty(0, dtype)
+        try:
+            return np.loadtxt(itertools.chain((first,), lines), dtype=dtype,
+                              delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+
+
+def _ints(texts) -> list[int] | None:
+    """The integer fields `texts` (an object column of loadtxt's) as Python
+    ints of any size; None if one is not an integer in numpy's grammar,
+    which is `int()`'s without underscores or non-ASCII digits."""
+    # int() does not strip the separators \x1c-\x1f; numpy and str.strip do.
+    texts = list(map(str.strip, texts))
+    joined = "".join(texts)
+    if "_" in joined or not joined.isascii():
+        return None
+    try:
+        return list(map(int, texts))
+    except ValueError:
+        return None
+
+
+def _frames_ok(frames: list[int], frame_count: int | None) -> bool:
+    return (min(frames, default=1) >= 1
+            and (frame_count is None or max(frames, default=1) <= frame_count))
+
+
+def _boxes_ok(ltwh: np.ndarray) -> bool:
+    """Whether every (left, top, width, height) row makes a BoundingBox."""
+    return bool(np.isfinite(ltwh).all() and (ltwh[:, 2:] > 0).all())
+
+
+def _confidences_ok(confidence: np.ndarray) -> bool:
+    return bool(((confidence >= 0.0) & (confidence <= 1.0)).all())
+
+
+# The error path. A file the bulk conversion or checks reject is read
+# again, and each row is checked on its own in its parser's documented
+# order until one raises. These checks build nothing, so no file is
+# accepted here.
+
+def _raise_first_error(path, check_row, *args) -> NoReturn:
+    """Raise the ParseError of the first line of `path` that
+    `check_row(fields, where, *args)` rejects; `fields` are the row's
+    stripped fields and `where` is ``path:lineno``."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if n_fields is not None and len(fields) != n_fields:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {n_fields} comma-separated "
-                    f"fields, got {len(fields)}"
-                )
-            yield lineno, fields
+            if line:
+                check_row([f.strip() for f in line.split(",")], f"{path}:{lineno}", *args)
+    raise RuntimeError(f"{path}: rejected as a whole, but no line fails its row checks")
 
 
-def _box(numbers, path, lineno: int) -> BoundingBox:
-    try:
-        return BoundingBox(*numbers)
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from None
+def _number(text: str, kind, where: str, what: str):
+    """A stripped field as `kind` (float or int), in the grammar of the
+    bulk conversion: without underscores and non-ASCII characters,
+    `float()` accepts exactly the texts numpy's parser does, and `int()`
+    those `_ints` does."""
+    if "_" not in text and text.isascii():
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    noun = "a number" if kind is float else "an integer"
+    raise ParseError(f"{where}: {what} is not {noun}: {text!r}")
 
 
-def _parse_float(text: str, path, lineno: int, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: {what} is not a number: {text!r}") from None
+def _check_field_count(fields, n_fields: int, where: str) -> None:
+    if len(fields) != n_fields:
+        raise ParseError(
+            f"{where}: expected {n_fields} comma-separated fields, got {len(fields)}")
 
 
-def _parse_int(text: str, path, lineno: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: {what} is not an integer: {text!r}") from None
-
-
-def _parse_frame(text: str, path, lineno: int, frame_count: int) -> int:
-    frame = _parse_int(text, path, lineno, "frame")
-    if not 1 <= frame <= frame_count:
-        raise ParseError(f"{path}:{lineno}: frame {frame} outside [1, {frame_count}]")
+def _check_frame(text: str, where: str, frame_count: int | None) -> int:
+    frame = _number(text, int, where, "frame")
+    if frame_count is None:
+        if frame < 1:
+            raise ParseError(f"{where}: frame {frame} is below 1")
+    elif not 1 <= frame <= frame_count:
+        raise ParseError(f"{where}: frame {frame} outside [1, {frame_count}]")
     return frame
 
 
-def _unit_embedding(values, path, lineno: int) -> np.ndarray:
-    """`values` divided by their L2 norm; first by their largest magnitude
-    where that norm overflows or is below 1e-9, so only an all-zero row
-    has no direction."""
-    embedding = np.array(values)
+def _check_box(numbers, where: str) -> BoundingBox:
+    try:
+        return BoundingBox(*numbers)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def _check_detection_row(fields, where, expected_dim, frame_count) -> None:
+    if len(fields) < 8:
+        raise ParseError(
+            f"{where}: detection rows need at least 8 fields "
+            f"(frame,-1,left,top,width,height,conf,embedding...), got "
+            f"{len(fields)}"
+        )
+    if len(fields) != 7 + expected_dim:
+        raise ParseError(
+            f"{where}: expected embedding dimension {expected_dim}, "
+            f"row has {len(fields) - 7} embedding fields"
+        )
+    frame = _check_frame(fields[0], where, frame_count)
+    if _number(fields[1], float, where, "id field") != -1:
+        raise ParseError(f"{where}: detection id field must be -1, got {fields[1]!r}")
+    numbers = [_number(f, float, where, "field") for f in fields[2:]]
+    embedding = np.array(numbers[5:])
     if not np.isfinite(embedding).all():
-        raise ParseError(f"{path}:{lineno}: embedding values must be finite")
+        raise ParseError(f"{where}: embedding values must be finite")
+    # A finite row has no direction only if it is all zero (see _unit_rows).
+    if not embedding.any():
+        raise ParseError(f"{where}: embedding has zero norm")
+    box = _check_box(numbers[:4], where)
+    center = (box.left + box.width / 2.0, box.top + box.height / 2.0,
+              box.width / box.height)
+    if not (center[2] > 0 and all(map(math.isfinite, center))):
+        raise ParseError(
+            f"{where}: box center and aspect (cx, cy, width/height) "
+            f"must be finite with a positive aspect, got {center}")
+    try:
+        Detection(frame=frame, box=box, confidence=numbers[4], embedding=embedding)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def _check_gt_row(fields, where, frame_count, seen) -> None:
+    _check_field_count(fields, 6, where)
+    frame = _check_frame(fields[0], where, frame_count)
+    identity = _number(fields[1], int, where, "identity")
+    if (frame, identity) in seen:
+        raise ParseError(
+            f"{where}: duplicate (frame, identity) ({frame}, {identity})")
+    seen.add((frame, identity))
+    _check_box([_number(f, float, where, "field") for f in fields[2:]], where)
+
+
+def _check_result_row(fields, where, frame_count, seen) -> None:
+    _check_field_count(fields, 10, where)
+    if fields[7:] != ["-1", "-1", "-1"]:
+        raise ParseError(f"{where}: result rows must end with -1,-1,-1")
+    frame = _check_frame(fields[0], where, frame_count)
+    track_id = _number(fields[1], int, where, "track id")
+    numbers = [_number(f, float, where, "field") for f in fields[2:7]]
+    _check_box(numbers[:4], where)
+    if not (0.0 <= numbers[4] <= 1.0):
+        raise ParseError(
+            f"{where}: confidence must be within [0, 1], got {numbers[4]}")
+    if (frame, track_id) in seen:
+        raise ParseError(
+            f"{where}: duplicate track id {track_id} in frame {frame}")
+    seen.add((frame, track_id))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row, as `np.linalg.norm` computes it for the row
+    alone: the square root of a BLAS dot product of the row with itself,
+    which a stacked (1, D) @ (D, 1) matmul makes per row."""
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(embedding)
-    if not 1e-9 <= norm < np.inf:
-        scale = np.abs(embedding).max()
-        if scale == 0:
-            raise ParseError(f"{path}:{lineno}: embedding has zero norm")
-        embedding = embedding / scale
-        norm = np.linalg.norm(embedding)
-    return embedding / norm
+        return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def _unit_rows(embeddings: np.ndarray) -> None:
+    """Divide each finite, not all-zero row of `embeddings` in place by its
+    L2 norm; a row whose norm overflows or is below 1e-9 is first divided
+    by its largest magnitude, so that every such row has a direction."""
+    norms = _row_norms(embeddings)
+    rescale = ~((norms >= 1e-9) & (norms < np.inf))
+    if rescale.any():
+        rows = embeddings[rescale]
+        rows /= np.abs(rows).max(axis=1, keepdims=True)
+        embeddings[rescale] = rows
+        norms[rescale] = _row_norms(rows)
+    embeddings /= norms[:, None]
+
+
+def _detections_ok(table: np.ndarray, frames: list[int], frame_count: int) -> bool:
+    embeddings, ltwh = table["embedding"], table["box"]
+    if not (_frames_ok(frames, frame_count) and (table["sentinel"] == -1).all()
+            and np.isfinite(embeddings).all() and embeddings.any(axis=1).all()
+            and _boxes_ok(ltwh)):
+        return False
+    # The tracker works on the (cx, cy, aspect, height) form of a box.
+    with np.errstate(over="ignore"):
+        centers = center_columns(ltwh)
+    return bool(np.isfinite(centers).all() and (centers[:, 2] > 0).all()
+                and _confidences_ok(table["confidence"]))
 
 
 def parse_detections(path, expected_dim: int, frame_count: int) -> list[Detection]:
@@ -128,49 +274,23 @@ def parse_detections(path, expected_dim: int, frame_count: int) -> list[Detectio
 
     Embeddings are L2-normalized here; a row whose embedding dimension
     disagrees with `expected_dim`, or whose frame is outside
-    [1, frame_count], is a schema error.
+    [1, frame_count], is a schema error. A row's checks come in this
+    order: field count, frame, the -1 id field, numbers, a finite and
+    nonzero embedding, the box, its center form, the confidence. Each
+    detection's embedding is a row of one array of the file's.
     """
-    detections = []
-    for lineno, fields in _rows(path):
-        if len(fields) < 8:
-            raise ParseError(
-                f"{path}:{lineno}: detection rows need at least 8 fields "
-                f"(frame,-1,left,top,width,height,conf,embedding...), got "
-                f"{len(fields)}"
-            )
-        if len(fields) != 7 + expected_dim:
-            raise ParseError(
-                f"{path}:{lineno}: expected embedding dimension {expected_dim}, "
-                f"row has {len(fields) - 7} embedding fields"
-            )
-        frame = _parse_frame(fields[0], path, lineno, frame_count)
-        sentinel = _parse_float(fields[1], path, lineno, "id field")
-        if sentinel != -1:
-            raise ParseError(
-                f"{path}:{lineno}: detection id field must be -1, got "
-                f"{fields[1]!r}"
-            )
-        numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:]]
-        embedding = _unit_embedding(numbers[5:], path, lineno)
-        box = _box(numbers[:4], path, lineno)
-        # The tracker works on the (cx, cy, aspect, height) form of a box.
-        center = (box.left + box.width / 2.0, box.top + box.height / 2.0,
-                  box.width / box.height)
-        if not (center[2] > 0 and all(map(math.isfinite, center))):
-            raise ParseError(
-                f"{path}:{lineno}: box center and aspect (cx, cy, width/height) "
-                f"must be finite with a positive aspect, got {center}")
-        try:
-            detections.append(Detection(
-                frame=frame,
-                box=box,
-                confidence=numbers[4],
-                embedding=embedding,
-            ))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-    detections.sort(key=lambda d: d.frame)
-    return detections
+    table = _table(path, np.dtype([
+        ("frame", object), ("sentinel", float), ("box", float, (4,)),
+        ("confidence", float), ("embedding", float, (expected_dim,))]))
+    frames = None if table is None else _ints(table["frame"])
+    if frames is None or not _detections_ok(table, frames, frame_count):
+        _raise_first_error(path, _check_detection_row, expected_dim, frame_count)
+    embeddings = table["embedding"]
+    _unit_rows(embeddings)
+    boxes, confidences = table["box"].tolist(), table["confidence"].tolist()
+    return [Detection(frame=frames[i], box=BoundingBox(*boxes[i]),
+                      confidence=confidences[i], embedding=embeddings[i])
+            for i in sorted(range(len(frames)), key=frames.__getitem__)]
 
 
 def _box_fields(box: BoundingBox) -> str:
@@ -182,28 +302,32 @@ def _box_fields(box: BoundingBox) -> str:
 
 
 def write_detections(detections, path) -> None:
+    patterns = {}  # embedding length -> "%.10g,...,%.10g"
     with open(path, "w", encoding="utf-8") as fh:
         for det in detections:
-            emb = ",".join(format(v, ".10g") for v in det.embedding)
-            fh.write(f"{det.frame},-1,{_box_fields(det.box)},{det.confidence:.4f},{emb}\n")
+            values = tuple(det.embedding.tolist())
+            pattern = patterns.get(len(values))
+            if pattern is None:
+                pattern = patterns[len(values)] = ",".join(["%.10g"] * len(values))
+            fh.write(f"{det.frame},-1,{_box_fields(det.box)},{det.confidence:.4f},"
+                     f"{pattern % values}\n")
 
 
 def parse_gt(path, frame_count: int) -> list[GtEntry]:
     """Load ground-truth rows; (frame, identity) pairs must be unique and
-    frames within [1, frame_count]."""
-    entries = []
-    seen = set()
-    for lineno, fields in _rows(path, n_fields=6):
-        frame = _parse_frame(fields[0], path, lineno, frame_count)
-        identity = _parse_int(fields[1], path, lineno, "identity")
-        if (frame, identity) in seen:
-            raise ParseError(
-                f"{path}:{lineno}: duplicate (frame, identity) "
-                f"({frame}, {identity})"
-            )
-        seen.add((frame, identity))
-        numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:]]
-        entries.append(GtEntry(frame, identity, _box(numbers, path, lineno)))
+    frames within [1, frame_count]. A row's checks come in this order:
+    field count, frame, identity, uniqueness, numbers, the box."""
+    table = _table(path, np.dtype([
+        ("frame", object), ("identity", object), ("box", float, (4,))]))
+    frames = identities = None
+    if table is not None:
+        frames, identities = _ints(table["frame"]), _ints(table["identity"])
+    if (frames is None or identities is None or not _frames_ok(frames, frame_count)
+            or len(set(zip(frames, identities))) != len(frames)
+            or not _boxes_ok(table["box"])):
+        _raise_first_error(path, _check_gt_row, frame_count, set())
+    entries = [GtEntry(frame, identity, BoundingBox(*box))
+               for frame, identity, box in zip(frames, identities, table["box"].tolist())]
     entries.sort(key=lambda e: (e.frame, e.identity))
     return entries
 
@@ -225,12 +349,19 @@ def parse_meta(path) -> SequenceMeta:
         raise ParseError(str(exc)) from None
 
 
+def _exact_text(value: float) -> str:
+    """`value` as ``:g`` prints it (``1920``) where that reads back as
+    `value`, else its shortest text that does (``1234567.0``)."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def write_meta(meta: SequenceMeta, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"name = {meta.name}\n")
         fh.write(f"frame_count = {meta.frame_count}\n")
-        fh.write(f"width = {meta.width:g}\n")
-        fh.write(f"height = {meta.height:g}\n")
+        fh.write(f"width = {_exact_text(meta.width)}\n")
+        fh.write(f"height = {_exact_text(meta.height)}\n")
         fh.write(f"embedding_dim = {meta.embedding_dim}\n")
 
 
@@ -266,31 +397,30 @@ def write_results(results, path) -> None:
             fh.write(f"{frame},{track_id},{_box_fields(box)},{confidence:.2f},-1,-1,-1\n")
 
 
-def parse_results(path) -> list[FrameResult]:
-    """Inverse of write_results; rows grouped into per-frame results."""
+def parse_results(path, frame_count: int | None = None) -> list[FrameResult]:
+    """Inverse of write_results; rows grouped into per-frame results.
+
+    Frames must be at least 1 and, with `frame_count` given, at most
+    `frame_count`. A row's checks come in this order: field count, the
+    -1,-1,-1 tail, frame, track id, numbers, the box, the confidence,
+    uniqueness of (frame, track id).
+    """
+    table = _table(path, np.dtype([
+        ("frame", object), ("track_id", object), ("box", float, (4,)),
+        ("confidence", float), ("tail", object, (3,))]))
+    frames = track_ids = None
+    if table is not None:
+        frames, track_ids = _ints(table["frame"]), _ints(table["track_id"])
+    if (frames is None or track_ids is None
+            or not all(t.strip() == "-1" for t in set(table["tail"].flat))
+            or not _frames_ok(frames, frame_count)
+            or not _boxes_ok(table["box"]) or not _confidences_ok(table["confidence"])
+            or len(set(zip(frames, track_ids))) != len(frames)):
+        _raise_first_error(path, _check_result_row, frame_count, set())
     by_frame: dict[int, list] = {}
-    seen = set()
-    for lineno, fields in _rows(path, n_fields=10):
-        if fields[7:] != ["-1", "-1", "-1"]:
-            raise ParseError(
-                f"{path}:{lineno}: result rows must end with -1,-1,-1")
-        frame = _parse_int(fields[0], path, lineno, "frame")
-        track_id = _parse_int(fields[1], path, lineno, "track id")
-        numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:7]]
-        box = _box(numbers[:4], path, lineno)
-        confidence = numbers[4]
-        if not (0.0 <= confidence <= 1.0):
-            raise ParseError(
-                f"{path}:{lineno}: confidence must be within [0, 1], "
-                f"got {confidence}"
-            )
-        if (frame, track_id) in seen:
-            raise ParseError(
-                f"{path}:{lineno}: duplicate track id {track_id} in "
-                f"frame {frame}"
-            )
-        seen.add((frame, track_id))
-        by_frame.setdefault(frame, []).append((track_id, box, confidence))
+    for frame, track_id, box, confidence in zip(
+            frames, track_ids, table["box"].tolist(), table["confidence"].tolist()):
+        by_frame.setdefault(frame, []).append((track_id, BoundingBox(*box), confidence))
     results = []
     for frame in sorted(by_frame):
         records = sorted(by_frame[frame], key=lambda r: r[0])

@@ -369,3 +369,195 @@ def initiate_oracle(measurement):
     std = [2 * wp * h, 2 * wp * h, 1e-2, 2 * wp * h,
            10 * wv * h, 10 * wv * h, 1e-5, 10 * wv * h]
     return np.concatenate([measurement, np.zeros(4)]), np.diag(np.square(std))
+
+
+# ------------------------------------------------------- row-by-row parsers
+#
+# The sequence-file parsers as they read one row and one field at a time,
+# before `seqio` converted each file in bulk. Two changes in the file
+# contract are made here too: a number in the `float()`/`int()` grammar
+# that has an underscore or a non-ASCII digit is not a number, and a result
+# frame below 1 (or above `frame_count`, where given) is an error.
+
+def _rows(path, n_fields=None):
+    """Yield (lineno, fields) for each non-blank line of a comma-separated
+    file, fields stripped; with `n_fields` given, a row with another field
+    count is a ParseError."""
+    from mttsort.seqio import ParseError
+
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if n_fields is not None and len(fields) != n_fields:
+                raise ParseError(
+                    f"{path}:{lineno}: expected {n_fields} comma-separated "
+                    f"fields, got {len(fields)}"
+                )
+            yield lineno, fields
+
+
+def _box(numbers, path, lineno):
+    from mttsort.model import BoundingBox
+    from mttsort.seqio import ParseError
+
+    try:
+        return BoundingBox(*numbers)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from None
+
+
+def _parse_number(kind, noun, text, path, lineno, what):
+    from mttsort.seqio import ParseError
+
+    try:
+        if "_" in text or not text.isascii():
+            raise ValueError(text)
+        return kind(text)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: {what} is not {noun}: {text!r}") from None
+
+
+def _parse_float(text, path, lineno, what):
+    return _parse_number(float, "a number", text, path, lineno, what)
+
+
+def _parse_int(text, path, lineno, what):
+    return _parse_number(int, "an integer", text, path, lineno, what)
+
+
+def _parse_frame(text, path, lineno, frame_count):
+    from mttsort.seqio import ParseError
+
+    frame = _parse_int(text, path, lineno, "frame")
+    if frame_count is None:
+        if frame < 1:
+            raise ParseError(f"{path}:{lineno}: frame {frame} is below 1")
+    elif not 1 <= frame <= frame_count:
+        raise ParseError(f"{path}:{lineno}: frame {frame} outside [1, {frame_count}]")
+    return frame
+
+
+def _unit_embedding(values, path, lineno):
+    """`values` divided by their L2 norm; first by their largest magnitude
+    where that norm overflows or is below 1e-9, so only an all-zero row
+    has no direction."""
+    import numpy as np
+
+    from mttsort.seqio import ParseError
+
+    embedding = np.array(values)
+    if not np.isfinite(embedding).all():
+        raise ParseError(f"{path}:{lineno}: embedding values must be finite")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(embedding)
+    if not 1e-9 <= norm < np.inf:
+        scale = np.abs(embedding).max()
+        if scale == 0:
+            raise ParseError(f"{path}:{lineno}: embedding has zero norm")
+        embedding = embedding / scale
+        norm = np.linalg.norm(embedding)
+    return embedding / norm
+
+
+def parse_detections_oracle(path, expected_dim, frame_count):
+    from mttsort.model import Detection
+    from mttsort.seqio import ParseError
+
+    detections = []
+    for lineno, fields in _rows(path):
+        if len(fields) < 8:
+            raise ParseError(
+                f"{path}:{lineno}: detection rows need at least 8 fields "
+                f"(frame,-1,left,top,width,height,conf,embedding...), got "
+                f"{len(fields)}"
+            )
+        if len(fields) != 7 + expected_dim:
+            raise ParseError(
+                f"{path}:{lineno}: expected embedding dimension {expected_dim}, "
+                f"row has {len(fields) - 7} embedding fields"
+            )
+        frame = _parse_frame(fields[0], path, lineno, frame_count)
+        sentinel = _parse_float(fields[1], path, lineno, "id field")
+        if sentinel != -1:
+            raise ParseError(
+                f"{path}:{lineno}: detection id field must be -1, got "
+                f"{fields[1]!r}"
+            )
+        numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:]]
+        embedding = _unit_embedding(numbers[5:], path, lineno)
+        box = _box(numbers[:4], path, lineno)
+        center = (box.left + box.width / 2.0, box.top + box.height / 2.0,
+                  box.width / box.height)
+        if not (center[2] > 0 and all(map(math.isfinite, center))):
+            raise ParseError(
+                f"{path}:{lineno}: box center and aspect (cx, cy, width/height) "
+                f"must be finite with a positive aspect, got {center}")
+        try:
+            detections.append(Detection(
+                frame=frame,
+                box=box,
+                confidence=numbers[4],
+                embedding=embedding,
+            ))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    detections.sort(key=lambda d: d.frame)
+    return detections
+
+
+def parse_gt_oracle(path, frame_count):
+    from mttsort.metrics import GtEntry
+    from mttsort.seqio import ParseError
+
+    entries = []
+    seen = set()
+    for lineno, fields in _rows(path, n_fields=6):
+        frame = _parse_frame(fields[0], path, lineno, frame_count)
+        identity = _parse_int(fields[1], path, lineno, "identity")
+        if (frame, identity) in seen:
+            raise ParseError(
+                f"{path}:{lineno}: duplicate (frame, identity) "
+                f"({frame}, {identity})"
+            )
+        seen.add((frame, identity))
+        numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:]]
+        entries.append(GtEntry(frame, identity, _box(numbers, path, lineno)))
+    entries.sort(key=lambda e: (e.frame, e.identity))
+    return entries
+
+
+def parse_results_oracle(path, frame_count=None):
+    from mttsort.seqio import ParseError
+    from mttsort.tracker import FrameResult
+
+    by_frame = {}
+    seen = set()
+    for lineno, fields in _rows(path, n_fields=10):
+        if fields[7:] != ["-1", "-1", "-1"]:
+            raise ParseError(
+                f"{path}:{lineno}: result rows must end with -1,-1,-1")
+        frame = _parse_frame(fields[0], path, lineno, frame_count)
+        track_id = _parse_int(fields[1], path, lineno, "track id")
+        numbers = [_parse_float(f, path, lineno, "field") for f in fields[2:7]]
+        box = _box(numbers[:4], path, lineno)
+        confidence = numbers[4]
+        if not (0.0 <= confidence <= 1.0):
+            raise ParseError(
+                f"{path}:{lineno}: confidence must be within [0, 1], "
+                f"got {confidence}"
+            )
+        if (frame, track_id) in seen:
+            raise ParseError(
+                f"{path}:{lineno}: duplicate track id {track_id} in "
+                f"frame {frame}"
+            )
+        seen.add((frame, track_id))
+        by_frame.setdefault(frame, []).append((track_id, box, confidence))
+    results = []
+    for frame in sorted(by_frame):
+        records = sorted(by_frame[frame], key=lambda r: r[0])
+        results.append(FrameResult(frame=frame, records=tuple(records)))
+    return results

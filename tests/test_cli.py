@@ -140,6 +140,14 @@ def test_data_errors_exit_2(tmp_path, seq_dir, capsys):
     assert "gt.txt" in err
 
 
+def test_evaluate_rejects_result_frames_outside_the_sequence(seq_dir, tmp_path, capsys):
+    # Before frames were checked, these rows counted as false positives.
+    pred = tmp_path / "pred.txt"
+    pred.write_text("1,1,0,0,5,5,0.9,-1,-1,-1\n121,1,0,0,5,5,0.9,-1,-1,-1\n")
+    assert cli(["evaluate", "--seq", str(seq_dir), "--pred", str(pred)]) == 2
+    assert f"{pred}:2: frame 121 outside [1, 120]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["optimize", "evaluate"])
 def test_empty_ground_truth_exits_2(tmp_path, seq_dir, capsys, command):
     (seq_dir / "gt.txt").write_text("")

@@ -1,7 +1,10 @@
+import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mttsort import synth
 from mttsort.metrics import EvalReport, GtEntry
@@ -12,6 +15,7 @@ from mttsort.seqio import (
     write_detections, write_gt, write_meta, write_results, write_sequence,
 )
 from mttsort.tracker import FrameResult
+from oracles import parse_detections_oracle, parse_gt_oracle, parse_results_oracle
 
 
 def write(path, text):
@@ -319,3 +323,303 @@ def test_report_formatting():
     assert "fn = 3" in text
     assert "frag = 0" in text
     assert text.endswith("\n")
+
+
+# ------------------------------------------- bulk parsing against the oracles
+
+def bits(value):
+    """A key that two parse outputs share iff they are equal bit for bit,
+    types included."""
+    if isinstance(value, float):
+        return "float", value.hex()
+    if isinstance(value, np.ndarray):
+        return "array", value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, tuple(bits(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return type(value).__name__, value
+
+
+def outcome(parse, *args):
+    try:
+        return "parsed", bits(parse(*args))
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+PADS = st.sampled_from(["", "", " ", "\t", "  "])
+
+
+@st.composite
+def float_text(draw, value):
+    form = draw(st.sampled_from(["{!r}", "{!r}", "{:.17g}", "{:e}", "{:+.12g}"]))
+    return draw(PADS) + form.format(value) + draw(PADS)
+
+
+@st.composite
+def int_text(draw, value):
+    form = draw(st.sampled_from(["{:d}", "{:d}", "{:+d}", "{:03d}"]))
+    return draw(PADS) + form.format(value) + draw(PADS)
+
+
+coordinates = st.floats(-1e4, 1e4)
+sides = st.floats(1e-3, 1e4)
+confidences = st.floats(0.0, 1.0)
+
+
+@st.composite
+def box_texts(draw):
+    values = [draw(coordinates), draw(coordinates), draw(sides), draw(sides)]
+    return [draw(float_text(v)) for v in values]
+
+
+@st.composite
+def detection_row(draw, dim, frame_count):
+    # Scales whose plain norm overflows or falls below 1e-9 take the rescale.
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-12, 1e-200, 1e-310, 1e200, 1e300]))
+    embedding = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+                     .filter(lambda values: any(v * scale for v in values)))
+    return [draw(int_text(draw(st.integers(1, frame_count)))),
+            draw(st.sampled_from(["-1", "-1", "-1.0", "-1e0", "-01", " -1 "])),
+            *draw(box_texts()), draw(float_text(draw(confidences))),
+            *[draw(float_text(v * scale)) for v in embedding]]
+
+
+@st.composite
+def gt_row(draw, frame_count):
+    identity = draw(st.one_of(st.integers(-3, 6), st.just(2 ** 70)))
+    return [draw(int_text(draw(st.integers(1, frame_count)))),
+            draw(int_text(identity)), *draw(box_texts())]
+
+
+@st.composite
+def result_row(draw, frame_count):
+    tail = draw(st.sampled_from([["-1", "-1", "-1"], [" -1", "-1 ", "\t-1"]]))
+    return [*draw(gt_row(frame_count)), draw(float_text(draw(confidences))), *tail]
+
+
+NOT_NUMBERS = ["x", "1_0", "١", "", "0x10", "1.0.0", "--1", "1e"]
+
+
+@st.composite
+def corrupt(draw, rows, kind, frame_count):
+    """`rows` with one row spoilt as `kind` says; the row keeps its place."""
+    i = draw(st.integers(0, len(rows) - 1))
+    row = list(rows[i])
+    if kind == "field count":
+        row = row[:-1] if draw(st.booleans()) else row + ["0"]
+    elif kind == "not a number":
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(NOT_NUMBERS))
+    elif kind == "not an integer":
+        row[draw(st.integers(0, 1))] = draw(st.sampled_from(["1.0", "1_0", "١", "1e0"]))
+    elif kind == "frame":
+        row[0] = draw(st.sampled_from(["0", "-4", str(frame_count + 1),
+                                       "99999999999999999999"]))
+    elif kind == "sentinel":
+        row[1] = draw(st.sampled_from(["7", "nan", "-1_0", "-1.5"]))
+    elif kind == "non-finite":
+        row[draw(st.integers(2, len(row) - 1))] = draw(st.sampled_from(["inf", "-inf", "nan"]))
+    elif kind == "zero norm":
+        row[7:] = [draw(st.sampled_from(["0", "-0.0", "0e5"])) for _ in row[7:]]
+    elif kind == "box":
+        row[draw(st.integers(4, 5))] = draw(st.sampled_from(["0", "-5", "-0.0"]))
+    elif kind == "aspect":
+        row[2:6] = draw(st.sampled_from([["10", "10", "1e-200", "1e200"],
+                                         ["1.5e308", "10", "1e308", "5"]]))
+    elif kind == "confidence":
+        row[6] = draw(st.sampled_from(["1.7", "-0.1", "nan", "1.0000001"]))
+    elif kind == "duplicate":
+        row[:2] = rows[draw(st.integers(0, len(rows) - 1))][:2]
+    elif kind == "tail":
+        row[7:] = draw(st.sampled_from([["-1", "-1", "0"], ["-1.0", "-1", "-1"],
+                                        ["-1", "-1", ""]]))
+    return rows[:i] + [row] + rows[i + 1:]
+
+
+@st.composite
+def file_text(draw, rows):
+    """`rows` as a file: blank and whitespace lines between them, LF or
+    CRLF line ends, and maybe no newline at the end."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t", " \t "]), max_size=1))
+        lines.append(draw(PADS) + ",".join(row))
+    text = newline.join(lines)
+    return text + newline if draw(st.booleans()) else text
+
+
+@st.composite
+def spoilt_rows(draw, rows, kinds, frame_count):
+    """`rows`, mostly with one or two of them spoilt in one of `kinds`."""
+    if rows:
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+            rows = draw(corrupt(rows, draw(st.sampled_from(kinds)), frame_count))
+    return rows
+
+
+DETECTION_FAULTS = ["field count", "not a number", "not an integer", "frame", "sentinel",
+                    "non-finite", "zero norm", "box", "aspect", "confidence"]
+GT_FAULTS = ["field count", "not a number", "not an integer", "frame", "non-finite",
+             "box", "aspect", "duplicate"]
+RESULT_FAULTS = GT_FAULTS + ["confidence", "tail"]
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("bulk")
+
+
+@settings(deadline=None, max_examples=250)
+@given(data=st.data(), frame_count=st.integers(1, 4), dim=st.integers(1, 3))
+def test_detections_parse_as_the_row_by_row_oracle_does(scratch, data, frame_count, dim):
+    rows = data.draw(st.lists(detection_row(dim, frame_count), max_size=5))
+    rows = data.draw(spoilt_rows(rows, DETECTION_FAULTS, frame_count))
+    path = scratch / "det.txt"
+    path.write_bytes(data.draw(file_text(rows)).encode())
+    assert (outcome(parse_detections, path, dim, frame_count)
+            == outcome(parse_detections_oracle, path, dim, frame_count))
+
+
+@settings(deadline=None, max_examples=250)
+@given(data=st.data(), frame_count=st.integers(1, 4))
+def test_gt_parses_as_the_row_by_row_oracle_does(scratch, data, frame_count):
+    rows = data.draw(st.lists(gt_row(frame_count), max_size=5))
+    rows = data.draw(spoilt_rows(rows, GT_FAULTS, frame_count))
+    path = scratch / "gt.txt"
+    path.write_bytes(data.draw(file_text(rows)).encode())
+    assert outcome(parse_gt, path, frame_count) == outcome(parse_gt_oracle, path, frame_count)
+
+
+@settings(deadline=None, max_examples=250)
+@given(data=st.data(), frame_count=st.integers(1, 4),
+       bounded=st.booleans())
+def test_results_parse_as_the_row_by_row_oracle_does(scratch, data, frame_count, bounded):
+    rows = data.draw(st.lists(result_row(frame_count), max_size=5))
+    rows = data.draw(spoilt_rows(rows, RESULT_FAULTS, frame_count))
+    path = scratch / "out.txt"
+    path.write_bytes(data.draw(file_text(rows)).encode())
+    limit = frame_count if bounded else None
+    assert outcome(parse_results, path, limit) == outcome(parse_results_oracle, path, limit)
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=st.text(st.sampled_from(list("0123456789+-.eEinfatyINFATY_x") + [
+    " ", "\t", "\x0b", "\x1c", "\xa0", "\u2003", "١", "²"]), max_size=8),
+    field=st.sampled_from([0, 1, 2]))
+@example(text="1_0", field=2)
+@example(text="\u2003+01\xa0", field=1)
+@example(text="1\x1c", field=0)  # int() alone keeps this separator
+def test_a_field_reads_as_the_oracle_reads_it(scratch, text, field):
+    # The bulk conversion and the row checks of the error path read
+    # numbers with different parsers, which must agree on every text.
+    row = ["1", "7", "0", "0", "5", "5"]
+    row[field] = text
+    path = scratch / "gt.txt"
+    path.write_text(",".join(row) + "\n", encoding="utf-8")
+    assert outcome(parse_gt, path, 1) == outcome(parse_gt_oracle, path, 1)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,-1,1_0,20,30,40,0.9,1,0", "field is not a number: '1_0'"),
+    ("1,-1,10,20,30,40,0.9,١,0", "field is not a number: '١'"),
+    ("1_0,-1,10,20,30,40,0.9,1,0", "frame is not an integer: '1_0'"),
+    ("1.0,-1,10,20,30,40,0.9,1,0", "frame is not an integer: '1.0'"),
+])
+def test_underscores_and_non_ascii_digits_are_not_numbers(tmp_path, row, message):
+    path = write(tmp_path / "det.txt", f"1,-1,10,20,30,40,0.9,1,0\n{row}\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: {message}")):
+        parse_detections(path, expected_dim=2, frame_count=3)
+
+
+def test_numbers_keep_the_float_grammar_otherwise(tmp_path):
+    path = write(tmp_path / "det.txt",
+                 " +01 , -1.0 ,\t1e1,2.5E+1, 30 ,40.,+.5,  3 ,4\r\n  \r\n\n")
+    (det,) = parse_detections(path, expected_dim=2, frame_count=3)
+    assert (det.frame, det.box, det.confidence) == (1, BoundingBox(10, 25, 30, 40), 0.5)
+    assert det.embedding.tolist() == [0.6, 0.8]
+
+
+@pytest.mark.parametrize("frame", [0, -4])
+def test_result_frames_below_one_are_rejected_at_their_line(tmp_path, frame):
+    path = write(tmp_path / "out.txt",
+                 f"1,1,0,0,5,5,0.9,-1,-1,-1\n{frame},2,0,0,5,5,0.9,-1,-1,-1\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: frame {frame} is below 1")):
+        parse_results(path)
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: frame {frame} outside [1, 300]")):
+        parse_results(path, frame_count=300)
+
+
+def test_result_frames_past_the_end_are_rejected_given_the_frame_count(tmp_path):
+    path = write(tmp_path / "out.txt",
+                 "1,1,0,0,5,5,0.9,-1,-1,-1\n99999,1,0,0,5,5,0.9,-1,-1,-1\n")
+    assert [r.frame for r in parse_results(path)] == [1, 99999]
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: frame 99999 outside [1, 300]")):
+        parse_results(path, frame_count=300)
+
+
+def test_ids_beyond_int64_load_as_python_ints(tmp_path):
+    big = 2 ** 70
+    gt = write(tmp_path / "gt.txt", f"1,{big},0,0,5,5\n1,{big + 1},9,9,5,5\n")
+    assert [(e.identity, type(e.identity)) for e in parse_gt(gt, frame_count=1)] == [
+        (big, int), (big + 1, int)]
+    out = write(tmp_path / "out.txt", f"1,{-big},0,0,5,5,0.9,-1,-1,-1\n")
+    ((track_id, _, _),) = parse_results(out)[0].records
+    assert (track_id, type(track_id)) == (-big, int)
+
+
+def test_detection_parse_peak_memory_stays_near_what_it_returns(tmp_path):
+    # 2,000 rows of 64-d embeddings; reading the file into memory before
+    # converting it would cost about as much again as the detections.
+    rng = np.random.default_rng(0)
+    dets = [Detection(int(f), BoundingBox(*rng.uniform(1, 500, 2), *rng.uniform(5, 80, 2)),
+                      float(rng.uniform()), rng.normal(size=64))
+            for f in np.sort(rng.integers(1, 101, 2000))]
+    path = tmp_path / "det.txt"
+    write_detections(dets, path)
+    parse_detections(path, expected_dim=64, frame_count=100)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        parsed = parse_detections(path, expected_dim=64, frame_count=100)
+        retained, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 2000
+    assert peak < 1.5 * retained
+
+
+# ---------------------------------------------------------------- writers
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+@example([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-300, 0.1])
+def test_detection_embeddings_are_written_as_ten_significant_digits(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("emb") / "det.txt"
+    embedding = np.array(values)
+    write_detections([Detection(1, BoundingBox(1, 2, 3, 4), 0.5, embedding)] * 2, path)
+    want = ",".join(format(v, ".10g") for v in embedding)
+    assert path.read_text().splitlines() == [f"1,-1,1.00,2.00,3.00,4.00,0.5000,{want}"] * 2
+
+
+@settings(deadline=None, max_examples=200)
+@given(width=st.floats(min_value=5e-324, allow_infinity=False),
+       height=st.floats(min_value=5e-324, allow_infinity=False))
+@example(width=1234567.0, height=640.1234)
+@example(width=1e300, height=2 ** -1074)
+def test_meta_sizes_read_back_exactly(tmp_path_factory, width, height):
+    meta = SequenceMeta(name="x", frame_count=3, width=width, height=height, embedding_dim=2)
+    path = tmp_path_factory.mktemp("meta") / "meta.txt"
+    write_meta(meta, path)
+    assert parse_meta(path) == meta
+
+
+@pytest.mark.parametrize("width, text", [(1920.0, "1920"), (1920, "1920"), (1e6, "1e+06"),
+                                         (1234567.0, "1234567.0"), (640.1234, "640.1234")])
+def test_meta_sizes_keep_the_short_text_where_it_is_exact(tmp_path, width, text):
+    path = tmp_path / "meta.txt"
+    write_meta(SequenceMeta("x", 3, width, 480.0, 2), path)
+    assert f"width = {text}\nheight = 480\n" in path.read_text()
