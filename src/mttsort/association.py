@@ -115,8 +115,7 @@ def appearance_cost(tracks, detections, kalman, max_dist: float) -> np.ndarray:
     cost[i, j] = 1 - <pooled(track_i), embedding_j>, clamped to [0, 2].
     Entries above `max_dist` or failing the Mahalanobis gate are
     INFEASIBLE. The gate runs once over the stacked track states, so a
-    track whose projected covariance is not positive definite raises
-    NumericalError.
+    track whose innovation variance is not positive raises NumericalError.
     """
     if not len(tracks) or not len(detections):
         return np.zeros((len(tracks), len(detections)))

@@ -9,6 +9,12 @@ velocities. Motion follows a constant-velocity model with dt = 1; the box
 observation (cx, cy, a, h) is a direct linear measurement of the state.
 Process and measurement noise are scaled relative to the current box
 height, which keeps the filter usable across object scales.
+
+The motion, observation and noise matrices are block-diagonal, with each
+measured coordinate coupled only to its own velocity, so the filter runs
+as four 2-state filters. A covariance is stored as its 2x2 blocks: a
+`(3, 4)` array of rows p (position variance), c (position-velocity
+covariance) and v (velocity variance), one column per coordinate.
 """
 
 from __future__ import annotations
@@ -21,40 +27,47 @@ CHI2_GATE_4DOF = 9.4877
 
 _POSITION_WEIGHT = 1.0 / 20
 _VELOCITY_WEIGHT = 1.0 / 160
-# Per-component standard deviations are relative * height + fixed: of the
+# Per-coordinate standard deviations are relative * height + fixed: of the
 # motion (predict) and of a new track's state (initiate, twice the motion's
-# position and ten times its velocity terms) over the 8 state components,
-# and of the innovation (project) over the 4 measured ones.
-_MOTION_RELATIVE = np.array([_POSITION_WEIGHT, _POSITION_WEIGHT, 0, _POSITION_WEIGHT,
-                             _VELOCITY_WEIGHT, _VELOCITY_WEIGHT, 0, _VELOCITY_WEIGHT])
-_INITIAL_RELATIVE = _MOTION_RELATIVE * np.repeat([2, 10], 4)
-_STATE_FIXED = np.array([0, 0, 1e-2, 0, 0, 0, 1e-5, 0])
-_INNOVATION_RELATIVE = np.array([_POSITION_WEIGHT, _POSITION_WEIGHT, 0, _POSITION_WEIGHT])
+# position and ten times its velocity terms), laid out as a covariance whose
+# c row is zero, and of the innovation (update and gate).
+_MOTION_RELATIVE = np.array([[_POSITION_WEIGHT, _POSITION_WEIGHT, 0, _POSITION_WEIGHT],
+                             [0, 0, 0, 0],
+                             [_VELOCITY_WEIGHT, _VELOCITY_WEIGHT, 0, _VELOCITY_WEIGHT]])
+_INITIAL_RELATIVE = _MOTION_RELATIVE * [[2], [0], [10]]
+_STATE_FIXED = np.array([[0, 0, 1e-2, 0], [0, 0, 0, 0], [0, 0, 1e-5, 0]])
+_INNOVATION_RELATIVE = _MOTION_RELATIVE[0]
 _INNOVATION_FIXED = np.array([0, 0, 1e-1, 0])
+# Rows of the flattened outer product (kp, kv) s (kp, kv) that are the p, c
+# and v terms of K S K^T, and of its transpose.
+_TERMS, _TRANSPOSED_TERMS = np.array([0, 1, 3]), np.array([0, 2, 3])
 
 
 class NumericalError(RuntimeError):
-    """Raised when a filter step fails numerically (singular innovation)."""
+    """Raised when a filter step fails numerically (an innovation variance
+    that is not positive)."""
 
 
 class KalmanModel:
     """Kalman initiation/prediction/update/gating for track states.
 
     `initiate` takes one `(4,)` measurement or a stack of N, `(N, 4)`, and
-    `predict`, `project`, `update` and `gating_distance` take one state, an
-    `(8,)` mean with an `(8, 8)` covariance, or a stack of N states, `(N, 8)`
-    means with `(N, 8, 8)` covariances, through the same code: every
-    product is a matmul or an elementwise operation on the stack, so each
-    row of a stacked call equals the call on that row alone bit for bit.
+    `predict`, `update` and `gating_distance` take one state, an `(8,)`
+    mean with a `(3, 4)` covariance, or a stack of N states, `(N, 8)` means
+    with `(N, 3, 4)` covariances, through the same elementwise code: each
+    row of a stacked call equals the call on that row alone bit for bit,
+    and each gate entry depends only on its own state and measurement.
+
+    The results equal the dense 8x8 filter (matrix products, a Cholesky
+    factor and two linear solves) bit for bit: its model is block-diagonal,
+    so each dense entry has at most two nonzero terms and is rounded once,
+    and its solve against the diagonal factor multiplies by `1 / sqrt(s)`.
 
     The noise is fixed: the motion and innovation standard deviations are
     the current box height times 1/20 for the position-like components and
     1/160 for the velocity components, and a new track's are twice and ten
     times those.
     """
-
-    _motion_mat = np.eye(8) + np.eye(8, k=4)  # dt = 1
-    _update_mat = np.eye(4, 8)
 
     def initiate(self, measurement) -> tuple[np.ndarray, np.ndarray]:
         """Create new track states from unassociated measurements.
@@ -72,95 +85,75 @@ class KalmanModel:
             )
         mean = np.concatenate(
             [measurement, np.zeros(measurement.shape[:-1] + (4,))], axis=-1)
-        covariance = _diagonal_noise(
-            measurement[..., 3], _INITIAL_RELATIVE, _STATE_FIXED)
+        covariance = _variance(
+            measurement[..., 3, None, None], _INITIAL_RELATIVE, _STATE_FIXED)
         return mean, covariance
 
     def predict(self, mean, covariance) -> tuple[np.ndarray, np.ndarray]:
-        """Run the prediction step: x' = F x, P' = F P F^T + Q."""
+        """Run the prediction step: x' = F x, P' = F P F^T + Q, that is
+        p' = ((p + c) + (c + v)) + q_p, c' = c + v and v' = v + q_v."""
         mean = np.asarray(mean, dtype=float)
         covariance = np.asarray(covariance, dtype=float)
-        motion_cov = _diagonal_noise(mean[..., 3], _MOTION_RELATIVE, _STATE_FIXED)
-        new_mean = np.matmul(self._motion_mat, mean[..., None])[..., 0]
-        new_covariance = (
-            self._motion_mat @ covariance @ self._motion_mat.T + motion_cov
-        )
+        new_covariance = covariance.copy()
+        new_covariance[..., :2, :] += covariance[..., 1:, :]
+        new_covariance[..., 0, :] += new_covariance[..., 1, :]
+        new_covariance += _variance(
+            mean[..., 3, None, None], _MOTION_RELATIVE, _STATE_FIXED)
+        new_mean = mean.copy()
+        new_mean[..., :4] += mean[..., 4:]
         return new_mean, new_covariance
-
-    def project(self, mean, covariance) -> tuple[np.ndarray, np.ndarray]:
-        """Project the state distribution into measurement space."""
-        mean = np.asarray(mean, dtype=float)
-        covariance = np.asarray(covariance, dtype=float)
-        innovation_cov = _diagonal_noise(
-            mean[..., 3], _INNOVATION_RELATIVE, _INNOVATION_FIXED)
-        projected_mean = np.matmul(self._update_mat, mean[..., None])[..., 0]
-        projected_cov = (
-            self._update_mat @ covariance @ self._update_mat.T + innovation_cov
-        )
-        return projected_mean, projected_cov
 
     def update(self, mean, covariance, measurement) -> tuple[np.ndarray, np.ndarray]:
         """Run the correction step against (cx, cy, a, h) measurements, one
-        `(4,)` row per state.
+        `(4,)` row per state: gains kp = (p r) r and kv = (c r) r with
+        r = 1 / sqrt(s), and P' = 0.5 (X + X^T) with X = P - K S K^T.
 
-        Raises NumericalError if any innovation covariance of the stack
-        cannot be factorized; callers are expected to keep the predicted
-        state of that track.
+        Raises NumericalError if any innovation variance s of the stack is
+        not positive (or is NaN); callers are expected to keep the
+        predicted state of that track.
         """
         mean = np.asarray(mean, dtype=float)
         covariance = np.asarray(covariance, dtype=float)
         measurement = np.asarray(measurement, dtype=float)
-        projected_mean, projected_cov = self.project(mean, covariance)
-        chol = _cholesky(projected_cov)
-        kalman_gain = _t(np.linalg.solve(
-            _t(chol), np.linalg.solve(chol, _t(covariance @ self._update_mat.T))))
-        innovation = measurement - projected_mean
-        new_mean = mean + np.matmul(kalman_gain, innovation[..., None])[..., 0]
-        new_covariance = covariance - kalman_gain @ projected_cov @ _t(kalman_gain)
-        # Keep the covariance exactly symmetric; the subtraction above
-        # accumulates asymmetry at round-off scale over long sequences.
-        new_covariance = 0.5 * (new_covariance + _t(new_covariance))
+        s, r = _innovation(mean, covariance)
+        gain = covariance[..., :2, :] * r[..., None, :] * r[..., None, :]
+        innovation = measurement - mean[..., :4]
+        new_mean = mean + (gain * innovation[..., None, :]).reshape(mean.shape)
+        outer = ((gain * s[..., None, :])[..., :, None, :]
+                 * gain[..., None, :, :]).reshape(covariance.shape[:-2] + (4, 4))
+        # The dense filter's 0.5 (X + X^T): c' averages X's two off-diagonal
+        # entries, which round differently.
+        new_covariance = 0.5 * ((covariance - outer.take(_TERMS, axis=-2))
+                                + (covariance - outer.take(_TRANSPOSED_TERMS, axis=-2)))
         return new_mean, new_covariance
 
     def gating_distance(self, mean, covariance, measurements) -> np.ndarray:
-        """Squared Mahalanobis distance of measurements from each state.
+        """Squared Mahalanobis distance of measurements from each state,
+        ((z0² + z1²) + z2²) + z3² with z = (measurement - mean[:4]) r.
 
         `measurements` is an Mx4 array; the result has length M for one
         state and shape (N, M) for a stack of N. Compare against
         CHI2_GATE_4DOF to decide feasibility. Raises NumericalError if any
-        projected covariance of the stack is not positive definite.
+        innovation variance of the stack is not positive (or is NaN).
         """
         measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
-        projected_mean, projected_cov = self.project(mean, covariance)
-        chol = _cholesky(projected_cov)
-        d = measurements - projected_mean[..., None, :]
-        z = np.linalg.solve(chol, _t(d))
-        return np.sum(z * z, axis=-2)
+        mean = np.asarray(mean, dtype=float)
+        _, r = _innovation(mean, np.asarray(covariance, dtype=float))
+        z = (measurements.T - mean[..., :4, None]) * r[..., :, None]
+        z *= z
+        return z[..., 0, :] + z[..., 1, :] + z[..., 2, :] + z[..., 3, :]
 
 
-def _t(stack) -> np.ndarray:
-    """Transpose the last two axes: each matrix of a stack, or one matrix."""
-    return np.swapaxes(stack, -1, -2)
+def _variance(height, relative, fixed) -> np.ndarray:
+    """Noise variances (relative * height + fixed)², stacked like `height`."""
+    return np.square(height * relative + fixed)
 
 
-def _diagonal_noise(height, relative, fixed) -> np.ndarray:
-    """Diagonal noise covariances, stacked like `height`, with standard
-    deviations `relative * height + fixed`. Each component has a nonzero
-    entry in only one of the two, and adding an exact zero leaves a value
-    unchanged."""
-    std = height[..., None] * relative + fixed
-    k = std.shape[-1]
-    covariance = np.zeros(std.shape + (k,))
-    # Every (k + 1)-th entry of a fresh k*k block is its diagonal.
-    covariance.reshape(std.shape[:-1] + (k * k,))[..., ::k + 1] = np.square(std)
-    return covariance
-
-
-def _cholesky(projected_cov) -> np.ndarray:
-    """Lower Cholesky factor of a projected covariance; NumericalError if
-    it is not positive definite."""
-    try:
-        return np.linalg.cholesky(projected_cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"projected covariance is not positive definite: {exc}") from exc
+def _innovation(mean, covariance) -> tuple[np.ndarray, np.ndarray]:
+    """Innovation variances s = p + R² and 1 / sqrt(s); NumericalError
+    unless every s is positive (so NaN fails too)."""
+    s = covariance[..., 0, :] + _variance(
+        mean[..., 3, None], _INNOVATION_RELATIVE, _INNOVATION_FIXED)
+    if not (s > 0).all():
+        raise NumericalError(f"innovation variance is not positive: {s.min()}")
+    return s, 1.0 / np.sqrt(s)

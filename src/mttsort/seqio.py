@@ -357,6 +357,11 @@ def _exact_text(value: float) -> str:
 
 
 def write_meta(meta: SequenceMeta, path) -> None:
+    """Write ``meta.txt``; ValueError before opening it for a name with ``#``,
+    a line break or surrounding whitespace, which `parse_meta` misreads."""
+    name = meta.name
+    if "#" in name or name != name.strip() or len(name.splitlines()) > 1:
+        raise ValueError(f"sequence name {name!r} does not read back from meta.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"name = {meta.name}\n")
         fh.write(f"frame_count = {meta.frame_count}\n")

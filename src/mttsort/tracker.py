@@ -7,9 +7,10 @@ ones and start new tracks.
 
 A frame's detections arrive as columns (`FrameDetections`), and the
 tracker holds its live tracks as one `TrackStack` for its whole life:
-row i's Kalman state is `mean[i]` and `covariance[i]`, and `tracks[i]`
-its id, lifecycle counters and feature buffer. Every stage reads rows of
-those arrays; rows stay in ascending track id.
+row i's Kalman state is `mean[i]` and `covariance[i]` (its 2x2 blocks,
+see `kalman`), and `tracks[i]` its id, lifecycle counters and feature
+buffer. Every stage reads rows of those arrays; rows stay in ascending
+track id.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ class Track:
 
 @dataclass(eq=False)
 class TrackStack:
-    """Track states as rows: `mean` (N, 8) and `covariance` (N, 8, 8), with
-    `tracks[i]` holding row i's id, lifecycle counters and feature buffer."""
+    """Track states as rows: `mean` (N, 8) and `covariance` (N, 3, 4) blocks
+    (see `kalman`), with `tracks[i]` holding row i's id, lifecycle counters
+    and feature buffer."""
 
     tracks: list
     mean: np.ndarray
@@ -118,7 +120,7 @@ class Tracker:
     def __init__(self, config: TrackerConfig):
         self.config = config
         self.kalman = KalmanModel()
-        self.stack = TrackStack([], np.zeros((0, 8)), np.zeros((0, 8, 8)))
+        self.stack = TrackStack([], np.zeros((0, 8)), np.zeros((0, 3, 4)))
         self._next_id = 1
         self._last_frame = 0
 
@@ -167,8 +169,8 @@ class Tracker:
         """One Kalman update over the stacked rows of the frame's (track,
         detection) matches, in place.
 
-        The stacked factorization fails as a whole if one track's does;
-        the matches are then redone one row at a time, so only a failing
+        The stacked update fails as a whole if one track's does; the
+        matches are then redone one row at a time, so only a failing
         track keeps its predicted state. Every matched track gets its hit.
         """
         if not matches:

@@ -22,7 +22,7 @@ from mttsort.model import BoundingBox, PRESETS, TrackerConfig
 from mttsort.tracker import run_sequence
 
 from oracles import (
-    assa_oracle, assignment_oracle, clear_oracle, idf1_oracle,
+    assa_oracle, assignment_oracle, clear_oracle, dense, idf1_oracle,
     random_micro_scenario,
 )
 
@@ -186,14 +186,14 @@ def test_kalman_matches_dense_oracle():
         got_mean, got_cov = kf.predict(mean, cov)
         want_mean, want_cov = textbook_predict(kf, mean, cov)
         assert np.abs(got_mean - want_mean).max() < 1e-9
-        assert np.abs(got_cov - want_cov).max() < 1e-9
+        assert np.abs(dense(got_cov) - want_cov).max() < 1e-9
         z = mean[:4] + rng.normal(0, 5, 4)
         z[2] = abs(z[2]) + 0.1
         z[3] = abs(z[3]) + 1
         got_mean, got_cov = kf.update(mean, cov, z)
         want_mean, want_cov = textbook_update(kf, mean, cov, z)
         assert np.abs(got_mean - want_mean).max() < 1e-9
-        assert np.abs(got_cov - want_cov).max() < 1e-9
+        assert np.abs(dense(got_cov) - want_cov).max() < 1e-9
     elapsed = time.perf_counter() - start
     report_line("kalman-oracle", "100/100 states within 1e-9", elapsed, budget)
 

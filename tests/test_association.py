@@ -40,7 +40,7 @@ def stack_of(*rows):
     """The rows of one-row track stacks, in order, as one stack."""
     return TrackStack([row.tracks[0] for row in rows],
                       np.concatenate([np.zeros((0, 8))] + [row.mean for row in rows]),
-                      np.concatenate([np.zeros((0, 8, 8))]
+                      np.concatenate([np.zeros((0, 3, 4))]
                                      + [row.covariance for row in rows]))
 
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mttsort import kalman
 from mttsort.kalman import CHI2_GATE_4DOF, KalmanModel, NumericalError
 
-from oracles import initiate_oracle
+from oracles import dense, dense_kalman_oracle, initiate_oracle
 
 
 @pytest.fixture
@@ -14,17 +13,21 @@ def kf():
 
 
 def random_state(rng, h_scale=50.0):
-    """A random mean with positive height and a random PSD covariance."""
+    """A random mean with positive height and a random positive definite
+    covariance: one 2x2 block a a^T + 1e-3 I per measured coordinate."""
     mean = rng.normal(0, 100, 8)
     mean[2] = rng.uniform(0.3, 2.0)
     mean[3] = rng.uniform(10, h_scale + 10)
-    a = rng.normal(0, 1, (8, 8))
-    covariance = a @ a.T + 1e-3 * np.eye(8)
+    a = rng.normal(0, 1, (4, 2, 2))
+    block = a @ np.swapaxes(a, -1, -2) + 1e-3 * np.eye(2)
+    covariance = np.stack([block[:, 0, 0], block[:, 0, 1], block[:, 1, 1]])
     return mean, covariance
 
 
 def textbook_predict(kf, mean, covariance):
-    """Dense-formula oracle built from explicit matrices."""
+    """Dense-formula oracle built from explicit matrices, on the dense
+    covariance."""
+    covariance = dense(covariance)
     f = np.eye(8)
     f[:4, 4:] = np.eye(4)
     wp, wv = 1 / 20, 1 / 160
@@ -35,6 +38,7 @@ def textbook_predict(kf, mean, covariance):
 
 
 def textbook_update(kf, mean, covariance, z):
+    covariance = dense(covariance)
     h_mat = np.eye(4, 8)
     wp = 1 / 20
     h = mean[3]
@@ -49,14 +53,15 @@ def textbook_update(kf, mean, covariance, z):
 def test_initiate_worked_example(kf):
     mean, cov = kf.initiate([10, 20, 0.5, 40])
     assert mean.tolist() == [10, 20, 0.5, 40, 0, 0, 0, 0]
-    assert np.array_equal(cov, np.diag(np.diag(cov)))
+    assert cov.shape == (3, 4) and cov[1].tolist() == [0, 0, 0, 0]
 
 
 def test_initiate_variances_scale_with_height(kf):
     _, cov40 = kf.initiate([0, 0, 1.0, 40])
     _, cov80 = kf.initiate([0, 0, 1.0, 80])
     for idx in (0, 1, 3):  # cx, cy, h variances scale with h^2
-        assert cov80[idx, idx] == pytest.approx(4 * cov40[idx, idx])
+        assert cov80[0, idx] == pytest.approx(4 * cov40[0, idx])
+        assert cov80[2, idx] == pytest.approx(4 * cov40[2, idx])
 
 
 @pytest.mark.parametrize("measurement", [[0, 0, -1, 40], [0, 0, 1, 0], [0, 0, 0.5, -3]])
@@ -75,12 +80,12 @@ def test_initiate_rejects_bad_measurement(kf, measurement):
 def test_stacked_initiate_rows_equal_single_calls_and_the_literal_oracle(rows):
     kf = KalmanModel()
     means, covariances = kf.initiate(np.array(rows))
-    assert means.shape == (len(rows), 8) and covariances.shape == (len(rows), 8, 8)
+    assert means.shape == (len(rows), 8) and covariances.shape == (len(rows), 3, 4)
     for i, row in enumerate(rows):
         mean, covariance = kf.initiate(row)
         want_mean, want_covariance = initiate_oracle(row)
         for got, want in ((means[i], mean), (covariances[i], covariance),
-                          (mean, want_mean), (covariance, want_covariance)):
+                          (mean, want_mean), (dense(covariance), want_covariance)):
             assert got.tobytes() == want.tobytes()
 
 
@@ -102,7 +107,7 @@ def test_predict_covariance_matches_oracle(kf):
         got_mean, got_cov = kf.predict(mean, cov)
         want_mean, want_cov = textbook_predict(kf, mean, cov)
         assert np.allclose(got_mean, want_mean, atol=1e-9)
-        assert np.allclose(got_cov, want_cov, atol=1e-9)
+        assert np.allclose(dense(got_cov), want_cov, atol=1e-9)
 
 
 def test_update_with_projected_mean_is_noop_on_position(kf):
@@ -117,7 +122,7 @@ def test_update_contracts_uncertainty(kf):
     for _ in range(20):
         mean, cov = random_state(rng)
         _, new_cov = kf.update(mean, cov, mean[:4] + rng.normal(0, 1, 4))
-        assert np.trace(new_cov) <= np.trace(cov) + 1e-9
+        assert np.trace(dense(new_cov)) <= np.trace(dense(cov)) + 1e-9
 
 
 def test_update_matches_oracle(kf):
@@ -130,7 +135,7 @@ def test_update_matches_oracle(kf):
         got_mean, got_cov = kf.update(mean, cov, z)
         want_mean, want_cov = textbook_update(kf, mean, cov, z)
         assert np.allclose(got_mean, want_mean, atol=1e-9)
-        assert np.allclose(got_cov, want_cov, atol=1e-9)
+        assert np.allclose(dense(got_cov), want_cov, atol=1e-9)
 
 
 def test_gating_distance_zero_at_projected_mean(kf):
@@ -155,7 +160,9 @@ def test_gating_distance_matches_solve_oracle(kf):
         mean, cov = random_state(rng)
         measurements = rng.normal(0, 50, (4, 4))
         got = kf.gating_distance(mean, cov, measurements)
-        proj_mean, proj_cov = kf.project(mean, cov)
+        h_mat, wp, h = np.eye(4, 8), 1 / 20, mean[3]
+        r = np.diag(np.square([wp * h, wp * h, 1e-1, wp * h]))
+        proj_mean, proj_cov = h_mat @ mean, h_mat @ dense(cov) @ h_mat.T + r
         for row, z in zip(got, measurements):
             d = z - proj_mean
             want = d @ np.linalg.solve(proj_cov, d)
@@ -187,14 +194,23 @@ def test_stacked_calls_equal_row_by_row_calls(n, m, seed):
 
 
 def test_non_positive_definite_covariance_raises_numerical_error(kf):
-    # The projected covariance is negative definite, so both steps fail in
-    # the shared Cholesky factorization.
-    mean, _ = kf.initiate([10, 20, 0.5, 40])
-    covariance = -1e6 * np.eye(8)
-    with pytest.raises(NumericalError):
-        kf.update(mean, covariance, mean[:4])
-    with pytest.raises(NumericalError):
-        kf.gating_distance(mean, covariance, [mean[:4]])
+    # A negative or NaN position variance makes that innovation variance
+    # negative or NaN, so both steps fail in their shared check, for one
+    # state and for a stack that holds it. (The dense filter's Cholesky
+    # factorization let a NaN through.)
+    for variance in (-1e6, np.nan):
+        mean, covariance = kf.initiate([10, 20, 0.5, 40])
+        covariance[0, 1] = variance
+        with pytest.raises(NumericalError, match="innovation variance is not positive"):
+            kf.update(mean, covariance, mean[:4])
+        with pytest.raises(NumericalError):
+            kf.gating_distance(mean, covariance, [mean[:4]])
+        means, covariances = kf.initiate([[10, 20, 0.5, 40]] * 3)
+        covariances[1] = covariance
+        with pytest.raises(NumericalError):
+            kf.update(means, covariances, means[:, :4])
+        with pytest.raises(NumericalError):
+            kf.gating_distance(means, covariances, means[:, :4])
 
 
 def test_gate_threshold_constant():
@@ -210,8 +226,7 @@ def test_long_run_stays_symmetric_psd(kf):
         z[2] = max(z[2], 0.1)
         z[3] = max(z[3], 1.0)
         mean, cov = kf.update(mean, cov, z)
-        assert np.abs(cov - cov.T).max() < 1e-9
-    assert np.linalg.eigvalsh(cov).min() >= -1e-9
+        assert np.linalg.eigvalsh(dense(cov)).min() >= -1e-9
 
 
 def test_noiseless_tracking_error_shrinks(kf):
@@ -232,24 +247,59 @@ def test_noiseless_tracking_error_shrinks(kf):
     assert all(b <= a + 1e-9 for a, b in zip(errors[1:], errors[2:]))
 
 
-NOISE_WEIGHTS = {
-    "initial": (kalman._INITIAL_RELATIVE, kalman._STATE_FIXED),
-    "motion": (kalman._MOTION_RELATIVE, kalman._STATE_FIXED),
-    "innovation": (kalman._INNOVATION_RELATIVE, kalman._INNOVATION_FIXED),
-}
+@st.composite
+def block_states(draw):
+    """A stack of 1 to 30 states with heights in [1e-3, 1e5], a random
+    positive definite 2x2 block per coordinate (scaled by the height, or
+    by 1 for the aspect) and measurements near each state."""
+    heights = np.array(draw(st.lists(st.floats(1e-3, 1e5), min_size=1, max_size=30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = len(heights)
+    scale = np.where(np.arange(4) == 2, 1.0, heights[:, None])
+    mean = np.concatenate([rng.normal(0, 1, (n, 4)), rng.normal(0, 0.1, (n, 4))], axis=1)
+    mean *= np.tile(scale, 2)
+    mean[:, 2] = rng.uniform(0.1, 3.0, n)
+    mean[:, 3] = heights
+    # Lower-triangular factors with positive diagonals, so a a^T is
+    # positive definite.
+    diagonal = np.exp(rng.uniform(-3, 1, (2, n, 4))) * scale
+    lower = rng.normal(0, 1, (n, 4)) * scale
+    covariance = np.stack([diagonal[0] ** 2, diagonal[0] * lower,
+                           lower ** 2 + diagonal[1] ** 2], axis=1)
+    measurement = mean[:, :4] + rng.normal(0, 1, (n, 4)) * scale
+    return mean, covariance, measurement
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.sampled_from(sorted(NOISE_WEIGHTS)), st.sampled_from([(), (1,), (3,), (30,)]),
-       st.data())
-def test_diagonal_noise_rows_are_each_heights_diagonal(kind, shape, data):
-    relative, fixed = NOISE_WEIGHTS[kind]
-    heights = data.draw(st.lists(st.floats(1e-3, 1e6), min_size=int(np.prod(shape)),
-                                 max_size=int(np.prod(shape))))
-    height = np.array(heights).reshape(shape)
-    covariance = kalman._diagonal_noise(height, relative, fixed)
-    k = len(relative)
-    assert covariance.shape == shape + (k, k)
-    for index in np.ndindex(shape):
-        want = np.diag(np.square(height[index] * relative + fixed))
-        assert covariance[index].tobytes() == want.tobytes()
+@settings(deadline=None, max_examples=300)
+@given(block_states())
+def test_block_filter_equals_the_dense_oracle_bit_for_bit(state):
+    # The dense filter through matmuls, Cholesky and solves rounds each
+    # entry once, as the block formulas do; and it keeps every off-block
+    # entry an exact +0.0, so its output is the expansion of a block.
+    mean, covariance, measurement = state
+    kf = KalmanModel()
+    for got, want in ((kf.predict(mean, covariance),
+                       dense_kalman_oracle.predict(mean, dense(covariance))),
+                      (kf.update(mean, covariance, measurement),
+                       dense_kalman_oracle.update(mean, dense(covariance), measurement))):
+        assert got[0].tobytes() == want[0].tobytes()
+        assert dense(got[1]).tobytes() == want[1].tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(block_states(), st.integers(1, 8), st.data())
+def test_gate_entries_depend_only_on_their_own_pair(state, m, data):
+    mean, covariance, _ = state
+    rng = np.random.default_rng(m)
+    rows = rng.integers(0, len(mean), m)
+    measurements = mean[rows, :4] + rng.normal(0, 3, (m, 4)) * mean[rows, 3:4]
+    kf = KalmanModel()
+    gate = kf.gating_distance(mean, covariance, measurements)
+    assert gate.shape == (len(mean), m)
+    for i in range(len(mean)):
+        for j in range(m):
+            single = kf.gating_distance(mean[i], covariance[i], measurements[j])
+            assert single.tobytes() == gate[i, j:j + 1].tobytes()
+    subset = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    assert (kf.gating_distance(mean, covariance, measurements[subset]).tobytes()
+            == gate[:, subset].tobytes())

@@ -249,6 +249,32 @@ def test_meta_round_trip(tmp_path):
     assert parse_meta(path) == meta
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.text(st.characters(exclude_categories=["Cs"]), max_size=12))
+@example("a # b")
+@example(" a")
+@example("a\t")
+@example("a\nb")
+@example("a\rb")
+@example("a\x1cb")
+@example("")
+@example("a = b")
+def test_meta_name_reads_back_or_is_refused(tmp_path_factory, name):
+    # A name that would not read back raises before meta.txt is opened; a
+    # printable one without '#' or surrounding spaces is written.
+    meta = SequenceMeta(name=name, frame_count=3, width=64.0, height=48.0,
+                        embedding_dim=2)
+    path = tmp_path_factory.mktemp("meta") / "meta.txt"
+    try:
+        write_meta(meta, path)
+    except ValueError as exc:
+        assert repr(name) in str(exc)
+        assert not path.exists()
+        assert "#" in name or name != name.strip() or not name.isprintable()
+    else:
+        assert parse_meta(path) == meta
+
+
 def test_meta_errors(tmp_path):
     missing = write(tmp_path / "a.txt", "name = x\nframe_count = 3\n")
     with pytest.raises(ParseError, match="missing keys.*'width'"):
@@ -424,7 +450,9 @@ def corrupt(draw, rows, kind, frame_count):
     elif kind == "zero norm":
         row[7:] = [draw(st.sampled_from(["0", "-0.0", "0e5"])) for _ in row[7:]]
     elif kind == "box":
-        row[draw(st.integers(4, 5))] = draw(st.sampled_from(["0", "-5", "-0.0"]))
+        # A gt row cut to 5 fields by an earlier "field count" has no height.
+        field = draw(st.integers(4, min(5, len(row) - 1)))
+        row[field] = draw(st.sampled_from(["0", "-5", "-0.0"]))
     elif kind == "aspect":
         row[2:6] = draw(st.sampled_from([["10", "10", "1e-200", "1e200"],
                                          ["1.5e308", "10", "1e308", "5"]]))

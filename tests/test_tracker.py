@@ -317,7 +317,8 @@ def test_track_with_non_physical_prediction_is_deleted():
 
 # ------------------------------------------------ numerical failures
 
-BROKEN_COVARIANCE = -1e6 * np.eye(8)  # its projection is negative definite
+# A negative position variance; its innovation variances are negative.
+BROKEN_COVARIANCE = np.array([[-1e6] * 4, [0.0] * 4, [1.0] * 4])
 
 
 def tracker_holding(config, *specs):
