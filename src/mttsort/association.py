@@ -31,6 +31,11 @@ class FeatureBuffer:
     average-pooled vector over the window is what enters association; it
     is kept until the next `push` or `clear`, which is why entries and the
     pooled vector are read-only arrays.
+
+    `pool` refreshes the pooled vectors of many buffers at once: a frame's
+    stale buffers (those pushed since their last pooling) are pooled
+    together, one stack per entry count, and `pooled` is the one-buffer
+    call of the same code.
     """
 
     def __init__(self, capacity: int):
@@ -71,20 +76,41 @@ class FeatureBuffer:
         vector.
         """
         if self._pooled is None:
-            if not self._entries:
-                raise ValueError("cannot pool an empty feature buffer")
-            # np.mean's and np.linalg.norm's own arithmetic (one reduction
-            # over the stacked entries, then one division; the root of the
-            # dot product), without their dispatch.
-            entries = self._entries
-            mean = np.add.reduce(np.array(entries), axis=0) / len(entries)
-            norm = np.sqrt(mean.dot(mean))
-            if norm < 1e-9:
-                self._pooled = self._entries[-1]
-            else:
-                self._pooled = mean / norm
-                self._pooled.flags.writeable = False
+            FeatureBuffer.pool([self])
         return self._pooled
+
+    @staticmethod
+    def pool(buffers) -> list[np.ndarray]:
+        """The `pooled` vector of each of `buffers`, in order.
+
+        The stale buffers are pooled together, one (k, L, D) stack for the
+        k buffers holding L entries, so nothing is zero-padded. Each mean is
+        `np.add.reduce` down the stack's entry axis divided by L, which adds
+        a buffer's entries oldest first, as a sum over the buffer alone
+        does. Its norm is the root of one BLAS dot of the mean with itself,
+        which a stacked (1, D) @ (D, 1) matmul makes per row. So a buffer
+        pools to the same bits whichever buffers share the call. A mean
+        whose norm is below 1e-9 gives the buffer's newest entry, and every
+        vector is read-only.
+        """
+        stale: dict[int, list] = {}
+        for buffer in buffers:
+            if buffer._pooled is None:
+                if not buffer._entries:
+                    raise ValueError("cannot pool an empty feature buffer")
+                stale.setdefault(len(buffer._entries), []).append(buffer)
+        for count, group in stale.items():
+            mean = np.add.reduce(np.array([b._entries for b in group]), axis=1) / count
+            norms = np.sqrt(np.matmul(mean[:, None, :], mean[:, :, None])[:, 0])
+            newest = [norm < 1e-9 for norm in norms[:, 0].tolist()]
+            if True in newest:
+                # These rows take their newest entry below.
+                norms[norms < 1e-9] = 1.0
+            mean /= norms
+            mean.flags.writeable = False
+            for buffer, row, fallback in zip(group, mean, newest):
+                buffer._pooled = buffer._entries[-1] if fallback else row
+        return [buffer._pooled for buffer in buffers]
 
     def clear(self) -> None:
         self._entries.clear()
@@ -116,13 +142,18 @@ def appearance_cost(tracks, detections, kalman, max_dist: float) -> np.ndarray:
     Entries above `max_dist` or failing the Mahalanobis gate are
     INFEASIBLE. The gate runs once over the stacked track states, so a
     track whose innovation variance is not positive raises NumericalError.
+
+    Each entry depends only on its own pair. numpy's matmul makes one BLAS
+    dot for each (1, D) @ (D, 1) item of the stacked product below, so a
+    cosine is the same bits whichever other rows share the call; so is a
+    gate distance, which is elementwise.
     """
     if not len(tracks) or not len(detections):
         return np.zeros((len(tracks), len(detections)))
-    pooled = np.array([track.features.pooled() for track in tracks.tracks])
-    # One matrix-vector product per track, as `embeddings @ pooled` does;
-    # `pooled @ embeddings.T` and einsum round differently.
-    similarity = np.matmul(detections.embeddings[None], pooled[:, :, None])[..., 0]
+    pooled = np.array(FeatureBuffer.pool([track.features for track in tracks.tracks]))
+    # One BLAS dot per pair: a stacked (1, D) @ (D, 1) matmul.
+    similarity = np.matmul(detections.embeddings[None, :, None, :],
+                           pooled[:, None, :, None])[..., 0, 0]
     cost = np.clip(1.0 - similarity, 0.0, 2.0)
     gate = kalman.gating_distance(tracks.mean, tracks.covariance,
                                   detections.measurements)
@@ -286,33 +317,46 @@ def matching_cascade(tracks, detections, config, kalman):
 
     `tracks` is a track stack and `detections` a frame's detection
     columns. One gated cost matrix covers every track whose time since
-    update is within 1..max_age. The depths present are then visited in
-    ascending order; at each, the tracks last updated that many frames ago
-    compete, on their rows of that matrix, for the detections still
-    unmatched. A depth whose block has no feasible entry is skipped
-    without a solve. All `tracks` must be confirmed.
+    update is within 1..max_age. Only the depths holding a row with a
+    feasible entry are visited, in ascending order; at each, the tracks
+    last updated that many frames ago compete, on their rows of that
+    matrix, for the detections still unmatched. A depth whose block has no
+    feasible entry left is skipped without a solve; the first depth
+    visited always has one, since every detection is still unmatched. All
+    `tracks` must be confirmed.
 
     Returns ``(matches, unmatched_tracks, unmatched_detections)`` with
     row indices into `tracks` and `detections`.
     """
-    unmatched_dets = list(range(len(detections)))
+    n_dets = len(detections)
+    unmatched_dets = list(range(n_dets))
     matches: list[tuple[int, int]] = []
     candidates = [i for i, t in enumerate(tracks.tracks)
                   if 1 <= t.time_since_update <= config.max_age]
     if candidates and unmatched_dets:
         full = appearance_cost(tracks.take(candidates), detections, kalman,
                                config.max_dist)
+        live = np.isfinite(full).any(axis=1).tolist()
         levels: dict[int, list[int]] = {}
+        live_depths = set()
         for row, i in enumerate(candidates):
-            levels.setdefault(tracks.tracks[i].time_since_update, []).append(row)
-        for depth in sorted(levels):
+            depth = tracks.tracks[i].time_since_update
+            levels.setdefault(depth, []).append(row)
+            if live[row]:
+                live_depths.add(depth)
+        for depth in sorted(live_depths):
             if not unmatched_dets:
                 break
             level = levels[depth]
-            block = full[level][:, unmatched_dets]
-            # A block with no feasible entry matches nothing.
-            if not np.isfinite(block).any():
-                continue
+            if len(unmatched_dets) == n_dets:
+                # The first depth visited: its live row has a feasible
+                # entry among all the detections.
+                block = full if len(level) == len(candidates) else full[level]
+            else:
+                block = full[level][:, unmatched_dets]
+                # A block with no feasible entry matches nothing.
+                if not np.isfinite(block).any():
+                    continue
             level_matches, _, level_unmatched = solve_assignment(block)
             matches.extend((candidates[level[r]], unmatched_dets[c])
                            for r, c in level_matches)

@@ -23,7 +23,11 @@ class ConfigError(DataError):
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned pixel-space box in (left, top, width, height) form."""
+    """Axis-aligned pixel-space box in (left, top, width, height) form.
+
+    Every field is finite, both sides are positive, the area width * height
+    is a positive finite number, and the right and bottom edges are finite.
+    """
 
     left: float
     top: float
@@ -31,18 +35,33 @@ class BoundingBox:
     height: float
 
     def __post_init__(self):
+        width, height = self.width, self.height
         isfinite = math.isfinite
-        if not (isfinite(self.left) and isfinite(self.top)
-                and isfinite(self.width) and isfinite(self.height)):
+        # A positive width with a positive finite area makes both sides
+        # positive and finite, and a finite edge then makes its origin
+        # finite: this test passes exactly the boxes the checks below do.
+        if (width > 0 and 0 < width * height < math.inf
+                and isfinite(self.left + width) and isfinite(self.top + height)):
+            return
+        left, top = self.left, self.top
+        if not (isfinite(left) and isfinite(top) and isfinite(width)
+                and isfinite(height)):
             raise ValueError(
-                f"box fields must be finite, got ({self.left}, {self.top}, "
-                f"{self.width}, {self.height})"
+                f"box fields must be finite, got ({left}, {top}, {width}, {height})"
             )
-        if not (self.width > 0 and self.height > 0):
+        if not (width > 0 and height > 0):
             raise ValueError(
-                f"box width and height must be positive, got "
-                f"({self.width}, {self.height})"
+                f"box width and height must be positive, got ({width}, {height})"
             )
+        if not 0 < width * height < math.inf:
+            raise ValueError(
+                f"box area width * height must be positive and finite, got "
+                f"{width} * {height} = {width * height}"
+            )
+        raise ValueError(
+            f"box right and bottom edges must be finite, got "
+            f"({left + width}, {top + height})"
+        )
 
     @property
     def right(self) -> float:
@@ -126,8 +145,10 @@ def ltwh_from_centers(centers: np.ndarray) -> np.ndarray:
     """The (left, top, width, height) rows that `BoundingBox.from_center`
     makes of (cx, cy, aspect, height) rows.
 
-    A row that makes no valid box raises BoundingBox's own ValueError;
-    with several, the first such row does.
+    A row with a field that is not finite or a side that is not positive
+    raises BoundingBox's own ValueError; with several, the first such row
+    does. A row whose area or edge underflows or overflows passes here,
+    and building its BoundingBox raises.
     """
     ltwh = np.empty((len(centers), 4))
     # A state far out of range makes an infinite or NaN field, which the

@@ -110,7 +110,14 @@ def _frames_ok(frames: list[int], frame_count: int | None) -> bool:
 
 def _boxes_ok(ltwh: np.ndarray) -> bool:
     """Whether every (left, top, width, height) row makes a BoundingBox."""
-    return bool(np.isfinite(ltwh).all() and (ltwh[:, 2:] > 0).all())
+    if not (np.isfinite(ltwh).all() and (ltwh[:, 2:] > 0).all()):
+        return False
+    # Finite positive sides can still make an area that underflows to 0
+    # or overflows to inf, and an edge that overflows.
+    with np.errstate(over="ignore"):
+        area = ltwh[:, 2] * ltwh[:, 3]
+        edges = ltwh[:, :2] + ltwh[:, 2:]
+    return bool((area > 0).all() and (area < np.inf).all() and np.isfinite(edges).all())
 
 
 def _confidences_ok(confidence: np.ndarray) -> bool:

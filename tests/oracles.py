@@ -329,6 +329,18 @@ def preprocess_oracle(detections, config):
     return [candidates[k] for k in kept]
 
 
+def pooled_oracle(entries):
+    """The pooled vector of a feature buffer holding `entries`, oldest
+    first, computed for that buffer alone: the mean of the stacked entries
+    (one reduction, then one division), divided by the root of its dot
+    product with itself; the newest entry when that norm is below 1e-9."""
+    mean = np.add.reduce(np.array(entries), axis=0) / len(entries)
+    norm = np.sqrt(mean.dot(mean))
+    if norm < 1e-9:
+        return entries[-1]
+    return mean / norm
+
+
 def cascade_oracle(tracks, detections, config, kalman):
     """The matching cascade as a loop over the depths 1..max_age, on a
     track stack and a frame's detection columns.

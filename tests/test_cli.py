@@ -226,6 +226,38 @@ def test_track_then_evaluate_a_box_below_the_written_precision(tmp_path, capsys)
     assert "hota = " in capsys.readouterr().out
 
 
+def test_track_rejects_a_detection_box_without_an_area(tmp_path, capsys):
+    # 5e-324 * 0.25 underflows to 0. Accepted, such boxes make NaN IoU
+    # costs, which never match: this stream would track to an empty result
+    # file with only a numpy warning.
+    seq, pred = tmp_path / "flat", tmp_path / "pred.txt"
+    seq.mkdir()
+    (seq / "meta.txt").write_text(
+        "name = flat\nframe_count = 4\nwidth = 64\nheight = 48\nembedding_dim = 2\n")
+    (seq / "det.txt").write_text(
+        "".join(f"{f},-1,10,10,5e-324,0.25,0.9,1,0\n" for f in range(1, 5)))
+    assert cli(["track", "--seq", str(seq), "--preset", "config1", "--out", str(pred)]) == 2
+    assert (f"{seq / 'det.txt'}:1: box area width * height must be positive and finite"
+            in capsys.readouterr().err)
+    assert not pred.exists()
+
+
+@pytest.mark.parametrize("where", ["gt", "pred"])
+def test_evaluate_rejects_a_box_without_an_area(seq_dir, tmp_path, capsys, where):
+    # 1e300 * 1e300 overflows to inf. Accepted, such a box has IoU inf/inf,
+    # NaN, with itself, and a prediction equal to its GT box would score
+    # MOTA -1 and HOTA 0.
+    pred = tmp_path / "pred.txt"
+    assert cli(["track", "--seq", str(seq_dir), "--preset", "config1",
+                "--out", str(pred)]) == 0
+    bad = seq_dir / "gt.txt" if where == "gt" else pred
+    tail = ",0.9,-1,-1,-1" if where == "pred" else ""
+    bad.write_text(f"1,1,0,0,5,5{tail}\n2,7,0,0,1e300,1e300{tail}\n")
+    assert cli(["evaluate", "--seq", str(seq_dir), "--pred", str(pred)]) == 2
+    assert (f"{bad}:2: box area width * height must be positive and finite"
+            in capsys.readouterr().err)
+
+
 def test_synth_of_a_tiny_arena_then_track(tmp_path):
     # Boxes a few thousandths of a pixel wide are written as 0.01 px.
     spec, seq = tmp_path / "tiny.txt", tmp_path / "tiny"

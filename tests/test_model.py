@@ -34,7 +34,8 @@ def test_center_form_round_trip(left, top, width, height):
         [left, top, width, height], rtol=1e-9, atol=1e-9)
 
 
-@pytest.mark.parametrize("width,height", [(0, 5), (5, 0), (-1, 5), (5, -2)])
+@pytest.mark.parametrize("width,height", [(0, 5), (5, 0), (-1, 5), (5, -2),
+                                          (5e-324, 0.25), (1e300, 1e300)])
 def test_degenerate_boxes_rejected(width, height):
     with pytest.raises(ValueError):
         BoundingBox(0, 0, width, height)
@@ -42,6 +43,7 @@ def test_degenerate_boxes_rejected(width, height):
 
 @pytest.mark.parametrize("fields", [
     (math.nan, 0, 4, 4), (0, -math.inf, 4, 4), (0, 0, math.inf, 4), (0, 0, 4, math.nan),
+    (1e308, 0, 1e308, 1), (0, 1e308, 1, 1e308),
 ])
 def test_non_finite_boxes_rejected(fields):
     with pytest.raises(ValueError, match="finite"):

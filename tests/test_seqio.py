@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -108,11 +109,18 @@ def test_non_finite_detection_fields_name_file_and_line(tmp_path, row):
         parse_detections(path, expected_dim=2, frame_count=3)
 
 
-@pytest.mark.parametrize("box", ["10,10,1e-200,1e200", "1.5e308,10,1e308,5"])
-def test_detection_without_a_finite_center_form_names_file_and_line(tmp_path, box):
-    # Valid boxes whose aspect underflows to 0 or whose center overflows.
+@pytest.mark.parametrize("box,message", [
+    pytest.param("10,10,1e-200,1e200", "aspect", id="10,10,1e-200,1e200"),
+    pytest.param("1.5e308,10,1e308,5", "area", id="1.5e308,10,1e308,5"),
+    pytest.param("1.5e308,10,1e308,1e-10", "edges", id="1.5e308,10,1e308,1e-10"),
+])
+def test_detection_without_a_finite_center_form_names_file_and_line(tmp_path, box, message):
+    # A valid box whose aspect underflows to 0, then boxes whose center
+    # overflows. The center lies between the left and right edges, so the
+    # right edge overflows too, and BoundingBox rejects such a box: for its
+    # area (1e308 * 5) or, with a finite area, for its edge.
     path = write(tmp_path / "det.txt", f"1,-1,10,20,30,40,0.9,1,0\n1,-1,{box},0.9,1,0\n")
-    with pytest.raises(ParseError, match=re.escape(f"{path}:2:") + ".*aspect"):
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2:") + ".*" + message):
         parse_detections(path, expected_dim=2, frame_count=3)
 
 
@@ -430,6 +438,21 @@ NOT_NUMBERS = ["x", "1_0", "١", "", "0x10", "1.0.0", "--1", "1e"]
 
 
 @st.composite
+def sides_without_an_area(draw):
+    """Two positive finite sides whose product underflows to 0 (each at
+    most 2**-7, the product at most 2**-1080) or overflows to inf (at
+    least 2**1025)."""
+    mantissas = st.floats(0.5, 1.0, exclude_max=True)
+    if draw(st.booleans()):
+        first = draw(st.integers(-1073, -7))
+        second = draw(st.integers(-1073, -1080 - first))
+    else:
+        first = draw(st.integers(3, 1024))
+        second = draw(st.integers(1027 - first, 1024))
+    return math.ldexp(draw(mantissas), first), math.ldexp(draw(mantissas), second)
+
+
+@st.composite
 def corrupt(draw, rows, kind, frame_count):
     """`rows` with one row spoilt as `kind` says; the row keeps its place."""
     i = draw(st.integers(0, len(rows) - 1))
@@ -453,6 +476,8 @@ def corrupt(draw, rows, kind, frame_count):
         # A gt row cut to 5 fields by an earlier "field count" has no height.
         field = draw(st.integers(4, min(5, len(row) - 1)))
         row[field] = draw(st.sampled_from(["0", "-5", "-0.0"]))
+    elif kind == "area":
+        row[4:6] = [draw(float_text(v)) for v in draw(sides_without_an_area())]
     elif kind == "aspect":
         row[2:6] = draw(st.sampled_from([["10", "10", "1e-200", "1e200"],
                                          ["1.5e308", "10", "1e308", "5"]]))
@@ -489,9 +514,9 @@ def spoilt_rows(draw, rows, kinds, frame_count):
 
 
 DETECTION_FAULTS = ["field count", "not a number", "not an integer", "frame", "sentinel",
-                    "non-finite", "zero norm", "box", "aspect", "confidence"]
+                    "non-finite", "zero norm", "box", "area", "aspect", "confidence"]
 GT_FAULTS = ["field count", "not a number", "not an integer", "frame", "non-finite",
-             "box", "aspect", "duplicate"]
+             "box", "area", "aspect", "duplicate"]
 RESULT_FAULTS = GT_FAULTS + ["confidence", "tail"]
 
 
@@ -531,6 +556,29 @@ def test_results_parse_as_the_row_by_row_oracle_does(scratch, data, frame_count,
     path.write_bytes(data.draw(file_text(rows)).encode())
     limit = frame_count if bounded else None
     assert outcome(parse_results, path, limit) == outcome(parse_results_oracle, path, limit)
+
+
+GOOD_ROWS = {"det": "1,-1,10,20,30,40,0.9,1,0", "gt": "1,{},10,20,30,40",
+             "result": "1,{},10,20,30,40,0.9,-1,-1,-1"}
+PARSERS = {"det": lambda path: parse_detections(path, 2, 1), "gt": lambda path: parse_gt(path, 1),
+           "result": lambda path: parse_results(path, 1)}
+
+
+@settings(deadline=None, max_examples=150)
+@given(kind=st.sampled_from(sorted(GOOD_ROWS)), sides=sides_without_an_area(),
+       n_rows=st.integers(1, 4), bad=st.integers(0, 3))
+@example(kind="det", sides=(5e-324, 0.25), n_rows=2, bad=1)
+@example(kind="result", sides=(1e300, 1e300), n_rows=1, bad=0)
+def test_a_box_without_an_area_is_rejected_at_its_line(scratch, kind, sides, n_rows, bad):
+    # Such rows would make IoU 0/0 or inf/inf, which is NaN.
+    bad = min(bad, n_rows - 1)
+    rows = [GOOD_ROWS[kind].format(k + 1).split(",") for k in range(n_rows)]
+    rows[bad][4:6] = map(repr, sides)
+    path = scratch / f"{kind}.txt"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(ParseError, match=re.escape(
+            f"{path}:{bad + 1}: box area width * height must be positive and finite")):
+        PARSERS[kind](path)
 
 
 @settings(deadline=None, max_examples=300)
