@@ -29,8 +29,8 @@ class FeatureBuffer:
     Pushing onto a full buffer evicts the oldest entry, so the buffer acts
     as a temporal sliding window over the object's appearance. The
     average-pooled vector over the window is what enters association; it
-    is kept until the next `push` or `clear`, which is why entries and the
-    pooled vector are read-only arrays.
+    is kept until the next `push`, which is why entries and the pooled
+    vector are read-only arrays.
 
     `pool` refreshes the pooled vectors of many buffers at once: a frame's
     stale buffers (those pushed since their last pooling) are pooled
@@ -111,10 +111,6 @@ class FeatureBuffer:
             for buffer, row, fallback in zip(group, mean, newest):
                 buffer._pooled = buffer._entries[-1] if fallback else row
         return [buffer._pooled for buffer in buffers]
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._pooled = None
 
 
 def iou_columns(a, b) -> np.ndarray:

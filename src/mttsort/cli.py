@@ -67,11 +67,16 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    sequence = seqio.load_sequence(args.seq)
+def _load_with_gt(directory, why: str) -> seqio.Sequence:
+    sequence = seqio.load_sequence(directory)
     if not sequence.gt:
         raise seqio.ParseError(
-            f"{args.seq}: no ground-truth boxes in {seqio.GT_FILE}; cannot evaluate")
+            f"{directory}: no ground-truth boxes in {seqio.GT_FILE}; {why}")
+    return sequence
+
+
+def _cmd_evaluate(args) -> int:
+    sequence = _load_with_gt(args.seq, "cannot evaluate")
     predictions = metrics.results_to_entries(
         seqio.parse_results(args.pred, sequence.frame_count))
     report = metrics.evaluate(sequence.gt, predictions)
@@ -84,14 +89,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    sequences = []
-    for directory in args.seqs:
-        sequence = seqio.load_sequence(directory)
-        if not sequence.gt:
-            raise seqio.ParseError(
-                f"{directory}: no ground-truth boxes in {seqio.GT_FILE}; "
-                f"optimization needs ground truth")
-        sequences.append(sequence)
+    sequences = [_load_with_gt(directory, "optimization needs ground truth")
+                 for directory in args.seqs]
     ga_config = ga.load_ga_config(args.ga_config)
     best, best_score, history = ga.run_ga(
         ga.DEFAULT_GENE_SPECS, ga_config, sequences)

@@ -234,11 +234,11 @@ def _sorted_columns(detections) -> tuple[np.ndarray, FrameDetections]:
 
 
 class TrackState(enum.Enum):
-    """Track lifecycle. Tentative -> Confirmed -> Deleted; Deleted is terminal."""
+    """Track lifecycle: Tentative -> Confirmed. An ended track's row leaves
+    the tracker's stack, so no state marks it."""
 
     Tentative = 1
     Confirmed = 2
-    Deleted = 3
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Each frame: filter and NMS the detections, Kalman-predict all live tracks,
 match confirmed tracks by pooled appearance (cascade), match the remainder
-by IoU, update lifecycles, emit the confirmed tracks, drop the deleted
-ones and start new tracks.
+by IoU, update the matched tracks, emit the confirmed tracks, drop the
+rows that the keep rule ends and start new tracks.
 
 A frame's detections arrive as columns (`FrameDetections`), and the
 tracker holds its live tracks as one `TrackStack` for its whole life:
@@ -28,7 +28,9 @@ from .model import (BoundingBox, FrameDetections, TrackerConfig, TrackState,
 @dataclass
 class Track:
     """One hypothesized trajectory's id, lifecycle counters and feature
-    buffer; its Kalman state is its row of the tracker's `TrackStack`."""
+    buffer; its Kalman state is its row of the tracker's `TrackStack`.
+    It is Tentative until `n_init` hits, and the tracker drops its row by
+    the keep rule of `Tracker._drop_deleted_and_initiate`."""
 
     track_id: int
     features: association.FeatureBuffer
@@ -46,17 +48,6 @@ class Track:
         self.last_confidence = float(detections.confidence[row])
         if self.state == TrackState.Tentative and self.hits >= n_init:
             self.state = TrackState.Confirmed
-
-    def mark_missed(self, max_age: int) -> None:
-        """Lifecycle step for a track that got no detection this frame."""
-        if self.state == TrackState.Tentative:
-            self._delete()
-        elif self.time_since_update > max_age:
-            self._delete()
-
-    def _delete(self) -> None:
-        self.state = TrackState.Deleted
-        self.features.clear()
 
 
 @dataclass(eq=False)
@@ -139,12 +130,8 @@ class Tracker:
 
         detections = preprocess(detections, self.config)
         self._predict()
-        matches, unmatched_track_idx, unmatched_det_idx = self._match(detections)
-
+        matches, unmatched_det_idx = self._match(detections)
         self._update(detections, matches)
-        for track_idx in unmatched_track_idx:
-            self.stack.tracks[track_idx].mark_missed(self.config.max_age)
-
         result = self._emit(frame)
         self._drop_deleted_and_initiate(detections, unmatched_det_idx)
         return result
@@ -210,28 +197,26 @@ class Tracker:
         iou_candidates = tentative + [
             confirmed[r] for r in cascade_unmatched
             if tracks[confirmed[r]].time_since_update == 1]
-        leftover = [confirmed[r] for r in cascade_unmatched
-                    if tracks[confirmed[r]].time_since_update != 1]
 
         cost = association.iou_cost(
             stack.take(iou_candidates), detections.take(unmatched_dets),
             self.config.max_iou_distance)
-        iou_matches, iou_unmatched_tracks, iou_unmatched_dets = \
-            association.solve_assignment(cost)
+        iou_matches, _, iou_unmatched_dets = association.solve_assignment(cost)
 
         matches += [(iou_candidates[r], unmatched_dets[c])
                     for r, c in iou_matches]
-        unmatched_tracks = sorted(
-            leftover + [iou_candidates[r] for r in iou_unmatched_tracks])
-        unmatched_dets = [unmatched_dets[c] for c in iou_unmatched_dets]
-        return sorted(matches), unmatched_tracks, unmatched_dets
+        return sorted(matches), [unmatched_dets[c] for c in iou_unmatched_dets]
 
     def _drop_deleted_and_initiate(self, detections: FrameDetections,
                                    births: list) -> None:
-        """End of frame: drop the deleted rows, then append one new track
-        per detection row of `births`, numbered in that order."""
-        stack = self.stack.take([i for i, t in enumerate(self.stack.tracks)
-                                 if t.state != TrackState.Deleted])
+        """End of frame: keep the rows matched this frame (`time_since_update`
+        0) and the Confirmed rows missed at most `max_age` frames, then append
+        one new track per detection row of `births`, numbered in that order."""
+        max_age = self.config.max_age
+        stack = self.stack.take([
+            i for i, t in enumerate(self.stack.tracks)
+            if t.time_since_update == 0
+            or (t.state == TrackState.Confirmed and t.time_since_update <= max_age)])
         if births:
             means, covariances = self.kalman.initiate(detections.measurements[births])
             size, tracks = self.config.feature_buffer_size, []

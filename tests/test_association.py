@@ -129,26 +129,21 @@ def test_pooled_invariant_to_buffer_order(order):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(1, 4), st.lists(st.one_of(
-    st.none(), st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]),
-                        min_size=3, max_size=3)), max_size=25))
-def test_pooled_cache_equals_fresh_pooling(capacity, ops):
-    # Each op is a push (a 3-vector; opposite pushes can cancel to the
-    # zero-mean fallback) or a clear (None). `pooled` is read twice after
-    # each op, and a pushed array is overwritten once pushed; the cached
-    # vector must equal a fresh buffer's bit for bit.
+@given(st.integers(1, 4), st.lists(
+    st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]), min_size=3, max_size=3),
+    max_size=25))
+def test_pooled_cache_equals_fresh_pooling(capacity, pushes):
+    # Each push is a 3-vector; opposite pushes can cancel to the zero-mean
+    # fallback. `pooled` is read twice after each push, and a pushed array
+    # is overwritten once pushed; the cached vector must equal a fresh
+    # buffer's bit for bit.
     fb = FeatureBuffer(capacity)
-    for op in ops:
-        if op is None:
-            fb.clear()
-        else:
-            feature = np.array(op)
-            fb.push(feature)
-            feature[:] = 7.0
-        if not len(fb):
-            with pytest.raises(ValueError):
-                fb.pooled()
-            continue
+    with pytest.raises(ValueError):
+        fb.pooled()
+    for push in pushes:
+        feature = np.array(push)
+        fb.push(feature)
+        feature[:] = 7.0
         fresh = FeatureBuffer(capacity)
         for entry in fb.entries:
             fresh.push(entry)
@@ -163,20 +158,18 @@ def test_pooled_cache_equals_fresh_pooling(capacity, ops):
 def mixed_buffers(draw):
     """Up to 10 buffers of one dimension D (4-128), capacity 1-7, each
     left by its own run of pushes, antipodal pushes (the newest entry
-    negated, so pairs cancel to the zero-mean fallback), clears and
-    poolings; a buffer pooled since its last push is cached, the others
-    are stale. None is empty."""
+    negated, so pairs cancel to the zero-mean fallback) and poolings; a
+    buffer pooled since its last push is cached, the others are stale.
+    None is empty."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     dim = draw(st.integers(4, 128))
     buffers = []
     for _ in range(draw(st.integers(0, 10))):
         buffer = FeatureBuffer(draw(st.integers(1, 7)))
-        ops = draw(st.lists(st.sampled_from(["push", "antipodal", "clear", "pool"]),
+        ops = draw(st.lists(st.sampled_from(["push", "antipodal", "pool"]),
                             max_size=12))
         for op in ops:
-            if op == "clear":
-                buffer.clear()
-            elif op == "pool":
+            if op == "pool":
                 if len(buffer):
                     buffer.pooled()
             elif op == "antipodal" and len(buffer):

@@ -148,9 +148,17 @@ def test_evaluate_rejects_result_frames_outside_the_sequence(seq_dir, tmp_path, 
     assert f"{pred}:2: frame 121 outside [1, 120]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["optimize", "evaluate"])
-def test_empty_ground_truth_exits_2(tmp_path, seq_dir, capsys, command):
-    (seq_dir / "gt.txt").write_text("")
+@pytest.mark.parametrize("command, gt", [
+    pytest.param("optimize", "empty", id="optimize"),
+    pytest.param("evaluate", "empty", id="evaluate"),
+    pytest.param("optimize", "missing", id="optimize-missing"),
+    pytest.param("evaluate", "missing", id="evaluate-missing"),
+])
+def test_empty_ground_truth_exits_2(tmp_path, seq_dir, capsys, command, gt):
+    if gt == "empty":
+        (seq_dir / "gt.txt").write_text("")
+    else:
+        (seq_dir / "gt.txt").unlink()
     pred, out = tmp_path / "p.txt", tmp_path / "best.cfg"
     assert cli(["track", "--seq", str(seq_dir), "--preset", "config1",
                 "--out", str(pred)]) == 0

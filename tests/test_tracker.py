@@ -219,22 +219,32 @@ def test_single_frame_gap_reports_predicted_box():
     assert not results[7].records
 
 
-def test_counters_and_deletion_rules():
-    config = TrackerConfig(n_init=2, max_age=3)
+@pytest.mark.parametrize("n_init, max_age", [(1, 1), (2, 3), (3, 2)])
+def test_counters_and_deletion_rules(n_init, max_age):
+    # A newborn is Tentative with 1 hit whatever n_init is, so a miss on its
+    # second frame removes it, and it confirms on its second hit at n_init 1.
+    config = TrackerConfig(n_init=n_init, max_age=max_age)
     tracker = Tracker(config)
     tracker.step(1, FrameDetections.of([det(1, 100, 100)]))
-    track = tracker.stack.tracks[0]
-    assert (track.hits, track.time_since_update) == (1, 0)
-    tracker.step(2, FrameDetections.of([det(2, 103, 100)]))
-    assert (track.hits, track.time_since_update) == (2, 0)
-    assert track.state == TrackState.Confirmed
-    for f in range(3, 6):
+    newborn = tracker.stack.tracks[0]
+    assert (newborn.state, newborn.hits) == (TrackState.Tentative, 1)
+    tracker.step(2, FrameDetections.of([]))
+    assert tracker.stack.tracks == []
+
+    tracker = Tracker(config)
+    confirmed_at = max(n_init, 2)
+    for f in range(1, confirmed_at + 1):
+        tracker.step(f, FrameDetections.of([det(f, 100 + 3 * (f - 1), 100)]))
+        [track] = tracker.stack.tracks
+        assert (track.hits, track.time_since_update) == (f, 0)
+        assert track.state == (TrackState.Confirmed if f == confirmed_at
+                               else TrackState.Tentative)
+    last_kept = confirmed_at + max_age
+    for f in range(confirmed_at + 1, last_kept + 1):
         tracker.step(f, FrameDetections.of([]))
-    assert track.time_since_update == 3
-    assert track.state == TrackState.Confirmed
-    tracker.step(6, FrameDetections.of([]))
-    assert track.state == TrackState.Deleted
-    assert len(track.features) == 0  # buffer cleared on termination
+    assert tracker.stack.tracks == [track]
+    assert (track.state, track.time_since_update) == (TrackState.Confirmed, max_age)
+    tracker.step(last_kept + 1, FrameDetections.of([]))
     assert tracker.stack.tracks == []
 
 
@@ -433,7 +443,7 @@ def test_run_sequence_never_raises_on_valid_streams(stream, n_init, max_age):
 @given(scaling_streams(), st.integers(1, 3), st.integers(1, 5))
 def test_stack_rows_stay_live_and_in_id_order(stream, n_init, max_age):
     # Records come out in stack order, so the stack must keep its rows in
-    # ascending track id with no deleted track left between frames.
+    # ascending track id, and only the rows that the keep rule keeps.
     tracker = Tracker(TrackerConfig(n_init=n_init, max_age=max_age))
     for columns in FrameDetections.stream(stream, 12):
         tracker.step(columns.frame, columns)
@@ -441,4 +451,7 @@ def test_stack_rows_stay_live_and_in_id_order(stream, n_init, max_age):
         ids = [t.track_id for t in stack.tracks]
         assert all(a < b for a, b in zip(ids, ids[1:]))
         assert len(stack.tracks) == len(stack.mean) == len(stack.covariance)
-        assert all(t.state != TrackState.Deleted for t in stack.tracks)
+        assert all(t.time_since_update == 0
+                   or (t.state == TrackState.Confirmed
+                       and 1 <= t.time_since_update <= max_age)
+                   for t in stack.tracks)
