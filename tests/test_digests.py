@@ -36,7 +36,16 @@ SCENE_DIGESTS = {
 }
 # Presets config2-config6 on two seed-0 presets: between them they run the
 # confidence prefix at min_confidence 0.3 and 0.7 and NMS at
-# nms_max_overlap 0.3 and 0.9, not only config1's 0.5 and 0.7.
+# nms_max_overlap 0.3 and 0.9, not only config1's 0.5 and 0.7. Two more
+# configs hold the lifecycle edges, which the presets (max_age 30 or 80,
+# n_init 3) never reach: at max_age 1 and n_init 1 a newborn confirms on
+# its second hit and a missed track lives one frame; at max_age 2 and
+# n_init 5 a track is tentative for four frames.
+EDGE_CONFIGS = {
+    "age1-init1": replace(PRESETS["config1"], max_age=1, n_init=1),
+    "age2-init5": replace(PRESETS["config1"], max_age=2, n_init=5),
+}
+CONFIGS = {**PRESETS, **EDGE_CONFIGS}
 CONFIG_DIGESTS = {
     ("crowded", "config2"): "3366f7baf84cfc549c621b17e074b0415e9b7fcdf42f682f920385e91dc4b366",
     ("crowded", "config3"): "b16e460f620dfbba587052aff189ce673da77095b9e6198249393e0822a955f0",
@@ -48,6 +57,10 @@ CONFIG_DIGESTS = {
     ("lookalike", "config4"): "b8f8e07a3948c9cb951590a2596332431f59d18e2a7289ae60b1de1ea23d4453",
     ("lookalike", "config5"): "d9837615073f23269c211463e1cd2d6b85ad144d5e7b7bacd7b67d12fb68f77e",
     ("lookalike", "config6"): "f64ffc1f98dec609da6e10b08d407c8f85ebbae99285d4927bcaa57c7be0e106",
+    ("crowded", "age1-init1"): "87d390d91e9de47b97c74fc840da87a34556a4d5190db15432a5ac950a7b7f39",
+    ("crowded", "age2-init5"): "20c16ba4fd282a38ba4980484bb8684d53a6adaed7b36383ab111bff54f11420",
+    ("lookalike", "age1-init1"): "beaa8b55cded98743c29282f0c0f195fd1f7fe939549208216e869e6e99a1220",
+    ("lookalike", "age2-init5"): "7834300c63f89275380c132218d7ce5cbf69ce7e4f58da8c71f00bcd19a5e13f",
 }
 GA_DIGEST = "a951ce105714bdf4676618bf7c4868cdb203b9185d24966bd71939427a61d7d7"
 GA_CONFIG = ga.GAConfig(population_size=6, max_generations=4, seed=0)
@@ -84,13 +97,14 @@ def test_file_pipeline_digest(scene, tmp_path):
     assert_digest(scene.name, got, SCENE_DIGESTS[scene.name])
 
 
-@pytest.mark.parametrize("scene_name, preset", sorted(CONFIG_DIGESTS),
+@pytest.mark.parametrize("scene_name, config_name", sorted(CONFIG_DIGESTS),
                          ids=lambda v: v)
-def test_preset_config_digest(scene_name, preset, tmp_path):
+def test_preset_config_digest(scene_name, config_name, tmp_path):
     scene = {s.name: s for s in workloads.scenes("presets", 0)}[scene_name]
-    scene = replace(scene, config=PRESETS[preset])
+    scene = replace(scene, config=CONFIGS[config_name])
     got = file_pipeline_digest(scene, tmp_path / scene_name)
-    assert_digest(f"{scene_name}/{preset}", got, CONFIG_DIGESTS[scene_name, preset])
+    assert_digest(f"{scene_name}/{config_name}", got,
+                  CONFIG_DIGESTS[scene_name, config_name])
 
 
 def test_small_ga_digest():
