@@ -9,7 +9,6 @@ from .model import (
     Detection,
     FrameDetections,
     TrackerConfig,
-    TrackState,
     load_preset,
     PRESETS,
 )
@@ -23,8 +22,7 @@ from .seqio import Sequence, load_sequence, write_results, parse_results
 
 __all__ = [
     "BoundingBox", "ConfigError", "DataError", "Detection", "FrameDetections",
-    "TrackerConfig", "TrackState",
-    "load_preset", "PRESETS",
+    "TrackerConfig", "load_preset", "PRESETS",
     "KalmanModel", "NumericalError", "CHI2_GATE_4DOF",
     "FeatureBuffer", "INFEASIBLE", "iou_columns", "solve_assignment",
     "FrameResult", "Track", "Tracker", "preprocess", "run_sequence",

@@ -312,14 +312,15 @@ def matching_cascade(tracks, detections, config, kalman):
     """Appearance matching that prioritizes recently updated tracks.
 
     `tracks` is a track stack and `detections` a frame's detection
-    columns. One gated cost matrix covers every track whose time since
-    update is within 1..max_age. Only the depths holding a row with a
-    feasible entry are visited, in ascending order; at each, the tracks
-    last updated that many frames ago compete, on their rows of that
-    matrix, for the detections still unmatched. A depth whose block has no
-    feasible entry left is skipped without a solve; the first depth
-    visited always has one, since every detection is still unmatched. All
-    `tracks` must be confirmed.
+    columns. Every row of `tracks` must be a confirmed track whose time
+    since update, its depth, is within 1..max_age, as the tracker's keep
+    rule leaves them after a predict. One gated cost matrix covers every
+    row. Only the depths holding a row with a feasible entry are visited,
+    in ascending order; at each, the tracks last updated that many frames
+    ago compete, on their rows of that matrix, for the detections still
+    unmatched. A depth whose block has no feasible entry left is skipped
+    without a solve; the first depth visited always has one, since every
+    detection is still unmatched.
 
     Returns ``(matches, unmatched_tracks, unmatched_detections)`` with
     row indices into `tracks` and `detections`.
@@ -327,16 +328,13 @@ def matching_cascade(tracks, detections, config, kalman):
     n_dets = len(detections)
     unmatched_dets = list(range(n_dets))
     matches: list[tuple[int, int]] = []
-    candidates = [i for i, t in enumerate(tracks.tracks)
-                  if 1 <= t.time_since_update <= config.max_age]
-    if candidates and unmatched_dets:
-        full = appearance_cost(tracks.take(candidates), detections, kalman,
-                               config.max_dist)
+    if len(tracks) and unmatched_dets:
+        full = appearance_cost(tracks, detections, kalman, config.max_dist)
         live = np.isfinite(full).any(axis=1).tolist()
         levels: dict[int, list[int]] = {}
         live_depths = set()
-        for row, i in enumerate(candidates):
-            depth = tracks.tracks[i].time_since_update
+        for row, track in enumerate(tracks.tracks):
+            depth = track.time_since_update
             levels.setdefault(depth, []).append(row)
             if live[row]:
                 live_depths.add(depth)
@@ -347,15 +345,14 @@ def matching_cascade(tracks, detections, config, kalman):
             if len(unmatched_dets) == n_dets:
                 # The first depth visited: its live row has a feasible
                 # entry among all the detections.
-                block = full if len(level) == len(candidates) else full[level]
+                block = full if len(level) == len(tracks) else full[level]
             else:
                 block = full[level][:, unmatched_dets]
                 # A block with no feasible entry matches nothing.
                 if not np.isfinite(block).any():
                     continue
             level_matches, _, level_unmatched = solve_assignment(block)
-            matches.extend((candidates[level[r]], unmatched_dets[c])
-                           for r, c in level_matches)
+            matches.extend((level[r], unmatched_dets[c]) for r, c in level_matches)
             unmatched_dets = [unmatched_dets[c] for c in level_unmatched]
     matched_tracks = {t for t, _ in matches}
     unmatched_tracks = [i for i in range(len(tracks)) if i not in matched_tracks]

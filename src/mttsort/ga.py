@@ -43,6 +43,20 @@ class GeneSpec:
             raise ConfigError(
                 f"gene {self.name}: low must be < high, got [{self.low}, {self.high}]"
             )
+        # Each field's valid set is an interval, so a range whose two ends
+        # make valid configs samples only valid values.
+        for bound in (self.low, self.high):
+            if _GENE_TYPES[self.name] == "int":
+                if not float(bound).is_integer():
+                    raise ConfigError(
+                        f"gene {self.name}: an integer field needs integer bounds, "
+                        f"got [{self.low}, {self.high}]"
+                    )
+                bound = int(bound)
+            try:
+                TrackerConfig(**{self.name: bound})
+            except ConfigError as exc:
+                raise ConfigError(f"gene {self.name}: bound {bound!r}: {exc}") from None
 
     def sample(self, rng: np.random.Generator):
         if _GENE_TYPES[self.name] == "int":

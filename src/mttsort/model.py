@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -231,14 +230,6 @@ def _sorted_columns(detections) -> tuple[np.ndarray, FrameDetections]:
                   .reshape(n, -1) if n else np.zeros((0, 0)))
     return frames[order], FrameDetections(
         None, confidence[order], box_columns(ltwh), center_columns(ltwh), embeddings)
-
-
-class TrackState(enum.Enum):
-    """Track lifecycle: Tentative -> Confirmed. An ended track's row leaves
-    the tracker's stack, so no state marks it."""
-
-    Tentative = 1
-    Confirmed = 2
 
 
 @dataclass(frozen=True)

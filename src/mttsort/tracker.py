@@ -2,8 +2,12 @@
 
 Each frame: filter and NMS the detections, Kalman-predict all live tracks,
 match confirmed tracks by pooled appearance (cascade), match the remainder
-by IoU, update the matched tracks, emit the confirmed tracks, drop the
-rows that the keep rule ends and start new tracks.
+by IoU, update the matched tracks, emit the confirmed tracks, keep the
+rows that can still match and start new tracks.
+
+A track is confirmed once it holds `confirm_hits = max(2, n_init)` hits
+(a newborn holds one). A tentative track ends on its first miss, a
+confirmed one after `max_age` misses in a row.
 
 A frame's detections arrive as columns (`FrameDetections`), and the
 tracker holds its live tracks as one `TrackStack` for its whole life:
@@ -21,33 +25,21 @@ import numpy as np
 
 from . import association
 from .kalman import KalmanModel, NumericalError
-from .model import (BoundingBox, FrameDetections, TrackerConfig, TrackState,
-                    ltwh_from_centers)
+from .model import BoundingBox, FrameDetections, TrackerConfig, ltwh_from_centers
 
 
 @dataclass
 class Track:
     """One hypothesized trajectory's id, lifecycle counters and feature
     buffer; its Kalman state is its row of the tracker's `TrackStack`.
-    It is Tentative until `n_init` hits, and the tracker drops its row by
-    the keep rule of `Tracker._drop_deleted_and_initiate`."""
+    It is confirmed while `hits >= Tracker.confirm_hits`, and the tracker
+    drops its row by the keep rule of `Tracker._keep_and_initiate`."""
 
     track_id: int
     features: association.FeatureBuffer
-    state: TrackState = TrackState.Tentative
     hits: int = 1
     time_since_update: int = 0
     last_confidence: float = 0.0
-
-    def mark_hit(self, detections: FrameDetections, row: int, n_init: int) -> None:
-        """Lifecycle step for a track matched to detection `row` this
-        frame, after its Kalman update."""
-        self.features.push(detections.embeddings[row])
-        self.hits += 1
-        self.time_since_update = 0
-        self.last_confidence = float(detections.confidence[row])
-        if self.state == TrackState.Tentative and self.hits >= n_init:
-            self.state = TrackState.Confirmed
 
 
 @dataclass(eq=False)
@@ -110,6 +102,7 @@ class Tracker:
 
     def __init__(self, config: TrackerConfig):
         self.config = config
+        self.confirm_hits = max(2, config.n_init)
         self.kalman = KalmanModel()
         self.stack = TrackStack([], np.zeros((0, 8)), np.zeros((0, 3, 4)))
         self._next_id = 1
@@ -133,7 +126,7 @@ class Tracker:
         matches, unmatched_det_idx = self._match(detections)
         self._update(detections, matches)
         result = self._emit(frame)
-        self._drop_deleted_and_initiate(detections, unmatched_det_idx)
+        self._keep_and_initiate(detections, unmatched_det_idx)
         return result
 
     def _predict(self) -> None:
@@ -177,15 +170,18 @@ class Tracker:
                 except NumericalError:
                     pass
         for i, j in matches:
-            stack.tracks[i].mark_hit(detections, j, self.config.n_init)
+            track = stack.tracks[i]
+            track.features.push(detections.embeddings[j])
+            track.hits += 1
+            track.time_since_update = 0
+            track.last_confidence = float(detections.confidence[j])
 
     def _match(self, detections: FrameDetections):
         stack = self.stack
         tracks = stack.tracks
-        confirmed = [i for i, t in enumerate(tracks)
-                     if t.state == TrackState.Confirmed]
-        tentative = [i for i, t in enumerate(tracks)
-                     if t.state == TrackState.Tentative]
+        confirm_hits = self.confirm_hits
+        confirmed = [i for i, t in enumerate(tracks) if t.hits >= confirm_hits]
+        tentative = [i for i, t in enumerate(tracks) if t.hits < confirm_hits]
 
         cascade_matches, cascade_unmatched, unmatched_dets = \
             association.matching_cascade(
@@ -207,16 +203,22 @@ class Tracker:
                     for r, c in iou_matches]
         return sorted(matches), [unmatched_dets[c] for c in iou_unmatched_dets]
 
-    def _drop_deleted_and_initiate(self, detections: FrameDetections,
-                                   births: list) -> None:
+    def _keep_and_initiate(self, detections: FrameDetections, births: list) -> None:
         """End of frame: keep the rows matched this frame (`time_since_update`
-        0) and the Confirmed rows missed at most `max_age` frames, then append
-        one new track per detection row of `births`, numbered in that order."""
-        max_age = self.config.max_age
+        0) and the confirmed rows missed fewer than `max_age` frames, then
+        append one new track per detection row of `births`, numbered in that
+        order.
+
+        A row missed `max_age` frames could not match again: the cascade
+        ends at depth `max_age` and the IoU stage takes depth 1 only. So
+        after a predict every row's depth is within 1..max_age, as
+        `association.matching_cascade` requires.
+        """
+        max_age, confirm_hits = self.config.max_age, self.confirm_hits
         stack = self.stack.take([
             i for i, t in enumerate(self.stack.tracks)
             if t.time_since_update == 0
-            or (t.state == TrackState.Confirmed and t.time_since_update <= max_age)])
+            or (t.hits >= confirm_hits and t.time_since_update < max_age)])
         if births:
             means, covariances = self.kalman.initiate(detections.measurements[births])
             size, tracks = self.config.feature_buffer_size, []
@@ -236,8 +238,9 @@ class Tracker:
         # predicted box; longer gaps are suppressed until re-matched. Rows
         # are in ascending track id, and so are the records.
         stack = self.stack
+        confirm_hits = self.confirm_hits
         rows = [i for i, t in enumerate(stack.tracks)
-                if t.state == TrackState.Confirmed and t.time_since_update <= 1]
+                if t.hits >= confirm_hits and t.time_since_update <= 1]
         ltwh = ltwh_from_centers(stack.mean[rows, :4]).tolist() if rows else []
         records = tuple((stack.tracks[i].track_id, BoundingBox(*box),
                          stack.tracks[i].last_confidence)

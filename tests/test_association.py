@@ -640,7 +640,7 @@ def test_cascade_matches_both_when_unambiguous():
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 20), st.integers(0, 6),
        st.sampled_from([3, 10, 30]), st.booleans())
 def test_cascade_matches_per_depth_oracle(seed, n_tracks, n_dets, max_age, axes):
-    # Depths 1..max_age + 1 (the last is past the cascade), boxes near a
+    # Depths 1..max_age (the cascade's precondition), boxes near a
     # few shared spots so the gate passes some pairs and rejects others.
     # Tracks at the two far spots match nothing, so with many lingering
     # depths, dead depths sit between live ones. Embeddings are either unit
@@ -665,7 +665,7 @@ def test_cascade_matches_per_depth_oracle(seed, n_tracks, n_dets, max_age, axes)
         return direction if axes else unit(*(direction + 0.3 * rng.normal(size=8)))
 
     tracks = [make_track(box(5), embedding(),
-                         time_since_update=int(rng.integers(1, config.max_age + 2)),
+                         time_since_update=int(rng.integers(1, config.max_age + 1)),
                          track_id=k + 1, kalman=kalman)
               for k in range(n_tracks)]
     dets = [make_detection(box(3), rng.choice([0.5, 0.75, 1.0]) * embedding())

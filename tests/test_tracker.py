@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mttsort import association, seqio, synth
 from mttsort.association import FeatureBuffer
 from mttsort.kalman import NumericalError
-from mttsort.model import (BoundingBox, Detection, FrameDetections, TrackerConfig,
-                           TrackState)
+from mttsort.model import BoundingBox, Detection, FrameDetections, TrackerConfig
 from mttsort.tracker import (FrameResult, Track, Tracker, TrackStack, preprocess,
                              run_sequence)
 
@@ -192,7 +191,7 @@ def test_only_confirmed_tracks_reported():
     tracker = Tracker(config)
     result = tracker.step(1, FrameDetections.of([det(1, 100, 100)]))
     assert result.records == ()
-    assert tracker.stack.tracks[0].state == TrackState.Tentative
+    assert tracker.stack.tracks[0].hits < tracker.confirm_hits
 
 
 def test_records_unique_and_sorted():
@@ -221,31 +220,33 @@ def test_single_frame_gap_reports_predicted_box():
 
 @pytest.mark.parametrize("n_init, max_age", [(1, 1), (2, 3), (3, 2)])
 def test_counters_and_deletion_rules(n_init, max_age):
-    # A newborn is Tentative with 1 hit whatever n_init is, so a miss on its
+    # A newborn is tentative with 1 hit whatever n_init is, so a miss on its
     # second frame removes it, and it confirms on its second hit at n_init 1.
     config = TrackerConfig(n_init=n_init, max_age=max_age)
     tracker = Tracker(config)
+    assert tracker.confirm_hits == max(n_init, 2)
     tracker.step(1, FrameDetections.of([det(1, 100, 100)]))
     newborn = tracker.stack.tracks[0]
-    assert (newborn.state, newborn.hits) == (TrackState.Tentative, 1)
+    assert (newborn.hits, newborn.time_since_update) == (1, 0)
     tracker.step(2, FrameDetections.of([]))
     assert tracker.stack.tracks == []
 
     tracker = Tracker(config)
     confirmed_at = max(n_init, 2)
     for f in range(1, confirmed_at + 1):
-        tracker.step(f, FrameDetections.of([det(f, 100 + 3 * (f - 1), 100)]))
+        result = tracker.step(f, FrameDetections.of([det(f, 100 + 3 * (f - 1), 100)]))
         [track] = tracker.stack.tracks
         assert (track.hits, track.time_since_update) == (f, 0)
-        assert track.state == (TrackState.Confirmed if f == confirmed_at
-                               else TrackState.Tentative)
-    last_kept = confirmed_at + max_age
-    for f in range(confirmed_at + 1, last_kept + 1):
-        tracker.step(f, FrameDetections.of([]))
-    assert tracker.stack.tracks == [track]
-    assert (track.state, track.time_since_update) == (TrackState.Confirmed, max_age)
-    tracker.step(last_kept + 1, FrameDetections.of([]))
-    assert tracker.stack.tracks == []
+        assert [r[0] for r in result.records] == ([1] if f == confirmed_at else [])
+    # Missed, the confirmed track is reported at its predicted box for one
+    # frame only, and its row lives through max_age - 1 missed frames: at
+    # max_age it could match nothing again.
+    for f in range(confirmed_at + 1, confirmed_at + max_age + 1):
+        result = tracker.step(f, FrameDetections.of([]))
+        missed = f - confirmed_at
+        assert [r[0] for r in result.records] == ([1] if missed == 1 else [])
+        assert tracker.stack.tracks == ([track] if missed < max_age else [])
+        assert track.time_since_update == missed
 
 
 def test_deleted_ids_never_reappear():
@@ -333,13 +334,13 @@ BROKEN_COVARIANCE = np.array([[-1e6] * 4, [0.0] * 4, [1.0] * 4])
 
 def tracker_holding(config, *specs):
     """A Tracker whose live tracks are given directly, one per (detection,
-    state, time_since_update); each starts from its detection's box."""
+    hits, time_since_update); each starts from its detection's box."""
     tracker = Tracker(config)
     tracks = []
-    for detection, state, time_since_update in specs:
+    for detection, hits, time_since_update in specs:
         track = Track(track_id=len(tracks) + 1,
                       features=FeatureBuffer(config.feature_buffer_size),
-                      state=state, time_since_update=time_since_update)
+                      hits=hits, time_since_update=time_since_update)
         track.features.push(detection.embedding)
         tracks.append(track)
     tracker.stack = TrackStack(tracks, *tracker.kalman.initiate(
@@ -352,8 +353,7 @@ def test_failed_update_keeps_only_that_track_predicted():
     # Two tentative tracks, each matched by IoU to its own box; the stacked
     # update fails on the broken one and is redone row by row.
     a, b = det(1, 100, 100, emb=(1, 0)), det(1, 400, 100, emb=(0, 1))
-    tracker = tracker_holding(TrackerConfig(n_init=3), (a, TrackState.Tentative, 0),
-                              (b, TrackState.Tentative, 0))
+    tracker = tracker_holding(TrackerConfig(n_init=3), (a, 1, 0), (b, 1, 0))
     stack = tracker.stack
     stack.covariance[1] = BROKEN_COVARIANCE
     kalman = tracker.kalman
@@ -380,10 +380,10 @@ def test_failed_update_keeps_only_that_track_predicted():
 def test_gate_covers_tracks_past_the_last_detection():
     # The one detection goes to the depth-1 track. The cascade's cost
     # matrix still gates the depth-2 track, whose broken covariance then
-    # raises; a per-depth loop would have stopped before reaching it.
+    # raises; a per-depth loop would have stopped before reaching it. Both
+    # tracks hold the 3 hits that confirm at n_init 3.
     a, b = det(1, 100, 100, emb=(1, 0)), det(1, 400, 100, emb=(0, 1))
-    tracker = tracker_holding(TrackerConfig(), (a, TrackState.Confirmed, 0),
-                              (b, TrackState.Confirmed, 1))
+    tracker = tracker_holding(TrackerConfig(n_init=3), (a, 3, 0), (b, 3, 1))
     tracker.stack.covariance[1] = BROKEN_COVARIANCE
     with pytest.raises(NumericalError):
         tracker.step(2, FrameDetections.of([det(2, 100, 100, emb=(1, 0))]))
@@ -393,7 +393,7 @@ def test_track_whose_predicted_width_underflows_raises_the_box_error():
     # Aspect and height stay positive, so the track is kept at predict,
     # but their product underflows to a zero width. The IoU stage, which a
     # tentative track enters, raises what BoundingBox.from_center raises.
-    tracker = tracker_holding(TrackerConfig(), (det(1, 100, 100), TrackState.Tentative, 0))
+    tracker = tracker_holding(TrackerConfig(), (det(1, 100, 100), 1, 0))
     stack = tracker.stack
     stack.mean[0] = [100.0, 100.0, 1e-200, 1e-200, 0, 0, 0, 0]
     predicted, _ = tracker.kalman.predict(stack.mean[0], stack.covariance[0])
@@ -443,8 +443,10 @@ def test_run_sequence_never_raises_on_valid_streams(stream, n_init, max_age):
 @given(scaling_streams(), st.integers(1, 3), st.integers(1, 5))
 def test_stack_rows_stay_live_and_in_id_order(stream, n_init, max_age):
     # Records come out in stack order, so the stack must keep its rows in
-    # ascending track id, and only the rows that the keep rule keeps.
+    # ascending track id, and only the rows that the keep rule keeps: the
+    # rows matched this frame and the confirmed rows that can still match.
     tracker = Tracker(TrackerConfig(n_init=n_init, max_age=max_age))
+    confirm_hits = max(2, n_init)
     for columns in FrameDetections.stream(stream, 12):
         tracker.step(columns.frame, columns)
         stack = tracker.stack
@@ -452,6 +454,7 @@ def test_stack_rows_stay_live_and_in_id_order(stream, n_init, max_age):
         assert all(a < b for a, b in zip(ids, ids[1:]))
         assert len(stack.tracks) == len(stack.mean) == len(stack.covariance)
         assert all(t.time_since_update == 0
-                   or (t.state == TrackState.Confirmed
-                       and 1 <= t.time_since_update <= max_age)
+                   or (t.hits >= confirm_hits and 1 <= t.time_since_update < max_age)
                    for t in stack.tracks)
+        assert all(t.time_since_update == 0
+                   for t in stack.tracks if t.hits < confirm_hits)
