@@ -43,18 +43,14 @@ class GeneSpec:
             raise ConfigError(
                 f"gene {self.name}: low must be < high, got [{self.low}, {self.high}]"
             )
-        # Each field's valid set is an interval, so a range whose two ends
-        # make valid configs samples only valid values.
+        # Each field's valid set is an interval, so two valid bounds sample
+        # only valid values.
+        is_int = _GENE_TYPES[self.name] == "int"
         for bound in (self.low, self.high):
-            if _GENE_TYPES[self.name] == "int":
-                if not float(bound).is_integer():
-                    raise ConfigError(
-                        f"gene {self.name}: an integer field needs integer bounds, "
-                        f"got [{self.low}, {self.high}]"
-                    )
-                bound = int(bound)
+            if is_int and not float(bound).is_integer():
+                raise ConfigError(f"gene {self.name}: bound {bound!r} is not an integer")
             try:
-                TrackerConfig(**{self.name: bound})
+                TrackerConfig(**{self.name: int(bound) if is_int else bound})
             except ConfigError as exc:
                 raise ConfigError(f"gene {self.name}: bound {bound!r}: {exc}") from None
 

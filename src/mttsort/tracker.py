@@ -205,15 +205,10 @@ class Tracker:
 
     def _keep_and_initiate(self, detections: FrameDetections, births: list) -> None:
         """End of frame: keep the rows matched this frame (`time_since_update`
-        0) and the confirmed rows missed fewer than `max_age` frames, then
-        append one new track per detection row of `births`, numbered in that
-        order.
-
-        A row missed `max_age` frames could not match again: the cascade
-        ends at depth `max_age` and the IoU stage takes depth 1 only. So
-        after a predict every row's depth is within 1..max_age, as
-        `association.matching_cascade` requires.
-        """
+        0) and the confirmed rows missed fewer than `max_age` frames, the
+        rows that can still match (the cascade ends at depth `max_age`, the
+        IoU stage takes depth 1), then append one new track per detection
+        row of `births`, numbered in that order."""
         max_age, confirm_hits = self.config.max_age, self.confirm_hits
         stack = self.stack.take([
             i for i, t in enumerate(self.stack.tracks)

@@ -640,8 +640,8 @@ def test_cascade_matches_both_when_unambiguous():
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 20), st.integers(0, 6),
        st.sampled_from([3, 10, 30]), st.booleans())
 def test_cascade_matches_per_depth_oracle(seed, n_tracks, n_dets, max_age, axes):
-    # Depths 1..max_age (the cascade's precondition), boxes near a
-    # few shared spots so the gate passes some pairs and rejects others.
+    # Depths 1..max_age (the cascade's precondition), boxes near a few
+    # shared spots so the gate passes some pairs and rejects others.
     # Tracks at the two far spots match nothing, so with many lingering
     # depths, dead depths sit between live ones. Embeddings are either unit
     # axes, where each cosine has one nonzero term and equal costs tie, or

@@ -237,6 +237,7 @@ def test_counters_and_deletion_rules(n_init, max_age):
         result = tracker.step(f, FrameDetections.of([det(f, 100 + 3 * (f - 1), 100)]))
         [track] = tracker.stack.tracks
         assert (track.hits, track.time_since_update) == (f, 0)
+        assert (track.hits >= tracker.confirm_hits) == (f == confirmed_at)
         assert [r[0] for r in result.records] == ([1] if f == confirmed_at else [])
     # Missed, the confirmed track is reported at its predicted box for one
     # frame only, and its row lives through max_age - 1 missed frames: at
