@@ -13,7 +13,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .kalman import CHI2_GATE_4DOF
-from .model import box_columns, ltwh_from_centers
 
 INFEASIBLE = np.inf
 
@@ -158,19 +157,13 @@ def appearance_cost(tracks, detections, kalman, max_dist: float) -> np.ndarray:
     return cost
 
 
-def iou_cost(tracks, detections, max_iou_distance: float) -> np.ndarray:
-    """IoU-cost matrix between the predicted boxes of a track stack's rows
-    and a frame's detection boxes.
-
-    A track state that makes no valid box raises BoundingBox's ValueError,
-    whether or not there are detections.
-    """
-    if not len(tracks):
-        return np.zeros((0, len(detections)))
-    track_ltwh = ltwh_from_centers(tracks.mean[:, :4])
-    if not len(detections):
-        return np.zeros((len(tracks), 0))
-    cost = 1.0 - iou_columns(box_columns(track_ltwh), detections.boxes)
+def iou_cost(track_boxes, detection_boxes, max_iou_distance: float) -> np.ndarray:
+    """IoU-cost matrix between tracks' predicted boxes and detection boxes,
+    both given as box-column rows (`iou_columns`); entries above
+    `max_iou_distance` are INFEASIBLE."""
+    if not len(track_boxes) or not len(detection_boxes):
+        return np.zeros((len(track_boxes), len(detection_boxes)))
+    cost = 1.0 - iou_columns(track_boxes, detection_boxes)
     cost[cost > max_iou_distance] = INFEASIBLE
     return cost
 

@@ -22,7 +22,7 @@ enumeration oracles.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -211,17 +211,30 @@ def _frame_overlaps(gt, pred):
     CLEAR, IDF1 and the HOTA sweep.
 
     Each side's box columns are built once, and a frame's matrix is
-    `iou_columns` of the two sides' blocks of rows for that frame.
+    `iou_columns` of the two sides' blocks of rows for that frame. An
+    identity given twice in one frame of a side raises ValueError.
     """
     g_frames, g_ids, g_boxes = _sorted_columns(gt)
     p_frames, p_ids, p_boxes = _sorted_columns(pred)
     out = []
+    gb = pb = 0
     for f in sorted(set(g_frames) | set(p_frames)):
-        ga, gb = bisect_left(g_frames, f), bisect_right(g_frames, f)
-        pa, pb = bisect_left(p_frames, f), bisect_right(p_frames, f)
-        out.append((g_ids[ga:gb], p_ids[pa:pb],
-                    iou_columns(g_boxes[ga:gb], p_boxes[pa:pb])))
+        # Frames come in order, so each block starts where the last ended.
+        ga, gb = gb, bisect_right(g_frames, f)
+        pa, pb = pb, bisect_right(p_frames, f)
+        g_block, p_block = g_ids[ga:gb], p_ids[pa:pb]
+        if len(set(g_block)) < gb - ga or len(set(p_block)) < pb - pa:
+            _raise_repeat(f, g_block, p_block)
+        out.append((g_block, p_block, iou_columns(g_boxes[ga:gb], p_boxes[pa:pb])))
     return out
+
+
+def _raise_repeat(frame, g_ids, p_ids):
+    """Raise for the first repeat in one frame's sorted GT, then predicted ids."""
+    for side, ids in (("ground truth", g_ids), ("predictions", p_ids)):
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise ValueError(f"{side}: identity {a} appears twice in frame {frame}")
 
 
 def hota_levels(per_frame):

@@ -140,25 +140,26 @@ def center_columns(ltwh: np.ndarray) -> np.ndarray:
     return out
 
 
+def box_rows(ltwh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `box_columns` of (left, top, width, height) rows, and the mask of
+    rows that make a BoundingBox: finite box columns, a positive area and a
+    positive height, BoundingBox's own checks. Rows out of range give inf
+    or NaN columns, not a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        boxes = box_columns(ltwh)
+        valid = np.isfinite(boxes).all(axis=1) & (boxes[:, 4] > 0) & (ltwh[:, 3] > 0)
+    return boxes, valid
+
+
 def ltwh_from_centers(centers: np.ndarray) -> np.ndarray:
     """The (left, top, width, height) rows that `BoundingBox.from_center`
-    makes of (cx, cy, aspect, height) rows.
-
-    A row with a field that is not finite or a side that is not positive
-    raises BoundingBox's own ValueError; with several, the first such row
-    does. A row whose area or edge underflows or overflows passes here,
-    and building its BoundingBox raises.
-    """
+    makes of (cx, cy, aspect, height) rows, unchecked (see `box_rows`): a
+    state far out of range gives inf or NaN fields, not a numpy warning."""
     ltwh = np.empty((len(centers), 4))
-    # A state far out of range makes an infinite or NaN field, which the
-    # check below rejects as BoundingBox does, not a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(centers[:, 2], centers[:, 3], out=ltwh[:, 2])
         ltwh[:, 3] = centers[:, 3]
         np.subtract(centers[:, :2], ltwh[:, 2:] / 2.0, out=ltwh[:, :2])
-    if not (np.isfinite(ltwh).all() and (ltwh[:, 2:] > 0).all()):
-        valid = np.isfinite(ltwh).all(axis=1) & (ltwh[:, 2:] > 0).all(axis=1)
-        BoundingBox(*ltwh[np.argmin(valid)].tolist())
     return ltwh
 
 

@@ -35,8 +35,8 @@ from typing import NoReturn
 import numpy as np
 
 from .metrics import EvalReport, GtEntry
-from .model import (BoundingBox, ConfigError, DataError, Detection, build_settings,
-                    center_columns, parse_kv_lines)
+from .model import (BoundingBox, ConfigError, DataError, Detection, box_rows,
+                    build_settings, center_columns, parse_kv_lines)
 from .tracker import FrameResult
 
 META_FILE = "meta.txt"
@@ -106,18 +106,6 @@ def _ints(texts) -> list[int] | None:
 def _frames_ok(frames: list[int], frame_count: int | None) -> bool:
     return (min(frames, default=1) >= 1
             and (frame_count is None or max(frames, default=1) <= frame_count))
-
-
-def _boxes_ok(ltwh: np.ndarray) -> bool:
-    """Whether every (left, top, width, height) row makes a BoundingBox."""
-    if not (np.isfinite(ltwh).all() and (ltwh[:, 2:] > 0).all()):
-        return False
-    # Finite positive sides can still make an area that underflows to 0
-    # or overflows to inf, and an edge that overflows.
-    with np.errstate(over="ignore"):
-        area = ltwh[:, 2] * ltwh[:, 3]
-        edges = ltwh[:, :2] + ltwh[:, 2:]
-    return bool((area > 0).all() and (area < np.inf).all() and np.isfinite(edges).all())
 
 
 def _confidences_ok(confidence: np.ndarray) -> bool:
@@ -267,7 +255,7 @@ def _detections_ok(table: np.ndarray, frames: list[int], frame_count: int) -> bo
     embeddings, ltwh = table["embedding"], table["box"]
     if not (_frames_ok(frames, frame_count) and (table["sentinel"] == -1).all()
             and np.isfinite(embeddings).all() and embeddings.any(axis=1).all()
-            and _boxes_ok(ltwh)):
+            and box_rows(ltwh)[1].all()):
         return False
     # The tracker works on the (cx, cy, aspect, height) form of a box.
     with np.errstate(over="ignore"):
@@ -331,7 +319,7 @@ def parse_gt(path, frame_count: int) -> list[GtEntry]:
         frames, identities = _ints(table["frame"]), _ints(table["identity"])
     if (frames is None or identities is None or not _frames_ok(frames, frame_count)
             or len(set(zip(frames, identities))) != len(frames)
-            or not _boxes_ok(table["box"])):
+            or not box_rows(table["box"])[1].all()):
         _raise_first_error(path, _check_gt_row, frame_count, set())
     entries = [GtEntry(frame, identity, BoundingBox(*box))
                for frame, identity, box in zip(frames, identities, table["box"].tolist())]
@@ -426,7 +414,8 @@ def parse_results(path, frame_count: int | None = None) -> list[FrameResult]:
     if (frames is None or track_ids is None
             or not all(t.strip() == "-1" for t in set(table["tail"].flat))
             or not _frames_ok(frames, frame_count)
-            or not _boxes_ok(table["box"]) or not _confidences_ok(table["confidence"])
+            or not box_rows(table["box"])[1].all()
+            or not _confidences_ok(table["confidence"])
             or len(set(zip(frames, track_ids))) != len(frames)):
         _raise_first_error(path, _check_result_row, frame_count, set())
     by_frame: dict[int, list] = {}

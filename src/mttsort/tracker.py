@@ -1,9 +1,10 @@
 """The per-frame tracking pipeline.
 
-Each frame: filter and NMS the detections, Kalman-predict all live tracks,
-match confirmed tracks by pooled appearance (cascade), match the remainder
-by IoU, update the matched tracks, emit the confirmed tracks, keep the
-rows that can still match and start new tracks.
+Each frame: filter and NMS the detections, Kalman-predict all live tracks
+and delete those whose state is no box (`model.box_rows`), match confirmed
+tracks by pooled appearance (cascade), match the remainder by IoU, update
+the matched tracks, emit the confirmed tracks, keep the rows that can
+still match and start new tracks.
 
 A track is confirmed once it holds `confirm_hits = max(2, n_init)` hits
 (a newborn holds one). A tentative track ends on its first miss, a
@@ -25,7 +26,8 @@ import numpy as np
 
 from . import association
 from .kalman import KalmanModel, NumericalError
-from .model import BoundingBox, FrameDetections, TrackerConfig, ltwh_from_centers
+from .model import (BoundingBox, FrameDetections, TrackerConfig, box_rows,
+                    ltwh_from_centers)
 
 
 @dataclass
@@ -122,28 +124,28 @@ class Tracker:
         self._last_frame = frame
 
         detections = preprocess(detections, self.config)
-        self._predict()
-        matches, unmatched_det_idx = self._match(detections)
+        boxes = self._predict()
+        matches, unmatched_det_idx = self._match(detections, boxes)
         self._update(detections, matches)
         result = self._emit(frame)
         self._keep_and_initiate(detections, unmatched_det_idx)
         return result
 
-    def _predict(self) -> None:
+    def _predict(self) -> np.ndarray:
         """One Kalman predict over the stack of all live tracks, replacing
-        its arrays."""
+        its arrays; rows whose state makes no BoundingBox (`box_rows`) are
+        deleted. Returns the kept rows' predicted box columns."""
         stack = self.stack
         if not stack.tracks:
-            return
+            return np.zeros((0, 5))
         stack.mean, stack.covariance = self.kalman.predict(stack.mean, stack.covariance)
-        # A track whose predicted aspect or height is no longer positive
-        # (or is NaN) has no box; it is deleted before any stage asks for
-        # one.
-        if not stack.mean[:, 2:4].min() > 0:
-            physical = (stack.mean[:, 2] > 0) & (stack.mean[:, 3] > 0)
-            self.stack = stack = stack.take(np.flatnonzero(physical).tolist())
+        boxes, valid = box_rows(ltwh_from_centers(stack.mean[:, :4]))
+        if not valid.all():
+            self.stack = stack = stack.take(np.flatnonzero(valid).tolist())
+            boxes = boxes[valid]
         for track in stack.tracks:
             track.time_since_update += 1
+        return boxes
 
     def _update(self, detections: FrameDetections, matches) -> None:
         """One Kalman update over the stacked rows of the frame's (track,
@@ -176,7 +178,7 @@ class Tracker:
             track.time_since_update = 0
             track.last_confidence = float(detections.confidence[j])
 
-    def _match(self, detections: FrameDetections):
+    def _match(self, detections: FrameDetections, boxes: np.ndarray):
         stack = self.stack
         tracks = stack.tracks
         confirm_hits = self.confirm_hits
@@ -195,7 +197,7 @@ class Tracker:
             if tracks[confirmed[r]].time_since_update == 1]
 
         cost = association.iou_cost(
-            stack.take(iou_candidates), detections.take(unmatched_dets),
+            boxes[iou_candidates], detections.boxes[unmatched_dets],
             self.config.max_iou_distance)
         iou_matches, _, iou_unmatched_dets = association.solve_assignment(cost)
 

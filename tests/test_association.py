@@ -390,22 +390,21 @@ def test_buffer_size_one_is_single_frame_cosine():
 # --------------------------------------------------------------- iou cost
 
 def test_iou_cost_thresholds():
-    kalman = KalmanModel()
     box = BoundingBox(0, 0, 10, 10)
-    track = make_track(box, unit(1, 0), kalman=kalman)
-    same = make_detection(box, unit(1, 0))
-    disjoint = make_detection(BoundingBox(100, 100, 10, 10), unit(1, 0))
-
-    cost = iou_cost(track, FrameDetections.of([same, disjoint]),
+    disjoint = BoundingBox(100, 100, 10, 10)
+    cost = iou_cost(columns_of([box]), columns_of([box, disjoint]),
                     max_iou_distance=0.7)
     assert cost[0, 0] == 0.0
     assert cost[0, 1] == INFEASIBLE
 
     # overlap of exactly 0.5 against threshold 0.3 is infeasible
-    half = make_detection(BoundingBox(0, 0, 10, 5), unit(1, 0))
-    cost = iou_cost(track, FrameDetections.of([half]),
-                    max_iou_distance=0.3)
+    half = BoundingBox(0, 0, 10, 5)
+    cost = iou_cost(columns_of([box]), columns_of([half]), max_iou_distance=0.3)
     assert cost[0, 0] == INFEASIBLE
+
+    # An empty side gives an empty matrix of the other side's length.
+    assert iou_cost(columns_of([]), columns_of([box, half]), 0.7).shape == (0, 2)
+    assert iou_cost(columns_of([box]), columns_of([]), 0.7).shape == (1, 0)
 
 
 # ------------------------------------------------------------- assignment

@@ -107,6 +107,27 @@ def test_mota_requires_gt():
         evaluate([], track_entries(1, [1]))
 
 
+def test_evaluate_rejects_a_prediction_identity_repeated_in_a_frame():
+    # Scored as it was, the second box counted as neither a match nor a
+    # false positive in CLEAR (MOTA 1.0, fp 0) but halved HOTA's DetPr.
+    gt = [GtEntry(1, 1, BoundingBox(0, 0, 10, 10))]
+    pred = [GtEntry(1, 7, BoundingBox(0, 0, 10, 10)),
+            GtEntry(1, 7, BoundingBox(100, 100, 10, 10))]
+    with pytest.raises(ValueError,
+                       match=r"^predictions: identity 7 appears twice in frame 1$"):
+        evaluate(gt, pred)
+
+
+def test_evaluate_rejects_a_ground_truth_identity_repeated_in_a_frame():
+    # Scored as it was: MOTA 1.0 and fn 0, but DetRe 0.5.
+    gt = [GtEntry(2, 3, BOX), GtEntry(1, 1, BoundingBox(0, 0, 10, 10)),
+          GtEntry(1, 1, BoundingBox(100, 100, 10, 10))]
+    pred = [GtEntry(1, 1, BoundingBox(0, 0, 10, 10))]
+    with pytest.raises(ValueError,
+                       match=r"^ground truth: identity 1 appears twice in frame 1$"):
+        evaluate(gt, pred)
+
+
 def test_mota_decreases_with_injected_false_positives():
     gt = track_entries(1, range(1, 11))
     values = []

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -390,20 +391,26 @@ def test_gate_covers_tracks_past_the_last_detection():
         tracker.step(2, FrameDetections.of([det(2, 100, 100, emb=(1, 0))]))
 
 
-def test_track_whose_predicted_width_underflows_raises_the_box_error():
-    # Aspect and height stay positive, so the track is kept at predict,
-    # but their product underflows to a zero width. The IoU stage, which a
-    # tentative track enters, raises what BoundingBox.from_center raises.
-    tracker = tracker_holding(TrackerConfig(), (det(1, 100, 100), 1, 0))
-    stack = tracker.stack
-    stack.mean[0] = [100.0, 100.0, 1e-200, 1e-200, 0, 0, 0, 0]
-    predicted, _ = tracker.kalman.predict(stack.mean[0], stack.covariance[0])
-    with pytest.raises(ValueError) as want:
-        BoundingBox.from_center(predicted[:4])
-    with pytest.raises(ValueError) as got:
-        tracker.step(2, FrameDetections.of([det(2, 100, 100)]))
-    assert str(got.value) == str(want.value)
-    assert "iou_cost" in [entry.name for entry in got.traceback]
+@pytest.mark.parametrize("state", [
+    [100.0, 100.0, 1e-200, 1e-200, 0, 0, 0, 0],     # the width underflows
+    # The area overflows; the height stays small enough for the noise.
+    [100.0, 100.0, 1e150, 1e100, 0, 0, 0, 0],
+    [100.0, 100.0, np.nan, 60.0, 0, 0, 0, 0],
+    [100.0, 100.0, 0.5, -60.0, 0, 0, 0, 0],
+], ids=["width-underflow", "area-overflow", "nan-aspect", "negative-height"])
+@pytest.mark.parametrize("hits", [1, 3])
+def test_track_whose_predicted_state_is_no_box_is_deleted_at_predict(state, hits):
+    # Tentative (1 hit) or confirmed (3 hits at n_init 3): either way the
+    # track is deleted at predict, with no record, no error and no warning,
+    # and the frame's detection starts a new track.
+    tracker = tracker_holding(TrackerConfig(n_init=3), (det(1, 100, 100), hits, 0))
+    tracker.stack.mean[0] = state
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = tracker.step(2, FrameDetections.of([det(2, 100, 100)]))
+    assert caught == []
+    assert result.records == ()
+    assert [t.track_id for t in tracker.stack.tracks] == [2]
 
 
 @st.composite
