@@ -290,6 +290,28 @@ def test_box_rows_is_the_bounding_box_rule(rows):
                     [box.left, box.top, box.right, box.bottom, box.area]).tobytes()
 
 
+@pytest.mark.parametrize("bad", [
+    (0.0, 0.0, 1e-200, 1e-200),     # the width underflows to 0
+    (0.0, 0.0, 1e200, 1e200),       # the width overflows
+    (math.nan, 0.0, 1.0, 1.0),
+    (0.0, 0.0, 1.0, -2.0),
+])
+def test_boxes_from_centers_raise_the_first_invalid_rows_box_error(bad):
+    # `ltwh_from_centers` returns such rows unchecked; `box_rows` marks them
+    # invalid, and the first row it marks is `bad`, whose box raises the
+    # error `BoundingBox.from_center(bad)` raises.
+    centers = np.array([(5.0, 5.0, 0.5, 10.0), bad, (0.0, 0.0, -1.0, 1.0)])
+    ltwh = ltwh_from_centers(centers)
+    _, valid = box_rows(ltwh)
+    assert valid.tolist() == [True, False, False]
+    first = int(np.flatnonzero(~valid)[0])
+    with pytest.raises(ValueError) as want:
+        BoundingBox.from_center(bad)
+    with pytest.raises(ValueError) as got:
+        BoundingBox(*ltwh[first].tolist())
+    assert str(got.value) == str(want.value)
+
+
 def test_data_errors_share_one_base():
     assert issubclass(ConfigError, DataError) and issubclass(ParseError, DataError)
     assert issubclass(DataError, ValueError)
