@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -199,9 +200,14 @@ def _sorted_columns(entries):
     """The frames and identities of `entries` sorted by (frame, identity),
     a stable sort, and the (left, top, right, bottom, area) rows of their
     boxes in that order."""
-    entries = sorted(entries, key=lambda e: (e.frame, e.identity))
-    ltwh = np.array([(e.box.left, e.box.top, e.box.width, e.box.height)
-                     for e in entries], dtype=float).reshape(len(entries), 4)
+    # Two stable sorts on single-field keys order as one on (frame,
+    # identity) tuples do, without a key tuple per entry.
+    entries = sorted(entries, key=attrgetter("identity"))
+    entries.sort(key=attrgetter("frame"))
+    boxes = [e.box for e in entries]
+    ltwh = np.array([[b.left for b in boxes], [b.top for b in boxes],
+                     [b.width for b in boxes], [b.height for b in boxes]],
+                    dtype=float).reshape(4, len(boxes)).T
     return [e.frame for e in entries], [e.identity for e in entries], box_columns(ltwh)
 
 
@@ -276,9 +282,10 @@ def hota_levels(per_frame):
     contested[frame[shared]] = True
     easy = ~contested[frame]
 
-    # Spans (GT entry, predicted entry, low, high): the pair is matched at
-    # the levels [low, high).
-    spans = []
+    # Spans of contested frames, one entry in each list: GT entry,
+    # predicted entry, low and high; the pair is matched at the levels
+    # [low, high).
+    span_g, span_p, lows, highs = [], [], [], []
     for k in np.flatnonzero(contested).tolist():
         ious = per_frame[k][2]
         g0, p0 = int(g_first[k]), int(p_first[k])
@@ -288,12 +295,18 @@ def hota_levels(per_frame):
                 np.where(ious >= ALPHAS[level], 1.0 - ious, INFEASIBLE))
             floor = min((ious[i, j] for i, j in matches + optimal), default=math.inf)
             top = bisect_right(ALPHAS, floor)
-            spans.extend((g0 + i, p0 + j, level, top) for i, j in matches)
+            for i, j in matches:
+                span_g.append(g0 + i)
+                span_p.append(p0 + j)
+            lows += [level] * len(matches)
+            highs += [top] * len(matches)
             level = top
-    cell_spans = np.stack([entry_g, entry_p, np.zeros_like(frame),
-                           np.searchsorted(np.array(ALPHAS), iou, side="right")], axis=1)
-    span_g, span_p, lows, highs = np.concatenate(
-        [cell_spans[easy], np.array(spans, dtype=np.int64).reshape(-1, 4)]).T
+    # An uncontested cell is matched at the levels alpha <= its IoU.
+    tops = np.searchsorted(np.array(ALPHAS), iou[easy], side="right")
+    span_g = np.concatenate([entry_g[easy], np.array(span_g, dtype=np.int64)])
+    span_p = np.concatenate([entry_p[easy], np.array(span_p, dtype=np.int64)])
+    lows = np.concatenate([np.zeros_like(tops), np.array(lows, dtype=np.int64)])
+    highs = np.concatenate([tops, np.array(highs, dtype=np.int64)])
 
     # counts[pair, level]: the frames that match the pair at that level.
     gt_count, pred_count = np.bincount(g_rank), np.bincount(p_rank)

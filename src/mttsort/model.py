@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -107,8 +108,12 @@ class Detection:
     embedding: np.ndarray
 
     def __post_init__(self):
-        if self.frame < 1:
-            raise ValueError(f"frame index must be >= 1, got {self.frame}")
+        frame = self.frame
+        if type(frame) is not int and (
+                isinstance(frame, bool) or not isinstance(frame, numbers.Integral)):
+            raise ValueError(f"frame index must be an integer, got {frame!r}")
+        if frame < 1:
+            raise ValueError(f"frame index must be >= 1, got {frame}")
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(
                 f"confidence must be within [0, 1], got {self.confidence}"
@@ -163,6 +168,60 @@ def ltwh_from_centers(centers: np.ndarray) -> np.ndarray:
     return ltwh
 
 
+@dataclass(frozen=True, eq=False)
+class DetectionTable:
+    """A detection stream as columns, one row per detection, in the order
+    of its source: `frame` int64 (n,), `ltwh` (n, 4) (left, top, width,
+    height) rows, `confidence` (n,) and `embeddings` (n, D). The columns
+    may be views of a loader's array; instances are not changed once
+    built.
+
+    Iterating a table builds its `Detection` objects, stably sorted by
+    frame.
+    """
+
+    frame: np.ndarray
+    ltwh: np.ndarray
+    confidence: np.ndarray
+    embeddings: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __iter__(self):
+        frames, ltwh = self.frame.tolist(), self.ltwh.tolist()
+        confidence, embeddings = self.confidence.tolist(), self.embeddings
+        for i in np.argsort(self.frame, kind="stable").tolist():
+            yield Detection(frames[i], BoundingBox(*ltwh[i]), confidence[i], embeddings[i])
+
+    @classmethod
+    def of(cls, detections) -> "DetectionTable":
+        """A table as it is; the columns of any other iterable of
+        detections, in its order. Frames must fit int64."""
+        if isinstance(detections, DetectionTable):
+            return detections
+        detections = tuple(detections)
+        n = len(detections)
+        boxes = [d.box for d in detections]
+        ltwh = np.array([[b.left for b in boxes], [b.top for b in boxes],
+                         [b.width for b in boxes], [b.height for b in boxes]],
+                        dtype=float).reshape(4, n).T
+        embeddings = (np.array([d.embedding for d in detections], dtype=float)
+                      .reshape(n, -1) if n else np.zeros((0, 0)))
+        return cls(np.array([d.frame for d in detections], dtype=np.int64), ltwh,
+                   np.array([d.confidence for d in detections], dtype=float), embeddings)
+
+    def stream_columns(self) -> tuple[np.ndarray, "FrameDetections"]:
+        """The frames and the columns of the rows, sorted by frame and then
+        by descending confidence, both stable."""
+        order = np.argsort(-self.confidence, kind="stable")
+        order = order[np.argsort(self.frame[order], kind="stable")]
+        ltwh = self.ltwh[order]
+        return self.frame[order], FrameDetections(
+            None, self.confidence[order], box_columns(ltwh), center_columns(ltwh),
+            self.embeddings[order])
+
+
 @dataclass(eq=False)
 class FrameDetections:
     """One frame's detections as columns, one row per detection.
@@ -191,8 +250,9 @@ class FrameDetections:
 
     @classmethod
     def of(cls, detections) -> "FrameDetections":
-        """The columns of a list of detections, all of one frame."""
-        frames, columns = _sorted_columns(detections)
+        """The columns of detections all of one frame: a `DetectionTable`
+        or any iterable of `Detection`."""
+        frames, columns = DetectionTable.of(detections).stream_columns()
         if frames.size and frames[0] != frames[-1]:
             raise ValueError(
                 f"detections of frames {sorted(set(frames.tolist()))} given as one frame")
@@ -200,37 +260,21 @@ class FrameDetections:
 
     @classmethod
     def stream(cls, detections, frame_count: int) -> list["FrameDetections"]:
-        """The columns of frames 1..frame_count of a detection stream, one
-        entry per frame; detections of later frames are left out.
+        """The columns of frames 1..frame_count of a detection stream, a
+        `DetectionTable` or any iterable of `Detection`, one entry per
+        frame; detections of later frames, whatever their frame number,
+        are left out.
 
         The stream's columns are built once, and each frame's columns are
         views of a block of their rows.
         """
-        frames, columns = _sorted_columns(detections)
+        if not isinstance(detections, DetectionTable):
+            detections = DetectionTable.of(d for d in detections if d.frame <= frame_count)
+        frames, columns = detections.stream_columns()
         starts = np.searchsorted(frames, np.arange(1, frame_count + 2)).tolist()
         return [cls(frame, columns.confidence[a:b], columns.boxes[a:b],
                     columns.measurements[a:b], columns.embeddings[a:b])
                 for frame, a, b in zip(range(1, frame_count + 1), starts, starts[1:])]
-
-
-def _sorted_columns(detections) -> tuple[np.ndarray, FrameDetections]:
-    """The frames and the columns of `detections`, sorted by frame and then
-    by descending confidence, both stable."""
-    detections = tuple(detections)
-    frames = np.array([d.frame for d in detections], dtype=np.int64)
-    confidence = np.array([d.confidence for d in detections], dtype=float)
-    order = np.argsort(-confidence, kind="stable")
-    order = order[np.argsort(frames[order], kind="stable")]
-    # Reordering the objects, not the built arrays, keeps one copy of the
-    # embeddings.
-    detections = tuple(detections[i] for i in order.tolist())
-    n = len(detections)
-    ltwh = np.array([(d.box.left, d.box.top, d.box.width, d.box.height)
-                     for d in detections], dtype=float).reshape(n, 4)
-    embeddings = (np.array([d.embedding for d in detections], dtype=float)
-                  .reshape(n, -1) if n else np.zeros((0, 0)))
-    return frames[order], FrameDetections(
-        None, confidence[order], box_columns(ltwh), center_columns(ltwh), embeddings)
 
 
 @dataclass(frozen=True)

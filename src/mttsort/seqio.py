@@ -30,13 +30,14 @@ import itertools
 import math
 import os
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import NoReturn
 
 import numpy as np
 
 from .metrics import EvalReport, GtEntry
-from .model import (BoundingBox, ConfigError, DataError, Detection, box_rows,
-                    build_settings, center_columns, parse_kv_lines)
+from .model import (BoundingBox, ConfigError, DataError, Detection, DetectionTable,
+                    box_rows, build_settings, center_columns, parse_kv_lines)
 from .tracker import FrameResult
 
 META_FILE = "meta.txt"
@@ -65,9 +66,13 @@ class SequenceMeta:
 
 @dataclass(frozen=True)
 class Sequence(SequenceMeta):
-    """A parsed sequence directory: metadata, detections, optional GT."""
+    """A parsed sequence directory: metadata, detections, optional GT.
 
-    detections: tuple
+    `load_sequence` gives the detections as one `DetectionTable`; any
+    iterable of `Detection` tracks the same.
+    """
+
+    detections: DetectionTable | tuple
     gt: tuple | None = None
 
 
@@ -264,16 +269,15 @@ def _detections_ok(table: np.ndarray, frames: list[int], frame_count: int) -> bo
                 and _confidences_ok(table["confidence"]))
 
 
-def parse_detections(path, expected_dim: int, frame_count: int) -> list[Detection]:
-    """Load detections-with-embeddings rows, sorted by frame.
+_LAST_FRAME = int(np.iinfo(np.int64).max)
 
-    Embeddings are L2-normalized here; a row whose embedding dimension
-    disagrees with `expected_dim`, or whose frame is outside
-    [1, frame_count], is a schema error. A row's checks come in this
-    order: field count, frame, the -1 id field, numbers, a finite and
-    nonzero embedding, the box, its center form, the confidence. Each
-    detection's embedding is a row of one array of the file's.
-    """
+
+def _detection_table(path, expected_dim: int, frame_count: int) -> DetectionTable:
+    """The rows of a detections file as one table in file order: its
+    columns are views of the parser's checked array, with each embedding
+    L2-normalized in place, and its frames one int64 array, so a frame
+    past the largest int64 is out of range whatever `frame_count` is."""
+    frame_count = min(frame_count, _LAST_FRAME)
     table = _table(path, np.dtype([
         ("frame", object), ("sentinel", float), ("box", float, (4,)),
         ("confidence", float), ("embedding", float, (expected_dim,))]))
@@ -282,10 +286,23 @@ def parse_detections(path, expected_dim: int, frame_count: int) -> list[Detectio
         _raise_first_error(path, _check_detection_row, expected_dim, frame_count)
     embeddings = table["embedding"]
     _unit_rows(embeddings)
-    boxes, confidences = table["box"].tolist(), table["confidence"].tolist()
-    return [Detection(frame=frames[i], box=BoundingBox(*boxes[i]),
-                      confidence=confidences[i], embedding=embeddings[i])
-            for i in sorted(range(len(frames)), key=frames.__getitem__)]
+    return DetectionTable(np.array(frames, dtype=np.int64), table["box"],
+                          table["confidence"], embeddings)
+
+
+def parse_detections(path, expected_dim: int, frame_count: int) -> list[Detection]:
+    """Load detections-with-embeddings rows, sorted by frame.
+
+    Embeddings are L2-normalized here; a row whose embedding dimension
+    disagrees with `expected_dim`, or whose frame is outside
+    [1, frame_count] or past the largest int64, is a schema error. A
+    row's checks come in this order: field count, frame, the -1 id field,
+    numbers, a finite and nonzero embedding, the box, its center form, the
+    confidence. Each detection's embedding is a row of one array of the
+    file's. These are the detections of the file's `DetectionTable`, which
+    `load_sequence` keeps instead.
+    """
+    return list(_detection_table(path, expected_dim, frame_count))
 
 
 def _box_fields(box: BoundingBox) -> str:
@@ -323,12 +340,15 @@ def parse_gt(path, frame_count: int) -> list[GtEntry]:
         _raise_first_error(path, _check_gt_row, frame_count, set())
     entries = [GtEntry(frame, identity, BoundingBox(*box))
                for frame, identity, box in zip(frames, identities, table["box"].tolist())]
-    entries.sort(key=lambda e: (e.frame, e.identity))
+    # Two stable sorts order as one on (frame, identity) tuples does.
+    entries.sort(key=attrgetter("identity"))
+    entries.sort(key=attrgetter("frame"))
     return entries
 
 
 def write_gt(entries, path) -> None:
-    rows = sorted(entries, key=lambda e: (e.frame, e.identity))
+    rows = sorted(entries, key=attrgetter("identity"))
+    rows.sort(key=attrgetter("frame"))
     with open(path, "w", encoding="utf-8") as fh:
         for e in rows:
             fh.write(f"{e.frame},{e.identity},{_box_fields(e.box)}\n")
@@ -368,13 +388,13 @@ def write_meta(meta: SequenceMeta, path) -> None:
 def load_sequence(directory) -> Sequence:
     """Read a sequence directory (meta + detections + optional GT)."""
     meta = parse_meta(os.path.join(directory, META_FILE))
-    detections = parse_detections(os.path.join(directory, DET_FILE),
+    detections = _detection_table(os.path.join(directory, DET_FILE),
                                   meta.embedding_dim, meta.frame_count)
     gt = None
     gt_path = os.path.join(directory, GT_FILE)
     if os.path.exists(gt_path):
         gt = tuple(parse_gt(gt_path, meta.frame_count))
-    return Sequence(**asdict(meta), detections=tuple(detections), gt=gt)
+    return Sequence(**asdict(meta), detections=detections, gt=gt)
 
 
 def write_sequence(directory, meta: SequenceMeta, detections, gt=None) -> None:
@@ -386,15 +406,21 @@ def write_sequence(directory, meta: SequenceMeta, detections, gt=None) -> None:
 
 
 def write_results(results, path) -> None:
-    """Write FrameResults as result rows sorted by (frame, id)."""
-    rows = []
+    """Write FrameResults as result rows sorted by (frame, id), a stable
+    sort of the results' records in order; each row is written with its
+    own result's frame."""
+    frames, ids, lines = [], [], []
     for res in results:
+        frame = res.frame
         for track_id, box, confidence in res.records:
-            rows.append((res.frame, track_id, box, confidence))
-    rows.sort(key=lambda r: (r[0], r[1]))
+            frames.append(frame)
+            ids.append(track_id)
+            lines.append(f"{frame},{track_id},{_box_fields(box)},{confidence:.2f},-1,-1,-1\n")
+    # Two stable sorts order as one on (frame, id) tuples does.
+    order = sorted(range(len(lines)), key=ids.__getitem__)
+    order.sort(key=frames.__getitem__)
     with open(path, "w", encoding="utf-8") as fh:
-        for frame, track_id, box, confidence in rows:
-            fh.write(f"{frame},{track_id},{_box_fields(box)},{confidence:.2f},-1,-1,-1\n")
+        fh.writelines([lines[i] for i in order])
 
 
 def parse_results(path, frame_count: int | None = None) -> list[FrameResult]:

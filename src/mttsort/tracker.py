@@ -249,8 +249,10 @@ def run_sequence(detections, config: TrackerConfig,
                  frame_count: int) -> list[FrameResult]:
     """Track a whole detection stream and return one FrameResult per frame.
 
+    `detections` is a `DetectionTable` or any iterable of `Detection`.
     Frames run from 1 to `frame_count`; frames without detections still
-    advance the tracker. The stream's columns are built once per call.
+    advance the tracker, and detections of later frames are left out. The
+    stream's columns are built once per call (`FrameDetections.stream`).
     """
     tracker = Tracker(config)
     return [tracker.step(columns.frame, columns)

@@ -7,6 +7,7 @@ in oracle comparisons use integer coordinates, which keeps every IoU an
 exact small rational and makes float equality exact.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -69,6 +70,70 @@ def best_matching(gt_items, pred_items, alpha):
         elif abs(total - b_total) <= tol and kept < b_kept:
             best = (len(kept), total, kept)
     return best[2]
+
+
+def bits(value):
+    """A key that two values share iff they are equal bit for bit, types
+    included: floats by their hex, arrays by dtype, shape and bytes, and
+    lists, tuples and dataclasses field by field."""
+    if isinstance(value, float):
+        return "float", value.hex()
+    if isinstance(value, np.ndarray):
+        return "array", value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, tuple(bits(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return type(value).__name__, value
+
+
+def stream_columns_oracle(detections):
+    """The frames and the columns of a list of detections, sorted by frame
+    and then by descending confidence, both stable: the column build from
+    detection objects that the tracker used before detection tables."""
+    from mttsort.model import FrameDetections, box_columns, center_columns
+
+    detections = tuple(detections)
+    frames = np.array([d.frame for d in detections], dtype=np.int64)
+    confidence = np.array([d.confidence for d in detections], dtype=float)
+    order = np.argsort(-confidence, kind="stable")
+    order = order[np.argsort(frames[order], kind="stable")]
+    detections = tuple(detections[i] for i in order.tolist())
+    n = len(detections)
+    ltwh = np.array([(d.box.left, d.box.top, d.box.width, d.box.height)
+                     for d in detections], dtype=float).reshape(n, 4)
+    embeddings = (np.array([d.embedding for d in detections], dtype=float)
+                  .reshape(n, -1) if n else np.zeros((0, 0)))
+    return frames[order], FrameDetections(
+        None, confidence[order], box_columns(ltwh), center_columns(ltwh), embeddings)
+
+
+def entry_columns_oracle(entries):
+    """The frames and identities of `entries` sorted on (frame, identity)
+    tuple keys, a stable sort, and the (left, top, right, bottom, area)
+    rows of their boxes in that order, built from one tuple per entry."""
+    from mttsort.model import box_columns
+
+    entries = sorted(entries, key=lambda e: (e.frame, e.identity))
+    ltwh = np.array([(e.box.left, e.box.top, e.box.width, e.box.height)
+                     for e in entries], dtype=float).reshape(len(entries), 4)
+    return [e.frame for e in entries], [e.identity for e in entries], box_columns(ltwh)
+
+
+def write_results_oracle(results, path):
+    """Write FrameResults as result rows: one (frame, id, box, confidence)
+    tuple per record, sorted stably on (frame, id) tuple keys."""
+    from mttsort.seqio import _box_fields
+
+    rows = []
+    for res in results:
+        for track_id, box, confidence in res.records:
+            rows.append((res.frame, track_id, box, confidence))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    with open(path, "w", encoding="utf-8") as fh:
+        for frame, track_id, box, confidence in rows:
+            fh.write(f"{frame},{track_id},{_box_fields(box)},{confidence:.2f},-1,-1,-1\n")
 
 
 def _frames_sorted(entries):

@@ -14,7 +14,8 @@ from mttsort.metrics import (
 from mttsort.model import BoundingBox, box_columns
 
 from oracles import (
-    assa_oracle, clear_oracle, idf1_oracle, idf1_table_oracle, random_micro_scenario,
+    assa_oracle, bits, clear_oracle, entry_columns_oracle, idf1_oracle, idf1_table_oracle,
+    random_micro_scenario,
 )
 
 BOX = BoundingBox(10, 10, 20, 40)
@@ -507,3 +508,21 @@ def test_micro_scenarios_match_brute_force_oracles(seed):
     assert rep.idf1 == idf1(per_frame)
     assert (rep.fn_count, rep.fp_count, rep.idsw_count, rep.frag_count) == \
         _clear_sequence(per_frame)
+
+
+# Identities below 0, at 0 and past 2**64, so that no int64 view orders them.
+identities = st.one_of(st.integers(-3, 3), st.integers(2 ** 64 - 1, 2 ** 64 + 2),
+                       st.integers(-2 ** 70 - 2, -2 ** 70))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.builds(GtEntry, st.integers(1, 4), identities,
+                          st.builds(BoundingBox, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                                    st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))),
+                max_size=12))
+def test_entry_columns_equal_the_tuple_key_sort(entries):
+    frames, ids, boxes = metrics._sorted_columns(entries)
+    want_frames, want_ids, want_boxes = entry_columns_oracle(entries)
+    assert bits(frames) == bits(want_frames)
+    assert bits(ids) == bits(want_ids)
+    assert bits(boxes) == bits(want_boxes)

@@ -7,12 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from mttsort.ga import load_ga_config
 from mttsort.model import (
-    BoundingBox, ConfigError, DataError, Detection, FrameDetections, TrackerConfig,
+    BoundingBox, ConfigError, DataError, Detection, DetectionTable, FrameDetections,
+    TrackerConfig,
     box_columns, box_rows, format_config, load_config, load_preset, ltwh_from_centers,
     parse_config_text, parse_kv_lines, PRESETS,
 )
 from mttsort.seqio import ParseError, parse_meta
 from mttsort.synth import load_scenario
+from mttsort.tracker import run_sequence
+
+from oracles import bits, stream_columns_oracle
 
 
 def test_to_center_worked_examples():
@@ -63,6 +67,18 @@ def test_detection_validation():
                       embedding=np.array([1.0, value]))
     det = Detection(frame=1, box=box, confidence=0.5, embedding=emb)
     assert det.confidence == 0.5
+
+
+@pytest.mark.parametrize("frame", [1.5, 1.0, True, np.bool_(True), "1", None],
+                         ids=repr)
+def test_detection_frame_must_be_an_integer(frame):
+    with pytest.raises(ValueError, match="frame index must be an integer"):
+        Detection(frame, BoundingBox(0, 0, 4, 4), 0.5, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("frame", [2, np.int64(2), np.int32(2), np.uint8(2), 2 ** 70])
+def test_detection_frame_may_be_any_integer_from_1(frame):
+    assert Detection(frame, BoundingBox(0, 0, 4, 4), 0.5, np.array([1.0, 0.0])).frame == frame
 
 
 def test_preset_values():
@@ -236,6 +252,48 @@ def test_columns_reject_detections_of_two_frames():
     box, emb = BoundingBox(0, 0, 4, 4), np.array([1.0, 0.0])
     with pytest.raises(ValueError, match=r"frames \[1, 2\]"):
         FrameDetections.of([Detection(1, box, 0.5, emb), Detection(2, box, 0.5, emb)])
+
+
+@st.composite
+def table_streams(draw):
+    """Detections of frames 1-5 in any order, with confidences that often
+    tie, one embedding dimension of 1-4, and boxes that often overlap."""
+    dim = draw(st.integers(1, 4))
+    boxes = st.builds(BoundingBox, st.floats(0, 100), st.floats(0, 100),
+                      st.floats(20, 60), st.floats(20, 60))
+    return [Detection(draw(st.integers(1, 5)), draw(boxes),
+                      draw(st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.9, 1.0])),
+                      np.array(draw(st.lists(st.floats(-1, 1), min_size=dim, max_size=dim))))
+            for _ in range(draw(st.integers(0, 12)))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(table_streams())
+def test_table_iterates_as_its_detections_stably_sorted_by_frame(detections):
+    table = DetectionTable.of(detections)
+    assert len(table) == len(detections)
+    assert bits(list(table)) == bits(sorted(detections, key=lambda d: d.frame))
+    assert DetectionTable.of(table) is table
+
+
+@settings(deadline=None, max_examples=200)
+@given(table_streams(), st.integers(0, 6))
+def test_stream_of_a_table_equals_the_object_columns(detections, frame_count):
+    frames, want = stream_columns_oracle(detections)
+    starts = np.searchsorted(frames, np.arange(1, frame_count + 2)).tolist()
+    got = FrameDetections.stream(DetectionTable.of(detections), frame_count)
+    assert [columns.frame for columns in got] == list(range(1, frame_count + 1))
+    for columns, a, b in zip(got, starts, starts[1:]):
+        for name in ("confidence", "boxes", "measurements", "embeddings"):
+            assert np.array_equal(getattr(columns, name), getattr(want, name)[a:b])
+
+
+@settings(deadline=None, max_examples=100)
+@given(table_streams(), st.integers(1, 3), st.integers(1, 3))
+def test_a_table_tracks_as_its_detection_list(detections, n_init, max_age):
+    config = TrackerConfig(n_init=n_init, max_age=max_age, min_confidence=0.2)
+    assert bits(run_sequence(DetectionTable.of(detections), config, 6)) == bits(
+        run_sequence(detections, config, 6))
 
 
 @settings(deadline=None, max_examples=300)

@@ -27,6 +27,9 @@ def run_script(name, *args):
     ("ga_vs_presets.py",
      ["--scenario", "occlusion", "--population", "2", "--generations", "1"],
      ["scenario=occlusion frames=120"]),
+    ("gc_by_stage.py", ["--workload", "big30", "--rounds", "2", "--tiny"],
+     ["workload=big30 seed=0 rounds=2",
+      "per round         gen0  gen0 ms   gen1  gen1 ms   gen2  gen2 ms"]),
 ])
 def test_script_runs_and_prints_its_header(name, args, header):
     done = run_script(name, *args)

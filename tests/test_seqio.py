@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import tracemalloc
@@ -16,7 +15,8 @@ from mttsort.seqio import (
     write_detections, write_gt, write_meta, write_results, write_sequence,
 )
 from mttsort.tracker import FrameResult
-from oracles import parse_detections_oracle, parse_gt_oracle, parse_results_oracle
+from oracles import (bits, parse_detections_oracle, parse_gt_oracle, parse_results_oracle,
+                     write_results_oracle)
 
 
 def write(path, text):
@@ -330,6 +330,28 @@ def test_sequence_directory_round_trip(tmp_path):
     assert len(seq.gt) == len(gt)
 
 
+def test_loaded_detections_iterate_as_parse_detections_returns(tmp_path):
+    spec = synth.ScenarioSpec(name="table", identities=3, frames=12, embedding_dim=3,
+                              false_positive_rate=1.0, seed=5)
+    gt, dets = synth.generate(spec)
+    directory = tmp_path / "seq"
+    write_sequence(directory, SequenceMeta("table", 12, 640.0, 480.0, 3),
+                   dets[::-1], gt)  # frames in descending order in the file
+    parsed = parse_detections(directory / "det.txt", expected_dim=3, frame_count=12)
+    assert bits(list(load_sequence(directory).detections)) == bits(parsed)
+    assert [d.frame for d in parsed] == sorted(d.frame for d in dets)
+
+
+def test_a_detection_frame_past_int64_is_rejected_at_its_line(tmp_path):
+    path = write(tmp_path / "det.txt", f"1,-1,0,0,5,5,0.9,1,0\n{2 ** 63},-1,0,0,5,5,0.9,1,0\n")
+    with pytest.raises(ParseError, match=re.escape(
+            f"{path}:2: frame {2 ** 63} outside [1, {2 ** 63 - 1}]")):
+        parse_detections(path, expected_dim=2, frame_count=2 ** 70)
+    path = write(tmp_path / "det.txt", f"{2 ** 63 - 1},-1,0,0,5,5,0.9,1,0\n")
+    (det,) = parse_detections(path, expected_dim=2, frame_count=2 ** 70)
+    assert (det.frame, type(det.frame)) == (2 ** 63 - 1, int)
+
+
 def test_sequence_frame_bounds_checked(tmp_path):
     directory = tmp_path / "seq"
     directory.mkdir()
@@ -360,21 +382,6 @@ def test_report_formatting():
 
 
 # ------------------------------------------- bulk parsing against the oracles
-
-def bits(value):
-    """A key that two parse outputs share iff they are equal bit for bit,
-    types included."""
-    if isinstance(value, float):
-        return "float", value.hex()
-    if isinstance(value, np.ndarray):
-        return "array", value.dtype.str, value.shape, value.tobytes()
-    if isinstance(value, (list, tuple)):
-        return type(value).__name__, tuple(bits(v) for v in value)
-    if dataclasses.is_dataclass(value):
-        return type(value).__name__, tuple(
-            bits(getattr(value, f.name)) for f in dataclasses.fields(value))
-    return type(value).__name__, value
-
 
 def outcome(parse, *args):
     try:
@@ -679,6 +686,27 @@ def test_detection_embeddings_are_written_as_ten_significant_digits(tmp_path_fac
     write_detections([Detection(1, BoundingBox(1, 2, 3, 4), 0.5, embedding)] * 2, path)
     want = ",".join(format(v, ".10g") for v in embedding)
     assert path.read_text().splitlines() == [f"1,-1,1.00,2.00,3.00,4.00,0.5000,{want}"] * 2
+
+
+# Ids below 0, at 0 and past 2**64; frames out of order and shared by
+# results; records out of id order, with repeats.
+result_records = st.lists(st.tuples(
+    st.one_of(st.integers(-3, 3), st.integers(2 ** 64 - 1, 2 ** 64 + 2)),
+    st.builds(BoundingBox, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+              st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+    st.floats(0.0, 1.0)), max_size=5).map(tuple)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.builds(FrameResult, st.integers(1, 4), result_records), max_size=6))
+@example([FrameResult(2, ((5, BoundingBox(0, 0, 1, 1), 0.5), (-1, BoundingBox(1, 0, 1, 1), 0.5))),
+          FrameResult(1, ((2 ** 64, BoundingBox(2, 0, 1, 1), 0.5),)),
+          FrameResult(2, ((0, BoundingBox(3, 0, 1, 1), 0.5), (5, BoundingBox(4, 0, 1, 1), 0.5)))])
+def test_results_are_written_as_the_row_tuple_sort_writes_them(tmp_path_factory, results):
+    directory = tmp_path_factory.mktemp("results")
+    write_results(results, directory / "got.txt")
+    write_results_oracle(results, directory / "want.txt")
+    assert (directory / "got.txt").read_bytes() == (directory / "want.txt").read_bytes()
 
 
 @settings(deadline=None, max_examples=200)

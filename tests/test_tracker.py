@@ -466,3 +466,10 @@ def test_stack_rows_stay_live_and_in_id_order(stream, n_init, max_age):
                    for t in stack.tracks)
         assert all(t.time_since_update == 0
                    for t in stack.tracks if t.hits < confirm_hits)
+
+
+def test_detections_past_frame_count_are_left_out_whatever_their_frame():
+    box, emb = BoundingBox(0, 0, 5, 5), np.array([1.0, 0.0])
+    detections = [Detection(2 ** 70, box, 0.9, emb), Detection(4, box, 0.9, emb)]
+    assert run_sequence(detections, TrackerConfig(n_init=1), 3) == [
+        FrameResult(frame, ()) for frame in (1, 2, 3)]
