@@ -13,6 +13,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .kalman import CHI2_GATE_4DOF
+from .model import iou_columns
 
 INFEASIBLE = np.inf
 
@@ -112,23 +113,6 @@ class FeatureBuffer:
         return [buffer._pooled for buffer in buffers]
 
 
-def iou_columns(a, b) -> np.ndarray:
-    """Intersection-over-union of every row of `a` with every row of `b`,
-    as a (len(a), len(b)) array in [0, 1]; rows are (left, top, right,
-    bottom, area) box columns (`model.box_columns`).
-
-    Each entry is inter / (area_a + area_b - inter) in that order, so
-    iou_columns(b, a) is exactly iou_columns(a, b).T.
-    """
-    # Fields down the first axis; `a` runs down, `b` across.
-    a = a.T[:, :, None]
-    b = b.T[:, None, :]
-    # Overlap width and height, zero where the boxes are apart.
-    extent = np.maximum(np.minimum(a[2:4], b[2:4]) - np.maximum(a[:2], b[:2]), 0.0)
-    inter = extent[0] * extent[1]
-    return inter / (a[4] + b[4] - inter)
-
-
 def appearance_cost(tracks, detections, kalman, max_dist: float) -> np.ndarray:
     """Gated cosine-cost matrix between the rows of a track stack and the
     rows of a frame's detection columns.
@@ -149,7 +133,7 @@ def appearance_cost(tracks, detections, kalman, max_dist: float) -> np.ndarray:
     # One BLAS dot per pair: a stacked (1, D) @ (D, 1) matmul.
     similarity = np.matmul(detections.embeddings[None, :, None, :],
                            pooled[:, None, :, None])[..., 0, 0]
-    cost = np.clip(1.0 - similarity, 0.0, 2.0)
+    cost = np.minimum(np.maximum(1.0 - similarity, 0.0), 2.0)
     gate = kalman.gating_distance(tracks.mean, tracks.covariance,
                                   detections.measurements)
     cost[gate > CHI2_GATE_4DOF] = INFEASIBLE
@@ -159,7 +143,7 @@ def appearance_cost(tracks, detections, kalman, max_dist: float) -> np.ndarray:
 
 def iou_cost(track_boxes, detection_boxes, max_iou_distance: float) -> np.ndarray:
     """IoU-cost matrix between tracks' predicted boxes and detection boxes,
-    both given as box-column rows (`iou_columns`); entries above
+    both given as box-column rows (`model.iou_columns`); entries above
     `max_iou_distance` are INFEASIBLE."""
     if not len(track_boxes) or not len(detection_boxes):
         return np.zeros((len(track_boxes), len(detection_boxes)))

@@ -156,16 +156,79 @@ def box_rows(ltwh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return boxes, valid
 
 
-def ltwh_from_centers(centers: np.ndarray) -> np.ndarray:
-    """The (left, top, width, height) rows that `BoundingBox.from_center`
-    makes of (cx, cy, aspect, height) rows, unchecked (see `box_rows`): a
-    state far out of range gives inf or NaN fields, not a numpy warning."""
-    ltwh = np.empty((len(centers), 4))
+def center_box_rows(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`box_rows` of the (left, top, width, height) rows that
+    `BoundingBox.from_center` makes of (cx, cy, aspect, height) rows, in
+    one pass with the same operations in the same order: width is aspect
+    * height, left and top are cx - width / 2 and cy - height / 2. A state
+    far out of range gives inf or NaN columns and an invalid row, not a
+    numpy warning."""
+    n = len(centers)
+    sides = np.empty((n, 2))
+    boxes = np.empty((n, 5))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(centers[:, 2], centers[:, 3], out=ltwh[:, 2])
-        ltwh[:, 3] = centers[:, 3]
-        np.subtract(centers[:, :2], ltwh[:, 2:] / 2.0, out=ltwh[:, :2])
-    return ltwh
+        np.multiply(centers[:, 2], centers[:, 3], out=sides[:, 0])
+        sides[:, 1] = centers[:, 3]
+        np.subtract(centers[:, :2], sides / 2.0, out=boxes[:, :2])
+        np.add(boxes[:, :2], sides, out=boxes[:, 2:4])
+        np.multiply(sides[:, 0], sides[:, 1], out=boxes[:, 4])
+        valid = np.isfinite(boxes).all(axis=1) & (boxes[:, 4] > 0) & (sides[:, 1] > 0)
+    return boxes, valid
+
+
+def iou_columns(a, b) -> np.ndarray:
+    """Intersection-over-union of every row of `a` with every row of `b`,
+    as a (len(a), len(b)) array in [0, 1]; rows are (left, top, right,
+    bottom, area) box columns (`box_columns`).
+
+    Each entry is inter / (area_a + area_b - inter) in that order, so
+    iou_columns(b, a) is exactly iou_columns(a, b).T.
+    """
+    # Fields down the first axis; `a` runs down, `b` across.
+    return _iou_of_fields(a.T[:, :, None], b.T[:, None, :])
+
+
+def _iou_of_fields(a, b) -> np.ndarray:
+    """The `iou_columns` expression on box fields (left, top, right,
+    bottom, area) down the first axis of `a` and `b`, broadcast against
+    each other over the other axes; each entry is the bits of its pair's
+    `iou_columns` entry."""
+    # Overlap width and height, zero where the boxes are apart.
+    extent = np.maximum(np.minimum(a[2:4], b[2:4]) - np.maximum(a[:2], b[:2]), 0.0)
+    inter = extent[0] * extent[1]
+    return inter / (a[4] + b[4] - inter)
+
+
+# The most IoU entries one `_frame_overlaps` call computes at once, so its
+# temporaries stay a few MB however long the stream is.
+_OVERLAP_BATCH_ENTRIES = 1 << 14
+
+
+def _frame_overlaps(boxes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """For each box-column row of `boxes`, whose frames are the blocks
+    starts[f]:starts[f + 1], the largest `iou_columns` value with another
+    row of its frame: NaN if one of those is NaN, -inf for a row alone.
+
+    The frames of one size m are gathered field by field into one
+    contiguous (5, F, m) stack, at most _OVERLAP_BATCH_ENTRIES // m**2
+    frames (at least one), whose (F, m, m) IoUs are one `_iou_of_fields`
+    call. Warnings are off: the values are those of the per-frame call,
+    whose own warnings come where `preprocess` makes it.
+    """
+    overlap = np.full(len(boxes), -np.inf)
+    fields = boxes.T
+    sizes = np.diff(starts)
+    with np.errstate(all="ignore"):
+        for m in np.unique(sizes[sizes > 1]).tolist():
+            firsts = starts[:-1][sizes == m]
+            per_call = max(1, _OVERLAP_BATCH_ENTRIES // (m * m))
+            for i in range(0, len(firsts), per_call):
+                rows = firsts[i:i + per_call, None] + np.arange(m)
+                stack = fields[:, rows]
+                ious = _iou_of_fields(stack[..., :, None], stack[..., None, :])
+                ious[:, range(m), range(m)] = -np.inf
+                overlap[rows] = ious.max(axis=2)
+    return overlap
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,13 +276,17 @@ class DetectionTable:
 
     def stream_columns(self) -> tuple[np.ndarray, "FrameDetections"]:
         """The frames and the columns of the rows, sorted by frame and then
-        by descending confidence, both stable."""
+        by descending confidence, both stable; `overlap` is taken within
+        each frame."""
         order = np.argsort(-self.confidence, kind="stable")
         order = order[np.argsort(self.frame[order], kind="stable")]
-        ltwh = self.ltwh[order]
-        return self.frame[order], FrameDetections(
-            None, self.confidence[order], box_columns(ltwh), center_columns(ltwh),
-            self.embeddings[order])
+        frames, ltwh = self.frame[order], self.ltwh[order]
+        boxes = box_columns(ltwh)
+        starts = np.concatenate(([0], np.flatnonzero(frames[1:] != frames[:-1]) + 1,
+                                 [len(frames)]))
+        return frames, FrameDetections(
+            None, self.confidence[order], boxes, center_columns(ltwh),
+            self.embeddings[order], _frame_overlaps(boxes, starts))
 
 
 @dataclass(eq=False)
@@ -230,8 +297,13 @@ class FrameDetections:
     order). `boxes` rows are (left, top, right, bottom, area) and
     `measurements` rows are `to_center()` vectors, computed as
     BoundingBox computes them, so every entry equals the per-object value
-    bit for bit. `frame` is None for a frame built from no detections.
-    Instances are not changed once built.
+    bit for bit. `overlap` holds each row's largest IoU with another row
+    of its frame as the stream was built (`_frame_overlaps`): NaN if one
+    of those IoUs is NaN, -inf for a row alone. It bounds the row's IoU
+    with every other row here, for a `take` of rows too, so a row whose
+    `overlap` is at most a threshold overlaps no row here by more.
+    `frame` is None for a frame built from no detections. Instances are
+    not changed once built.
     """
 
     frame: int | None
@@ -239,6 +311,7 @@ class FrameDetections:
     boxes: np.ndarray
     measurements: np.ndarray
     embeddings: np.ndarray
+    overlap: np.ndarray
 
     def __len__(self) -> int:
         return len(self.confidence)
@@ -246,7 +319,8 @@ class FrameDetections:
     def take(self, rows) -> "FrameDetections":
         """The rows `rows` (a list of indices or a slice), in that order."""
         return FrameDetections(self.frame, self.confidence[rows], self.boxes[rows],
-                               self.measurements[rows], self.embeddings[rows])
+                               self.measurements[rows], self.embeddings[rows],
+                               self.overlap[rows])
 
     @classmethod
     def of(cls, detections) -> "FrameDetections":
@@ -273,7 +347,8 @@ class FrameDetections:
         frames, columns = detections.stream_columns()
         starts = np.searchsorted(frames, np.arange(1, frame_count + 2)).tolist()
         return [cls(frame, columns.confidence[a:b], columns.boxes[a:b],
-                    columns.measurements[a:b], columns.embeddings[a:b])
+                    columns.measurements[a:b], columns.embeddings[a:b],
+                    columns.overlap[a:b])
                 for frame, a, b in zip(range(1, frame_count + 1), starts, starts[1:])]
 
 

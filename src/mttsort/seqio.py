@@ -117,6 +117,18 @@ def _confidences_ok(confidence: np.ndarray) -> bool:
     return bool(((confidence >= 0.0) & (confidence <= 1.0)).all())
 
 
+def _unique_pair_order(frames: list[int], ids: list[int]) -> list[int] | None:
+    """The row indices in (frame, id) order, by two stable index sorts; None
+    if two rows share a (frame, id) pair, found by comparing neighbours in
+    that order."""
+    order = sorted(range(len(frames)), key=ids.__getitem__)
+    order.sort(key=frames.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if frames[a] == frames[b] and ids[a] == ids[b]:
+            return None
+    return order
+
+
 # The error path. A file the bulk conversion or checks reject is read
 # again, and each row is checked on its own in its parser's documented
 # order until one raises. These checks build nothing, so no file is
@@ -331,19 +343,16 @@ def parse_gt(path, frame_count: int) -> list[GtEntry]:
     field count, frame, identity, uniqueness, numbers, the box."""
     table = _table(path, np.dtype([
         ("frame", object), ("identity", object), ("box", float, (4,))]))
-    frames = identities = None
+    order = None
     if table is not None:
         frames, identities = _ints(table["frame"]), _ints(table["identity"])
-    if (frames is None or identities is None or not _frames_ok(frames, frame_count)
-            or len(set(zip(frames, identities))) != len(frames)
+        if frames is not None and identities is not None:
+            order = _unique_pair_order(frames, identities)
+    if (order is None or not _frames_ok(frames, frame_count)
             or not box_rows(table["box"])[1].all()):
         _raise_first_error(path, _check_gt_row, frame_count, set())
-    entries = [GtEntry(frame, identity, BoundingBox(*box))
-               for frame, identity, box in zip(frames, identities, table["box"].tolist())]
-    # Two stable sorts order as one on (frame, identity) tuples does.
-    entries.sort(key=attrgetter("identity"))
-    entries.sort(key=attrgetter("frame"))
-    return entries
+    boxes = table["box"].tolist()
+    return [GtEntry(frames[i], identities[i], BoundingBox(*boxes[i])) for i in order]
 
 
 def write_gt(entries, path) -> None:
@@ -434,25 +443,21 @@ def parse_results(path, frame_count: int | None = None) -> list[FrameResult]:
     table = _table(path, np.dtype([
         ("frame", object), ("track_id", object), ("box", float, (4,)),
         ("confidence", float), ("tail", object, (3,))]))
-    frames = track_ids = None
+    order = None
     if table is not None:
         frames, track_ids = _ints(table["frame"]), _ints(table["track_id"])
-    if (frames is None or track_ids is None
+        if frames is not None and track_ids is not None:
+            order = _unique_pair_order(frames, track_ids)
+    if (order is None
             or not all(t.strip() == "-1" for t in set(table["tail"].flat))
             or not _frames_ok(frames, frame_count)
             or not box_rows(table["box"])[1].all()
-            or not _confidences_ok(table["confidence"])
-            or len(set(zip(frames, track_ids))) != len(frames)):
+            or not _confidences_ok(table["confidence"])):
         _raise_first_error(path, _check_result_row, frame_count, set())
-    by_frame: dict[int, list] = {}
-    for frame, track_id, box, confidence in zip(
-            frames, track_ids, table["box"].tolist(), table["confidence"].tolist()):
-        by_frame.setdefault(frame, []).append((track_id, BoundingBox(*box), confidence))
-    results = []
-    for frame in sorted(by_frame):
-        records = sorted(by_frame[frame], key=lambda r: r[0])
-        results.append(FrameResult(frame=frame, records=tuple(records)))
-    return results
+    boxes, confidence = table["box"].tolist(), table["confidence"].tolist()
+    return [FrameResult(frame=frame, records=tuple(
+                (track_ids[i], BoundingBox(*boxes[i]), confidence[i]) for i in rows))
+            for frame, rows in itertools.groupby(order, key=frames.__getitem__)]
 
 
 _REPORT_FLOATS = ("hota", "mota", "idf1", "det_re", "det_pr", "det_a", "ass_a")

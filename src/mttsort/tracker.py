@@ -1,10 +1,10 @@
 """The per-frame tracking pipeline.
 
 Each frame: filter and NMS the detections, Kalman-predict all live tracks
-and delete those whose state is no box (`model.box_rows`), match confirmed
-tracks by pooled appearance (cascade), match the remainder by IoU, update
-the matched tracks, emit the confirmed tracks, keep the rows that can
-still match and start new tracks.
+and delete those whose state is no box (`model.center_box_rows`), match
+confirmed tracks by pooled appearance (cascade), match the remainder by
+IoU, update the matched tracks, emit the confirmed tracks, keep the rows
+that can still match and start new tracks.
 
 A track is confirmed once it holds `confirm_hits = max(2, n_init)` hits
 (a newborn holds one). A tentative track ends on its first miss, a
@@ -26,8 +26,7 @@ import numpy as np
 
 from . import association
 from .kalman import KalmanModel, NumericalError
-from .model import (BoundingBox, FrameDetections, TrackerConfig, box_rows,
-                    ltwh_from_centers)
+from .model import BoundingBox, FrameDetections, TrackerConfig, center_box_rows
 
 
 @dataclass
@@ -80,12 +79,14 @@ def preprocess(detections: FrameDetections, config: TrackerConfig) -> FrameDetec
     Rows come in descending confidence (ties in input order), so the
     detections at or above min_confidence are a leading block. It is
     scanned in order, and a box is kept iff its IoU with every
-    already-kept box is <= nms_max_overlap. Fewer than two candidates
-    need no IoU.
+    already-kept box is <= nms_max_overlap. The candidates' IoUs are
+    computed only when there are two or more and one's `overlap` column
+    fails that test; otherwise no candidate overlaps another by more, and
+    none is dropped.
     """
     n = int(np.count_nonzero(detections.confidence >= config.min_confidence))
     dropped = set()
-    if n > 1:
+    if n > 1 and not (detections.overlap[:n] <= config.nms_max_overlap).all():
         boxes = detections.boxes[:n]
         # Box k is dropped iff a kept box j < k overlaps it; the pairs come
         # in ascending k, so every j's fate is known when k is reached.
@@ -133,13 +134,14 @@ class Tracker:
 
     def _predict(self) -> np.ndarray:
         """One Kalman predict over the stack of all live tracks, replacing
-        its arrays; rows whose state makes no BoundingBox (`box_rows`) are
-        deleted. Returns the kept rows' predicted box columns."""
+        its arrays; rows whose state makes no BoundingBox are deleted, by
+        one `center_box_rows` pass over the predicted centers. Returns the
+        kept rows' predicted box columns."""
         stack = self.stack
         if not stack.tracks:
             return np.zeros((0, 5))
         stack.mean, stack.covariance = self.kalman.predict(stack.mean, stack.covariance)
-        boxes, valid = box_rows(ltwh_from_centers(stack.mean[:, :4]))
+        boxes, valid = center_box_rows(stack.mean[:, :4])
         if not valid.all():
             self.stack = stack = stack.take(np.flatnonzero(valid).tolist())
             boxes = boxes[valid]
@@ -179,6 +181,15 @@ class Tracker:
             track.last_confidence = float(detections.confidence[j])
 
     def _match(self, detections: FrameDetections, boxes: np.ndarray):
+        """The frame's (track row, detection row) matches, sorted, and the
+        detection rows left unmatched, in order. `boxes` are the stack's
+        predicted box columns.
+
+        The cascade matches confirmed rows by appearance; the tentative
+        rows and the confirmed rows missed for one frame then compete by
+        IoU for the detections it left. With no such row or no such
+        detection, the IoU stage is skipped: it could match nothing.
+        """
         stack = self.stack
         tracks = stack.tracks
         confirm_hits = self.confirm_hits
@@ -195,6 +206,8 @@ class Tracker:
         iou_candidates = tentative + [
             confirmed[r] for r in cascade_unmatched
             if tracks[confirmed[r]].time_since_update == 1]
+        if not iou_candidates or not unmatched_dets:
+            return sorted(matches), unmatched_dets
 
         cost = association.iou_cost(
             boxes[iou_candidates], detections.boxes[unmatched_dets],
@@ -231,18 +244,29 @@ class Tracker:
         self.stack = stack
 
     def _emit(self, frame: int) -> FrameResult:
-        # A confirmed track missing for a single frame is reported at its
-        # predicted box; longer gaps are suppressed until re-matched. Rows
-        # are in ascending track id, and so are the records.
+        """The confirmed rows matched this frame or missed for one frame,
+        as (track_id, box, last confidence) records in ascending track id;
+        a missed row is reported at its predicted box, and longer gaps are
+        suppressed until re-matched.
+
+        Each box is built from its row's (cx, cy, aspect, height) floats
+        with `BoundingBox.from_center`'s operations in Python floats, the
+        same IEEE operations numpy does, so the bits are the same.
+        """
         stack = self.stack
         confirm_hits = self.confirm_hits
         rows = [i for i, t in enumerate(stack.tracks)
                 if t.hits >= confirm_hits and t.time_since_update <= 1]
-        ltwh = ltwh_from_centers(stack.mean[rows, :4]).tolist() if rows else []
-        records = tuple((stack.tracks[i].track_id, BoundingBox(*box),
-                         stack.tracks[i].last_confidence)
-                        for i, box in zip(rows, ltwh))
-        return FrameResult(frame=frame, records=records)
+        if not rows:
+            return FrameResult(frame=frame, records=())
+        records = []
+        for i, (cx, cy, aspect, height) in zip(rows, stack.mean[rows, :4].tolist()):
+            width = aspect * height
+            track = stack.tracks[i]
+            records.append((track.track_id,
+                            BoundingBox(cx - width / 2.0, cy - height / 2.0, width, height),
+                            track.last_confidence))
+        return FrameResult(frame=frame, records=tuple(records))
 
 
 def run_sequence(detections, config: TrackerConfig,

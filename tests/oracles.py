@@ -88,10 +88,40 @@ def bits(value):
     return type(value).__name__, value
 
 
+def ltwh_from_centers(centers: np.ndarray) -> np.ndarray:
+    """The (left, top, width, height) rows that `BoundingBox.from_center`
+    makes of (cx, cy, aspect, height) rows, unchecked (see `box_rows`): a
+    state far out of range gives inf or NaN fields, not a numpy warning."""
+    ltwh = np.empty((len(centers), 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(centers[:, 2], centers[:, 3], out=ltwh[:, 2])
+        ltwh[:, 3] = centers[:, 3]
+        np.subtract(centers[:, :2], ltwh[:, 2:] / 2.0, out=ltwh[:, :2])
+    return ltwh
+
+
+def frame_overlap_oracle(boxes):
+    """The `overlap` column of one frame's (n, 5) box columns, the frame
+    alone: each row's largest `iou_columns` value with another row, the
+    diagonal left out, the first NaN if one is NaN, -inf for a row with
+    no other row."""
+    from mttsort.model import iou_columns
+
+    with np.errstate(all="ignore"):
+        ious = iou_columns(boxes, boxes).tolist()
+    overlap = []
+    for i, row in enumerate(ious):
+        others = row[:i] + row[i + 1:]
+        nans = [v for v in others if math.isnan(v)]
+        overlap.append(nans[0] if nans else max(others, default=-math.inf))
+    return np.array(overlap, dtype=float)
+
+
 def stream_columns_oracle(detections):
     """The frames and the columns of a list of detections, sorted by frame
     and then by descending confidence, both stable: the column build from
-    detection objects that the tracker used before detection tables."""
+    detection objects that the tracker used before detection tables, with
+    each frame's `overlap` column computed for that frame alone."""
     from mttsort.model import FrameDetections, box_columns, center_columns
 
     detections = tuple(detections)
@@ -105,8 +135,15 @@ def stream_columns_oracle(detections):
                      for d in detections], dtype=float).reshape(n, 4)
     embeddings = (np.array([d.embedding for d in detections], dtype=float)
                   .reshape(n, -1) if n else np.zeros((0, 0)))
+    boxes = box_columns(ltwh)
+    overlap, start = [np.zeros(0)], 0
+    for _, rows in itertools.groupby(frames[order].tolist()):
+        size = len(list(rows))
+        overlap.append(frame_overlap_oracle(boxes[start:start + size]))
+        start += size
     return frames[order], FrameDetections(
-        None, confidence[order], box_columns(ltwh), center_columns(ltwh), embeddings)
+        None, confidence[order], boxes, center_columns(ltwh), embeddings,
+        np.concatenate(overlap))
 
 
 def entry_columns_oracle(entries):

@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mttsort import model
 from mttsort.ga import load_ga_config
 from mttsort.model import (
     BoundingBox, ConfigError, DataError, Detection, DetectionTable, FrameDetections,
     TrackerConfig,
-    box_columns, box_rows, format_config, load_config, load_preset, ltwh_from_centers,
+    box_columns, box_rows, center_box_rows, format_config, load_config, load_preset,
     parse_config_text, parse_kv_lines, PRESETS,
 )
 from mttsort.seqio import ParseError, parse_meta
 from mttsort.synth import load_scenario
 from mttsort.tracker import run_sequence
 
-from oracles import bits, stream_columns_oracle
+from oracles import bits, ltwh_from_centers, stream_columns_oracle
 
 
 def test_to_center_worked_examples():
@@ -276,6 +277,12 @@ def test_table_iterates_as_its_detections_stably_sorted_by_frame(detections):
     assert DetectionTable.of(table) is table
 
 
+def column_bits(column):
+    """`bits` of a float column with every NaN read as np.nan: which NaN
+    numpy's max returns, sign bit included, is not fixed."""
+    return bits(np.where(np.isnan(column), np.nan, column))
+
+
 @settings(deadline=None, max_examples=200)
 @given(table_streams(), st.integers(0, 6))
 def test_stream_of_a_table_equals_the_object_columns(detections, frame_count):
@@ -284,8 +291,86 @@ def test_stream_of_a_table_equals_the_object_columns(detections, frame_count):
     got = FrameDetections.stream(DetectionTable.of(detections), frame_count)
     assert [columns.frame for columns in got] == list(range(1, frame_count + 1))
     for columns, a, b in zip(got, starts, starts[1:]):
-        for name in ("confidence", "boxes", "measurements", "embeddings"):
-            assert np.array_equal(getattr(columns, name), getattr(want, name)[a:b])
+        for name in ("confidence", "boxes", "measurements", "embeddings", "overlap"):
+            assert column_bits(getattr(columns, name)) == column_bits(
+                getattr(want, name)[a:b])
+
+
+def grid_detection(frame, x, y, w, h, confidence=0.5):
+    return Detection(frame, BoundingBox(5 * x, 5 * y, w, h), confidence, np.array([1.0]))
+
+
+@st.composite
+def grid_streams(draw):
+    """Frames 1-6 of 0-7 detections each, on a 5 px grid with sides 5 or
+    10 px: duplicate boxes are common and every IoU is a small rational."""
+    return [grid_detection(frame, draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+                           draw(st.sampled_from([5, 10])), draw(st.sampled_from([5, 10])),
+                           draw(st.sampled_from([0.3, 0.5, 0.9])))
+            for frame in range(1, 7) for _ in range(draw(st.integers(0, 7)))]
+
+
+def assert_overlap_of(detections, frame_count):
+    frames, want = stream_columns_oracle(detections)
+    starts = np.searchsorted(frames, np.arange(1, frame_count + 2)).tolist()
+    for columns, a, b in zip(FrameDetections.stream(detections, frame_count),
+                             starts, starts[1:]):
+        assert column_bits(columns.overlap) == column_bits(want.overlap[a:b])
+
+
+@settings(deadline=None, max_examples=200)
+@given(grid_streams())
+def test_overlap_is_each_rows_largest_iou_within_its_frame(detections):
+    assert_overlap_of(detections, 6)
+    for frame in range(1, 7):
+        here = [d for d in detections if d.frame == frame]
+        columns = FrameDetections.of(here)
+        assert column_bits(columns.overlap) == column_bits(
+            stream_columns_oracle(here)[1].overlap)
+        rows = list(range(len(here)))[::-2]
+        assert bits(columns.take(rows).overlap) == bits(columns.overlap[rows])
+
+
+def test_overlap_batches_frames_of_one_size_up_to_the_entry_cap(monkeypatch):
+    # 700 frames of 7 rows cross the entry cap of one batched call, and a
+    # frame of 130 rows alone exceeds it; each call holds as many whole
+    # frames as fit, and at least one.
+    cap = model._OVERLAP_BATCH_ENTRIES
+    sizes = [7] * 700 + [130] * 3 + [1] * 5 + [2] * 4
+    rng = np.random.default_rng(0)
+    detections = [grid_detection(frame, *rng.integers(0, 4, 2).tolist(),
+                                 *rng.choice([5, 10], 2).tolist())
+                  for frame, size in enumerate(sizes, start=1) for _ in range(size)]
+    kernel, seen = model._iou_of_fields, []
+
+    def counting(a, b):
+        seen.append(a.shape)
+        return kernel(a, b)
+
+    monkeypatch.setattr(model, "_iou_of_fields", counting)
+    FrameDetections.stream(detections, len(sizes))
+    monkeypatch.undo()
+    want = []
+    for m, frames in ((2, 4), (7, 700), (130, 3)):
+        per_call = max(1, cap // (m * m))
+        want += [(5, min(per_call, frames - i), m, 1) for i in range(0, frames, per_call)]
+    assert seen == want
+    assert all(f * m * m <= max(cap, m * m) for _, f, m, _ in want)
+    assert_overlap_of(detections, len(sizes))
+
+
+def test_overlap_is_nan_where_an_iou_is_nan():
+    # This box's bottom edge rounds up by 1, so its overlap with itself
+    # (4 * 5e307) overflows and its IoU with itself is NaN (the CHANGES.md
+    # line on iou_columns); both copies read NaN, and nothing warns.
+    huge = BoundingBox(0, 2.0**53, 5e307, 3)
+    detections = [Detection(1, huge, 0.9, np.array([1.0])),
+                  Detection(1, huge, 0.3, np.array([1.0])),
+                  Detection(1, BoundingBox(0, 0, 10, 10), 0.5, np.array([1.0]))]
+    columns = FrameDetections.of(detections)
+    assert np.isnan(columns.overlap[[0, 2]]).all()
+    assert column_bits(columns.overlap) == column_bits(
+        stream_columns_oracle(detections)[1].overlap)
 
 
 @settings(deadline=None, max_examples=100)
@@ -346,6 +431,24 @@ def test_box_rows_is_the_bounding_box_rule(rows):
             if box is not None:
                 assert columns[row].tobytes() == np.array(
                     [box.left, box.top, box.right, box.bottom, box.area]).tobytes()
+
+
+# Heights that underflow a product, are negative, zero, inf or NaN.
+center_fields = st.one_of(box_fields, st.sampled_from([1e-170, 1e-320, -2.0, -1e-300]))
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(st.tuples(center_fields, center_fields, center_fields, center_fields),
+                max_size=6))
+def test_center_box_rows_is_box_rows_of_the_rows_from_centers(rows):
+    # One pass gives the columns and the validity mask of the two-step
+    # oracle bit for bit, and no numpy warning (the suite makes one an
+    # error).
+    centers = np.array(rows, dtype=float).reshape(-1, 4)
+    boxes, valid = center_box_rows(centers)
+    want_boxes, want_valid = box_rows(ltwh_from_centers(centers))
+    assert bits(boxes) == bits(want_boxes)
+    assert bits(valid) == bits(want_valid)
 
 
 @pytest.mark.parametrize("bad", [

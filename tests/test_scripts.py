@@ -30,6 +30,8 @@ def run_script(name, *args):
     ("gc_by_stage.py", ["--workload", "big30", "--rounds", "2", "--tiny"],
      ["workload=big30 seed=0 rounds=2",
       "per round         gen0  gen0 ms   gen1  gen1 ms   gen2  gen2 ms"]),
+    ("step_costs.py", ["--workload", "presets", "--rounds", "1", "--tiny"],
+     ["workload=presets seed=0 rounds=1", "stage          us/step"]),
 ])
 def test_script_runs_and_prints_its_header(name, args, header):
     done = run_script(name, *args)

@@ -12,7 +12,7 @@ from mttsort.model import BoundingBox, Detection, FrameDetections, TrackerConfig
 from mttsort.tracker import (FrameResult, Track, Tracker, TrackStack, preprocess,
                              run_sequence)
 
-from oracles import box_iou, preprocess_oracle
+from oracles import bits, box_iou, ltwh_from_centers, preprocess_oracle
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -98,11 +98,24 @@ def test_preprocess_matches_greedy_nms_oracle(raw, overlap):
     assert_kept_columns(kept, greedy_nms_oracle(detections, config))
 
 
-@pytest.mark.parametrize("confidences, calls", [
-    ((0.2, 0.3), 0), ((0.9, 0.3), 0), ((0.9, 0.6, 0.3), 1)])
-def test_preprocess_calls_the_iou_kernel_only_for_two_candidates(
-        monkeypatch, confidences, calls):
-    # Candidates are the detections at or above min_confidence 0.5.
+@pytest.mark.parametrize("layout, calls", [
+    (((0, 0.2), (0, 0.3)), []),
+    (((0, 0.9), (0, 0.3)), []),
+    (((0, 0.9), (40, 0.6)), []),
+    (((0, 0.9), (10, 0.6)), []),
+    (((0, 0.9), (0, 0.6)), [2]),
+    (((0, 0.9), (40, 0.6), (0, 0.3)), [2]),
+], ids=["no-candidate", "one-candidate", "two-apart", "two-at-the-threshold",
+        "two-overlapping", "overlap-with-a-row-below-min-confidence"])
+def test_preprocess_calls_the_iou_kernel_only_when_a_candidate_overlap_fails(
+        monkeypatch, layout, calls):
+    # Detections are 30x60 boxes at (left, 0) with a confidence; candidates
+    # are those at or above min_confidence 0.5. The kernel runs on the
+    # candidates, only when two or more of them hold one whose `overlap`
+    # exceeds nms_max_overlap 0.5 (boxes 10 px apart overlap by exactly 0.5).
+    detections = [det(1, left, 0, conf=c) for left, c in layout]
+    columns = FrameDetections.of(detections)
+    config = TrackerConfig(min_confidence=0.5, nms_max_overlap=0.5)
     kernel, seen = association.iou_columns, []
 
     def counting(a, b):
@@ -110,10 +123,9 @@ def test_preprocess_calls_the_iou_kernel_only_for_two_candidates(
         return kernel(a, b)
 
     monkeypatch.setattr(association, "iou_columns", counting)
-    detections = [det(1, 40 * k, 0, conf=c) for k, c in enumerate(confidences)]
-    kept = preprocess(FrameDetections.of(detections), TrackerConfig(min_confidence=0.5))
-    assert len(kept) == sum(c >= 0.5 for c in confidences)
-    assert seen == [2] * calls
+    kept = preprocess(columns, config)
+    assert seen == calls
+    assert_kept_columns(kept, preprocess_oracle(detections, config))
 
 
 # Boxes on a 5 px grid with sides 5 or 10 px: duplicates are common, and the
@@ -133,6 +145,21 @@ def test_preprocess_equals_the_object_version(raw, min_confidence, overlap):
     config = TrackerConfig(min_confidence=min_confidence, nms_max_overlap=overlap)
     kept = preprocess(FrameDetections.of(detections), config)
     assert_kept_columns(kept, preprocess_oracle(detections, config))
+
+
+@settings(deadline=None, max_examples=300)
+@given(grid_detections, st.data(), st.sampled_from([0.3, 0.5, 0.7]),
+       st.sampled_from([1 / 7, 0.25, 1 / 3, 0.5, 0.7, 1.0]))
+def test_preprocess_of_taken_rows_equals_the_object_version(
+        raw, data, min_confidence, overlap):
+    # A frame's `overlap` column comes from all its rows, so on a subset
+    # it is only an upper bound; NMS over the subset is still exact.
+    detections = [det(1, 5 * x, 5 * y, w, h, conf) for x, y, w, h, conf in raw]
+    ordered = sorted(detections, key=lambda d: -d.confidence)
+    rows = sorted(data.draw(st.sets(st.integers(0, len(raw) - 1)))) if raw else []
+    config = TrackerConfig(min_confidence=min_confidence, nms_max_overlap=overlap)
+    kept = preprocess(FrameDetections.of(detections).take(rows), config)
+    assert_kept_columns(kept, preprocess_oracle([ordered[i] for i in rows], config))
 
 
 # -------------------------------------------------------------- lifecycle
@@ -349,6 +376,50 @@ def tracker_holding(config, *specs):
         [detection.box.to_center() for detection, _, _ in specs]))
     tracker._next_id = len(tracks) + 1
     return tracker
+
+
+def numpy_emit(tracker, frame):
+    """`Tracker._emit` as it was: the emitted rows' boxes from one
+    `ltwh_from_centers` call over their (cx, cy, aspect, height) rows."""
+    stack = tracker.stack
+    rows = [i for i, t in enumerate(stack.tracks)
+            if t.hits >= tracker.confirm_hits and t.time_since_update <= 1]
+    ltwh = ltwh_from_centers(stack.mean[rows, :4]).tolist() if rows else []
+    return FrameResult(frame, tuple(
+        (stack.tracks[i].track_id, BoundingBox(*box), stack.tracks[i].last_confidence)
+        for i, box in zip(rows, ltwh)))
+
+
+def result_or_error(emit, *args):
+    try:
+        return bits(emit(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+# (cx, cy, aspect, height) rows: mostly boxes, some huge, tiny, zero or
+# negative sides.
+center_position = st.one_of(st.floats(-1e4, 1e4), st.sampled_from([1e300, -1e300]))
+center_side = st.one_of(st.floats(0.01, 100.0),
+                        st.sampled_from([1e-170, 1e160, 1e300, -1.0, 0.0]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.tuples(center_position, center_position, center_side,
+                                    center_side),
+                          st.integers(1, 4), st.integers(0, 3), st.floats(0, 1)),
+                max_size=6),
+       st.integers(2, 3))
+def test_emit_equals_the_numpy_emit(rows, n_init):
+    # Same records bit for bit, or the same box error.
+    tracker = Tracker(TrackerConfig(n_init=n_init))
+    tracks = [Track(track_id, FeatureBuffer(1), hits=hits, time_since_update=since,
+                    last_confidence=confidence)
+              for track_id, (_, hits, since, confidence) in enumerate(rows, start=1)]
+    mean = np.zeros((len(rows), 8))
+    mean[:, :4] = [center for center, *_ in rows] or np.zeros((0, 4))
+    tracker.stack = TrackStack(tracks, mean, np.zeros((len(rows), 3, 4)))
+    assert result_or_error(tracker._emit, 7) == result_or_error(numpy_emit, tracker, 7)
 
 
 def test_failed_update_keeps_only_that_track_predicted():
