@@ -361,8 +361,8 @@ def test_overlap_batches_frames_of_one_size_up_to_the_entry_cap(monkeypatch):
 
 def test_overlap_is_nan_where_an_iou_is_nan():
     # This box's bottom edge rounds up by 1, so its overlap with itself
-    # (4 * 5e307) overflows and its IoU with itself is NaN (the CHANGES.md
-    # line on iou_columns); both copies read NaN, and nothing warns.
+    # (4 * 5e307) overflows, and so does the union: its IoU with itself is
+    # NaN. Both copies read NaN, and nothing warns.
     huge = BoundingBox(0, 2.0**53, 5e307, 3)
     detections = [Detection(1, huge, 0.9, np.array([1.0])),
                   Detection(1, huge, 0.3, np.array([1.0])),
