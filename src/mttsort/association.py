@@ -195,13 +195,13 @@ def _refine_lexicographic(cost: np.ndarray):
     kr, kc = rows[kept], cols[kept]
     feasible_total = float(cost[kr, kc].sum())
     tol = _TIE_RTOL * max(1.0, abs(feasible_total))
-    incumbent = dict(zip(rows.tolist(), cols.tolist()))
     optimal = list(zip(kr.tolist(), kc.tolist()))
     raised = masked.copy()
     raised[kr, kc] += 2.0 * tol
     r, c = linear_sum_assignment(raised)
     if float(raised[r, c].sum()) >= float(raised[rows, cols].sum()) - tol / 2:
         return optimal, optimal
+    incumbent = dict(zip(rows.tolist(), cols.tolist()))
     fixed: list[tuple[int, int]] = []
     fixed_total = 0.0
     free_rows = list(range(n))

@@ -1,42 +1,49 @@
 """Tracking evaluation: CLEAR counts (MOTA), IDF1, the HOTA family,
 fragmentations, and the scalar fitness score used by the optimizer.
 
-`evaluate` reads its `GtEntry` lists once, into one per-frame table built
+`evaluate` reads its `GtEntry` lists once, into one overlap table built
 from box columns: for each frame with a GT or predicted box, the GT and
-the predicted identities in ascending order and their IoU matrix. CLEAR
-walks that table frame by frame; IDF1 and HOTA each read it through
-`_cells`, one flat table of its live cells with every identity as a dense
-int64 rank. IDF1 is one `np.bincount` of rank pairs and one assignment.
+the predicted identities in ascending order and their IoU matrix. The
+matrices are views of one flat array, filled by one batched kernel call
+per block shape. CLEAR walks that table frame by frame. `_cells` turns
+the flat array once into one table of its live cells with every identity
+as a dense int64 rank, and IDF1 and HOTA both read it. IDF1 is one
+`np.bincount` of rank pairs and one assignment.
 
-HOTA solves only the frames where two cells of the loosest level's mask
-share a row or a column, and each of those once per span of levels its
-matching holds; every other frame's matching is its mask. The matches
-accumulate as integer counts per (GT rank, predicted rank) pair and level,
-which `hota_levels` reports level by level and `hota` averages.
+HOTA solves a frame only at its contested levels, those whose mask holds
+two cells in one row or one column, and there once per span of levels
+its matching holds; at every other level a frame's matching is its mask.
+The matches accumulate as integer counts per (GT rank, predicted rank)
+pair and level, which `hota_levels` reports level by level and `hota`
+averages.
 
-All final ratios are built from integer event counts, and means use
-math.fsum, so results are bit-reproducible and safe to compare against
-enumeration oracles.
+All final ratios are built from integer event counts, and sums use
+math.fsum over exact terms, so results are bit-reproducible and safe to
+compare against enumeration oracles.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from itertools import compress, islice
+from operator import attrgetter, eq
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .association import INFEASIBLE, iou_columns, solve_assignment, solve_matchings
-from .model import BoundingBox, box_columns
+from .association import INFEASIBLE, solve_assignment, solve_matchings
+from .model import BoundingBox, block_ious, box_columns
 
 # Per-frame GT/prediction overlap threshold for CLEAR and identity metrics.
 MATCH_IOU = 0.5
 
 # Localization thresholds HOTA integrates over.
 ALPHAS = [k * 0.05 for k in range(1, 20)]
+_ALPHA_ARRAY = np.array(ALPHAS)
 
 
 @dataclass(frozen=True)
@@ -74,52 +81,53 @@ def clear_match(g_ids, p_ids, ious, prior_correspondence):
     """Match one frame's GT against predictions, CLEAR style.
 
     `g_ids` and `p_ids` are the frame's GT and predicted identities in
-    ascending order and `ious` their overlap matrix, one entry of
-    `_frame_overlaps`; the prior correspondence maps each GT identity to
-    the predicted id it was most recently matched with. Correspondences
-    still overlapping with IoU >= 0.5 are kept; the remainder is matched by
-    minimum (1 - IoU) assignment subject to the same threshold.
+    ascending order, each distinct, and `ious` their overlap matrix, one
+    entry of `_frame_overlaps`; the prior correspondence maps each GT
+    identity to the predicted id it was most recently matched with.
+    Correspondences still overlapping with IoU >= 0.5 are kept; the
+    remainder is matched by minimum (1 - IoU) assignment subject to the
+    same threshold.
 
     Returns (matches, fn, fp, idsw) where matches is a list of
-    (gt_identity, pred_identity) and idsw counts matches whose predicted
-    id differs from the prior one.
+    (gt_identity, pred_identity) sorted by GT identity and idsw counts
+    matches whose predicted id differs from the prior one. A kept match
+    never does, so only the assigned ones are checked.
     """
     pred_index = {pid: j for j, pid in enumerate(p_ids)}
+    rows = ious.tolist()
 
     matches: list[tuple[int, int]] = []
     used_preds: set[int] = set()
     remaining_gt = []
     for i, gid in enumerate(g_ids):
         pid = prior_correspondence.get(gid)
-        if (pid is not None and pid in pred_index and pid not in used_preds
-                and ious[i, pred_index[pid]] >= MATCH_IOU):
+        j = pred_index.get(pid)
+        if j is not None and pid not in used_preds and rows[i][j] >= MATCH_IOU:
             matches.append((gid, pid))
             used_preds.add(pid)
         else:
             remaining_gt.append(i)
     remaining_pred = [j for j, pid in enumerate(p_ids) if pid not in used_preds]
 
+    idsw = 0
     if remaining_gt and remaining_pred:
         overlaps = ious[np.ix_(remaining_gt, remaining_pred)]
         cost = np.where(overlaps >= MATCH_IOU, 1.0 - overlaps, INFEASIBLE)
         assigned, _, _ = solve_assignment(cost)
-        matches.extend((g_ids[remaining_gt[i]], p_ids[remaining_pred[j]])
-                       for i, j in assigned)
-
-    matches.sort()
-    matched_gt = {g for g, _ in matches}
-    matched_pred = {p for _, p in matches}
-    fn = sum(1 for gid in g_ids if gid not in matched_gt)
-    fp = sum(1 for pid in p_ids if pid not in matched_pred)
-    idsw = sum(1 for gid, pid in matches
-               if prior_correspondence.get(gid) not in (None, pid))
-    return matches, fn, fp, idsw
+        for i, j in assigned:
+            gid, pid = g_ids[remaining_gt[i]], p_ids[remaining_pred[j]]
+            matches.append((gid, pid))
+            idsw += prior_correspondence.get(gid) not in (None, pid)
+        # The kept matches are in GT order already.
+        matches.sort()
+    # Each identity is matched at most once.
+    return matches, len(g_ids) - len(matches), len(p_ids) - len(matches), idsw
 
 
 def _clear_sequence(per_frame):
     """Accumulate CLEAR counts and fragmentations over a whole sequence.
 
-    `per_frame` is `_frame_overlaps(gt, pred)`.
+    `per_frame` is the table of `_frame_overlaps(gt, pred)`.
     """
     prior: dict[int, int] = {}
     fn = fp = idsw = frag = 0
@@ -144,16 +152,33 @@ def _clear_sequence(per_frame):
     return fn, fp, idsw, frag
 
 
-def _cells(per_frame):
-    """The flat table of `per_frame` that IDF1 and HOTA read.
+class _Cells(NamedTuple):
+    """The table IDF1 and HOTA read (`_cells`).
 
     Entries are numbered in table order (frame by frame, ids ascending).
-    Returns g_rank and p_rank, each GT and predicted entry's identity as a
+    g_rank and p_rank are each GT and predicted entry's identity as a
     dense int64 rank in order of first appearance, so identities stay any
-    Python integers; g_first and p_first, each frame's first GT and first
-    predicted entry; and for each live cell (IoU >= ALPHAS[0]) its iou,
-    frame, entry_g and entry_p.
+    Python integers; g_first and p_first each frame's first GT and first
+    predicted entry; matrices each frame's IoU matrix; and iou, frame,
+    entry_g and entry_p the IoU, frame, GT entry and predicted entry of
+    each live cell (IoU >= ALPHAS[0]), in table order.
     """
+
+    g_rank: np.ndarray
+    p_rank: np.ndarray
+    g_first: np.ndarray
+    p_first: np.ndarray
+    matrices: list
+    iou: np.ndarray
+    frame: np.ndarray
+    entry_g: np.ndarray
+    entry_p: np.ndarray
+
+
+def _cells(per_frame, flat) -> _Cells:
+    """The `_Cells` of an overlap table: `per_frame` and `flat` as
+    `_frame_overlaps` returns them, `flat` holding each frame's matrix
+    in row-major order, frame after frame."""
     ranks = []
     for side in (0, 1):
         rank = {}
@@ -165,30 +190,31 @@ def _cells(per_frame):
     cols = np.array([len(p_ids) for _, p_ids, _ in per_frame], dtype=np.int64)
     g_first, p_first = np.cumsum(rows) - rows, np.cumsum(cols) - cols
     starts = np.cumsum(rows * cols) - rows * cols
-    flat = np.concatenate([ious.ravel() for _, _, ious in per_frame] + [np.empty(0)])
     live = np.flatnonzero(flat >= ALPHAS[0])
     frame = np.searchsorted(starts, live, side="right") - 1
     local = live - starts[frame]
     entry_g = g_first[frame] + local // cols[frame]
     entry_p = p_first[frame] + local % cols[frame]
-    return g_rank, p_rank, g_first, p_first, flat[live], frame, entry_g, entry_p
+    return _Cells(g_rank, p_rank, g_first, p_first, [m for _, _, m in per_frame],
+                  flat[live], frame, entry_g, entry_p)
 
 
-def idf1(per_frame) -> float:
+def idf1(cells: _Cells) -> float:
     """Identity F1 under the best single global GT<->prediction mapping.
 
     A GT and a predicted trajectory co-occur on every frame where their
     boxes overlap with IoU >= 0.5; IDTP is the total co-occurrence of the
     best one-to-one mapping, and IDF1 = 2 IDTP / (|GT| + |predicted|),
     or 0.0 on a table with no entries, as `hota` gives zeros there.
-    `per_frame` is `_frame_overlaps(gt, pred)`.
+    `cells` is the `_cells` table of the overlap table.
     """
-    g_rank, p_rank, _, _, iou, _, entry_g, entry_p = _cells(per_frame)
-    hit = iou >= MATCH_IOU
+    hit = cells.iou >= MATCH_IOU
+    g_rank, p_rank = cells.g_rank, cells.p_rank
     idtp = 0
     if hit.any():
         n_gt, n_pred = int(g_rank.max()) + 1, int(p_rank.max()) + 1
-        counts = np.bincount(g_rank[entry_g[hit]] * n_pred + p_rank[entry_p[hit]],
+        counts = np.bincount(g_rank[cells.entry_g[hit]] * n_pred
+                             + p_rank[cells.entry_p[hit]],
                              minlength=n_gt * n_pred).reshape(n_gt, n_pred)
         rows, cols = linear_sum_assignment(counts, maximize=True)
         idtp = int(counts[rows, cols].sum())
@@ -211,39 +237,92 @@ def _sorted_columns(entries):
     return [e.frame for e in entries], [e.identity for e in entries], box_columns(ltwh)
 
 
-def _frame_overlaps(gt, pred):
-    """Per-frame (gt_ids, pred_ids, iou matrix) over every frame with a GT
-    or predicted box, in frame order and with ids ascending; shared by
-    CLEAR, IDF1 and the HOTA sweep.
+def _first_repeat(frames, ids):
+    """The (frame, identity) of the first entry of sorted (frame,
+    identity) columns that repeats the one before it, or None."""
+    for i in compress(range(1, len(ids)), map(eq, ids, islice(ids, 1, None))):
+        if frames[i] == frames[i - 1]:
+            return frames[i], ids[i]
+    return None
 
-    Each side's box columns are built once, and a frame's matrix is
-    `iou_columns` of the two sides' blocks of rows for that frame. An
-    identity given twice in one frame of a side raises ValueError.
+
+def _frame_overlaps(gt, pred):
+    """The overlap table of `gt` against `pred`, shared by CLEAR, IDF1 and
+    the HOTA sweep: per-frame (gt_ids, pred_ids, iou matrix) over every
+    frame with a GT or predicted box, in frame order and with ids
+    ascending, and the flat array whose views the matrices are.
+
+    Each side's entries are sorted and their box columns built once. Each
+    frame with boxes on both sides is one block of `model.block_ious`,
+    so its matrix is the bits of `iou_columns` of the two sides' rows for
+    that frame, and the batches warn where those per-frame calls would.
+    Frames and identities stay Python integers.
+
+    An identity given twice in one frame of a side raises ValueError for
+    the first such frame, the ground truth before the predictions; the
+    frames before it are computed first, as a frame-by-frame pass would.
     """
     g_frames, g_ids, g_boxes = _sorted_columns(gt)
     p_frames, p_ids, p_boxes = _sorted_columns(pred)
-    out = []
-    gb = pb = 0
-    for f in sorted(set(g_frames) | set(p_frames)):
-        # Frames come in order, so each block starts where the last ended.
-        ga, gb = gb, bisect_right(g_frames, f)
-        pa, pb = pb, bisect_right(p_frames, f)
-        g_block, p_block = g_ids[ga:gb], p_ids[pa:pb]
-        if len(set(g_block)) < gb - ga or len(set(p_block)) < pb - pa:
-            _raise_repeat(f, g_block, p_block)
-        out.append((g_block, p_block, iou_columns(g_boxes[ga:gb], p_boxes[pa:pb])))
-    return out
+    g_count, p_count = Counter(g_frames), Counter(p_frames)
+    frames = sorted(g_count.keys() | p_count.keys())
+
+    g_repeat, p_repeat = _first_repeat(g_frames, g_ids), _first_repeat(p_frames, p_ids)
+    repeat = None
+    if g_repeat and not (p_repeat and p_repeat[0] < g_repeat[0]):
+        repeat = ("ground truth", *g_repeat)
+    elif p_repeat:
+        repeat = ("predictions", *p_repeat)
+    if repeat:
+        frames = frames[:bisect_left(frames, repeat[1])]
+
+    rows = np.array([g_count[f] for f in frames], dtype=np.int64)
+    cols = np.array([p_count[f] for f in frames], dtype=np.int64)
+    g_first, p_first = np.cumsum(rows) - rows, np.cumsum(cols) - cols
+    sizes = rows * cols
+    starts = np.cumsum(sizes) - sizes
+    flat = np.empty(int(sizes.sum()))
+    for blocks, ious in block_ious(g_boxes, g_first, rows, p_boxes, p_first, cols):
+        k, r, c = ious.shape
+        flat[starts[blocks, None] + np.arange(r * c)] = ious.reshape(k, r * c)
+    if repeat:
+        side, frame, identity = repeat
+        raise ValueError(f"{side}: identity {identity} appears twice in frame {frame}")
+    per_frame = [(g_ids[ga:ga + r], p_ids[pa:pa + c], flat[s:s + r * c].reshape(r, c))
+                 for ga, r, pa, c, s in zip(*(column.tolist() for column in (
+                     g_first, rows, p_first, cols, starts)))]
+    return per_frame, flat
 
 
-def _raise_repeat(frame, g_ids, p_ids):
-    """Raise for the first repeat in one frame's sorted GT, then predicted ids."""
-    for side, ids in (("ground truth", g_ids), ("predictions", p_ids)):
-        for a, b in zip(ids, ids[1:]):
-            if a == b:
-                raise ValueError(f"{side}: identity {a} appears twice in frame {frame}")
+def _split(a):
+    """Veltkamp's split of float64 `a` into hi + lo == a, each of at most
+    26 significant bits."""
+    scaled = 134217729.0 * a  # 2**27 + 1
+    hi = scaled - (scaled - a)
+    return hi, a - hi
 
 
-def hota_levels(per_frame):
+def _product_sums(counts, scores):
+    """For each column l of the (P, L) arrays, the math.fsum of counts[p, l]
+    copies of scores[p, l] over the rows p, without the copies.
+
+    Dekker's TwoProduct writes each count * score exactly as hi + lo
+    (hi the rounded product, lo its error), one vectorized pass over all
+    rows and columns, and each column's sum is math.fsum of its his and
+    los. math.fsum is correctly rounded, and both term lists sum exactly
+    to the same real, so the bits are those of the repeated sum. Exact for
+    counts below 2**53 and scores in [0, 1] whose nonzero products stay
+    far from underflow, as HOTA's are: k / (n - k) with 1 <= k <= n / 2.
+    """
+    a = counts.astype(float)
+    hi = a * scores
+    a_hi, a_lo = _split(a)
+    s_hi, s_lo = _split(scores)
+    lo = a_lo * s_lo - (((hi - a_hi * s_hi) - a_lo * s_hi) - a_hi * s_lo)
+    return [math.fsum(terms) for terms in np.concatenate([hi, lo]).T.tolist()]
+
+
+def hota_levels(cells: _Cells):
     """HOTA and its components at each of the 19 localization levels.
 
     Per level alpha: frames are matched maximizing match count then total
@@ -251,62 +330,75 @@ def hota_levels(per_frame):
     pair c = (g, p) scores A(c) = TPA/(TPA+FNA+FPA), where TPA counts
     frames matching g with p and the FNA/FPA terms count the remaining
     appearances of g and of p; AssA is the mean of A over matches and
-    HOTA_alpha = sqrt(DetA * AssA). `per_frame` is `_frame_overlaps(gt,
-    pred)`.
+    HOTA_alpha = sqrt(DetA * AssA). `cells` is the `_cells` table of the
+    overlap table.
 
-    A frame is uncontested when no row and no column of its mask IoU >=
-    ALPHAS[0] holds two cells. Each level's mask is a subset of that one,
-    so it is one-to-one too, and `solve_matchings` reads it off as the
-    matching: a cell is matched at exactly the levels alpha <= its IoU,
-    with no solve. One vectorized pass over every frame's cells finds them.
+    A frame's level is contested when some row or column of its mask
+    IoU >= alpha holds two cells. The masks are nested, so a frame's
+    contested levels are a prefix [0, free) of the levels: free counts
+    the levels alpha <= the largest second-largest live IoU of any of the
+    frame's rows or columns, one vectorized pass over every frame's
+    cells. From free up, each mask is one-to-one and is its own matching,
+    as `solve_matchings` would read it off: a cell is matched at the
+    levels from free up to the last alpha <= its IoU, with no solve.
 
-    Each contested frame walks up the levels once. The levels' masks are
-    nested, so a frame keeps its matching M up to its floor, the lowest
-    IoU over the pairs of M and of the minimum-cost matching
-    `solve_matchings` returns with it (which says why M stands while both
-    are feasible), and is solved again only at the first level above that
-    floor.
+    A frame with contested levels walks them once. It keeps its matching
+    M up to its floor, the lowest IoU over the pairs of M and of the
+    minimum-cost matching `solve_matchings` returns with it (which says
+    why M stands while both are feasible), and is solved again only at
+    the first level above that floor, until it reaches free.
 
     Each pair's span of levels goes into a difference array of integer
-    counts per (GT id, predicted id) pair and level. AssA sums one term
-    per match with math.fsum, which is correctly rounded in any order.
+    counts per (GT id, predicted id) pair and level. A level's AssA sums
+    each pair's count times its score, as exact products
+    (`_product_sums`) with math.fsum, which is correctly rounded.
 
     Returns the per-level lists (hota, det_a, ass_a, det_re, det_pr).
     """
     n_levels = len(ALPHAS)
-    g_rank, p_rank, g_first, p_first, iou, frame, entry_g, entry_p = _cells(per_frame)
+    g_rank, p_rank, g_first, p_first, matrices, iou, frame, entry_g, entry_p = cells
 
-    shared = ((np.bincount(entry_g, minlength=len(g_rank))[entry_g] > 1)
-              | (np.bincount(entry_p, minlength=len(p_rank))[entry_p] > 1))
-    contested = np.zeros(len(per_frame), dtype=bool)
-    contested[frame[shared]] = True
-    easy = ~contested[frame]
+    # free[f]: the levels alpha <= frame f's conflict value, the largest
+    # IoU that is not the largest of its row or of its column. Sorting a
+    # side's cells by entry, then IoU, puts each entry's largest last.
+    free = np.zeros(len(matrices), dtype=np.int64)
+    for entry in (entry_g, entry_p):
+        order = np.lexsort((iou, entry))
+        below = entry[order[1:]] == entry[order[:-1]]
+        shadowed = order[:-1][below]
+        np.maximum.at(free, frame[shadowed],
+                      np.searchsorted(_ALPHA_ARRAY, iou[shadowed], side="right"))
 
-    # Spans of contested frames, one entry in each list: GT entry,
+    # Spans of contested levels, one entry in each list: GT entry,
     # predicted entry, low and high; the pair is matched at the levels
     # [low, high).
     span_g, span_p, lows, highs = [], [], [], []
-    for k in np.flatnonzero(contested).tolist():
-        ious = per_frame[k][2]
+    frees = free.tolist()
+    for k in np.flatnonzero(free).tolist():
+        ious, stop = matrices[k], frees[k]
         g0, p0 = int(g_first[k]), int(p_first[k])
         level = 0
-        while level < n_levels:
+        while level < stop:
             matches, optimal = solve_matchings(
                 np.where(ious >= ALPHAS[level], 1.0 - ious, INFEASIBLE))
-            floor = min((ious[i, j] for i, j in matches + optimal), default=math.inf)
-            top = bisect_right(ALPHAS, floor)
+            # A contested level's mask holds a cell, so both are nonempty.
+            rows, cols = zip(*(matches + optimal))
+            top = min(bisect_right(ALPHAS, ious[rows, cols].min()), stop)
             for i, j in matches:
                 span_g.append(g0 + i)
                 span_p.append(p0 + j)
             lows += [level] * len(matches)
             highs += [top] * len(matches)
             level = top
-    # An uncontested cell is matched at the levels alpha <= its IoU.
-    tops = np.searchsorted(np.array(ALPHAS), iou[easy], side="right")
-    span_g = np.concatenate([entry_g[easy], np.array(span_g, dtype=np.int64)])
-    span_p = np.concatenate([entry_p[easy], np.array(span_p, dtype=np.int64)])
-    lows = np.concatenate([np.zeros_like(tops), np.array(lows, dtype=np.int64)])
-    highs = np.concatenate([tops, np.array(highs, dtype=np.int64)])
+    # From its frame's free level up, a cell is matched at the levels
+    # alpha <= its IoU.
+    tops = np.searchsorted(_ALPHA_ARRAY, iou, side="right")
+    bottoms = free[frame]
+    tail = tops > bottoms
+    span_g = np.concatenate([entry_g[tail], np.array(span_g, dtype=np.int64)])
+    span_p = np.concatenate([entry_p[tail], np.array(span_p, dtype=np.int64)])
+    lows = np.concatenate([bottoms[tail], np.array(lows, dtype=np.int64)])
+    highs = np.concatenate([tops[tail], np.array(highs, dtype=np.int64)])
 
     # counts[pair, level]: the frames that match the pair at that level.
     gt_count, pred_count = np.bincount(g_rank), np.bincount(p_rank)
@@ -323,47 +415,46 @@ def hota_levels(per_frame):
     # int64 -> float64 is exact below 2**53, so each term equals Python's
     # int division.
     pair_scores = counts / (appearances[:, None] - counts)
+    ass_sums = _product_sums(counts, pair_scores)
 
     per_level = []
-    for level, tp in enumerate(counts.sum(axis=0).tolist()):
+    for tp, ass_sum in zip(counts.sum(axis=0).tolist(), ass_sums):
         fn = len(g_rank) - tp
         fp = len(p_rank) - tp
         det_a = tp / (tp + fn + fp) if tp + fn + fp else 0.0
         det_re = tp / (tp + fn) if tp + fn else 0.0
         det_pr = tp / (tp + fp) if tp + fp else 0.0
-        if tp:
-            ass_a = math.fsum(np.repeat(pair_scores[:, level],
-                                        counts[:, level]).tolist()) / tp
-        else:
-            ass_a = 0.0
+        ass_a = ass_sum / tp if tp else 0.0
         per_level.append((math.sqrt(det_a * ass_a), det_a, ass_a, det_re, det_pr))
     return tuple(list(values) for values in zip(*per_level))
 
 
-def hota(per_frame):
+def hota(cells: _Cells):
     """HOTA and its components, the means of `hota_levels` over the 19
     localization levels.
 
     Returns (hota, det_a, ass_a, det_re, det_pr).
     """
-    return tuple(math.fsum(values) / len(ALPHAS) for values in hota_levels(per_frame))
+    return tuple(math.fsum(values) / len(ALPHAS) for values in hota_levels(cells))
 
 
 def evaluate(gt, pred) -> EvalReport:
     """Full evaluation of a predicted sequence against ground truth.
 
     MOTA is 1 - (FN + FP + IDSW) / |GT|; `frag_count` is how often a GT
-    trajectory's coverage is interrupted and resumed.
+    trajectory's coverage is interrupted and resumed. One overlap table
+    feeds CLEAR, and one `_cells` table of it feeds HOTA and IDF1.
     """
     if not gt:
         raise ValueError("evaluation requires at least one ground-truth box")
-    per_frame = _frame_overlaps(gt, pred)
+    per_frame, flat = _frame_overlaps(gt, pred)
     fn, fp, idsw, frag = _clear_sequence(per_frame)
-    hota_value, det_a, ass_a, det_re, det_pr = hota(per_frame)
+    cells = _cells(per_frame, flat)
+    hota_value, det_a, ass_a, det_re, det_pr = hota(cells)
     return EvalReport(
         hota=hota_value,
         mota=1.0 - (fn + fp + idsw) / len(gt),
-        idf1=idf1(per_frame),
+        idf1=idf1(cells),
         det_re=det_re,
         det_pr=det_pr,
         det_a=det_a,

@@ -199,9 +199,36 @@ def _iou_of_fields(a, b) -> np.ndarray:
     return inter / (a[4] + b[4] - inter)
 
 
-# The most IoU entries one `_frame_overlaps` call computes at once, so its
-# temporaries stay a few MB however long the stream is.
+# The most IoU entries one `block_ious` batch computes at once, so its
+# temporaries stay a few MB however many blocks there are.
 _OVERLAP_BATCH_ENTRIES = 1 << 14
+
+
+def block_ious(a, a_first, rows, b, b_first, cols):
+    """The `iou_columns` matrices of blocks of box-column rows, in batches.
+
+    Block k is the rows a_first[k]:a_first[k] + rows[k] of `a` against
+    the rows b_first[k]:b_first[k] + cols[k] of `b` (int64 arrays, one
+    entry a block). The blocks of one shape (r, c), r and c positive, are
+    gathered field by field into one contiguous (5, K, r) and one
+    (5, K, c) stack, at most _OVERLAP_BATCH_ENTRIES // (r * c) blocks (at
+    least one), whose (K, r, c) IoUs are one `_iou_of_fields` call. Yields
+    (blocks, ious) for each batch: the batch's block numbers, ascending,
+    and their matrices. Each entry is the bits of the per-block call, and
+    the batch warns as numpy's error state says, on exactly the entries
+    whose per-block call would.
+    """
+    a_fields, b_fields = a.T, b.T
+    shape = rows * (int(cols.max(initial=0)) + 1) + cols
+    for code in np.unique(shape[(rows > 0) & (cols > 0)]).tolist():
+        blocks = np.flatnonzero(shape == code)
+        r, c = int(rows[blocks[0]]), int(cols[blocks[0]])
+        per_call = max(1, _OVERLAP_BATCH_ENTRIES // (r * c))
+        for i in range(0, len(blocks), per_call):
+            batch = blocks[i:i + per_call]
+            a_stack = a_fields[:, a_first[batch, None] + np.arange(r)]
+            b_stack = b_fields[:, b_first[batch, None] + np.arange(c)]
+            yield batch, _iou_of_fields(a_stack[..., :, None], b_stack[..., None, :])
 
 
 def _frame_overlaps(boxes: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -209,25 +236,20 @@ def _frame_overlaps(boxes: np.ndarray, starts: np.ndarray) -> np.ndarray:
     starts[f]:starts[f + 1], the largest `iou_columns` value with another
     row of its frame: NaN if one of those is NaN, -inf for a row alone.
 
-    The frames of one size m are gathered field by field into one
-    contiguous (5, F, m) stack, at most _OVERLAP_BATCH_ENTRIES // m**2
-    frames (at least one), whose (F, m, m) IoUs are one `_iou_of_fields`
-    call. Warnings are off: the values are those of the per-frame call,
-    whose own warnings come where `preprocess` makes it.
+    Each frame of two or more rows is one `block_ious` block, its rows
+    against themselves. Warnings are off: the values are those of the
+    per-frame call, whose own warnings come where `preprocess` makes it.
     """
     overlap = np.full(len(boxes), -np.inf)
-    fields = boxes.T
+    firsts = starts[:-1]
     sizes = np.diff(starts)
+    # A row alone keeps -inf; its frame is no block.
+    sizes[sizes == 1] = 0
     with np.errstate(all="ignore"):
-        for m in np.unique(sizes[sizes > 1]).tolist():
-            firsts = starts[:-1][sizes == m]
-            per_call = max(1, _OVERLAP_BATCH_ENTRIES // (m * m))
-            for i in range(0, len(firsts), per_call):
-                rows = firsts[i:i + per_call, None] + np.arange(m)
-                stack = fields[:, rows]
-                ious = _iou_of_fields(stack[..., :, None], stack[..., None, :])
-                ious[:, range(m), range(m)] = -np.inf
-                overlap[rows] = ious.max(axis=2)
+        for frames, ious in block_ious(boxes, firsts, sizes, boxes, firsts, sizes):
+            m = ious.shape[1]
+            ious[:, range(m), range(m)] = -np.inf
+            overlap[firsts[frames, None] + np.arange(m)] = ious.max(axis=2)
     return overlap
 
 

@@ -158,6 +158,43 @@ def entry_columns_oracle(entries):
     return [e.frame for e in entries], [e.identity for e in entries], box_columns(ltwh)
 
 
+def frame_overlaps_oracle(gt, pred):
+    """Per-frame (gt_ids, pred_ids, iou matrix) over every frame with a GT
+    or predicted box, in frame order and with ids ascending; shared by
+    CLEAR, IDF1 and the HOTA sweep.
+
+    Each side's box columns are built once, and a frame's matrix is
+    `iou_columns` of the two sides' blocks of rows for that frame. An
+    identity given twice in one frame of a side raises ValueError.
+    """
+    from bisect import bisect_right
+
+    from mttsort.metrics import _sorted_columns
+    from mttsort.model import iou_columns
+
+    g_frames, g_ids, g_boxes = _sorted_columns(gt)
+    p_frames, p_ids, p_boxes = _sorted_columns(pred)
+    out = []
+    gb = pb = 0
+    for f in sorted(set(g_frames) | set(p_frames)):
+        # Frames come in order, so each block starts where the last ended.
+        ga, gb = gb, bisect_right(g_frames, f)
+        pa, pb = pb, bisect_right(p_frames, f)
+        g_block, p_block = g_ids[ga:gb], p_ids[pa:pb]
+        if len(set(g_block)) < gb - ga or len(set(p_block)) < pb - pa:
+            _raise_repeat(f, g_block, p_block)
+        out.append((g_block, p_block, iou_columns(g_boxes[ga:gb], p_boxes[pa:pb])))
+    return out
+
+
+def _raise_repeat(frame, g_ids, p_ids):
+    """Raise for the first repeat in one frame's sorted GT, then predicted ids."""
+    for side, ids in (("ground truth", g_ids), ("predictions", p_ids)):
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise ValueError(f"{side}: identity {a} appears twice in frame {frame}")
+
+
 def write_results_oracle(results, path):
     """Write FrameResults as result rows: one (frame, id, box, confidence)
     tuple per record, sorted stably on (frame, id) tuple keys."""

@@ -1,21 +1,24 @@
 import math
+import warnings
 from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mttsort import metrics, synth
+from mttsort import metrics, model, synth
 from mttsort.association import INFEASIBLE, iou_columns, solve_assignment
 from mttsort.metrics import (
-    EvalReport, GtEntry, _clear_sequence, _frame_overlaps, average_reports,
+    EvalReport, GtEntry, _cells, _clear_sequence, _frame_overlaps, average_reports,
     clear_match, evaluate, hota, idf1, score,
 )
 from mttsort.model import BoundingBox, box_columns
 
 from oracles import (
-    assa_oracle, bits, clear_oracle, entry_columns_oracle, idf1_oracle, idf1_table_oracle,
-    random_micro_scenario,
+    assa_oracle, bits, clear_oracle, entry_columns_oracle, frame_overlaps_oracle, idf1_oracle,
+    idf1_table_oracle, random_micro_scenario,
 )
 
 BOX = BoundingBox(10, 10, 20, 40)
@@ -24,6 +27,13 @@ FAR = BoundingBox(200, 200, 20, 40)
 
 def track_entries(identity, frames, box=BOX):
     return [GtEntry(f, identity, box) for f in frames]
+
+
+def cells_of(per_frame):
+    """The `_cells` table of a per-frame (gt_ids, pred_ids, ious) table,
+    its matrices laid out frame after frame as `_frame_overlaps` does."""
+    flat = np.concatenate([ious.ravel() for _, _, ious in per_frame] + [np.empty(0)])
+    return _cells(per_frame, flat)
 
 
 def report(**overrides):
@@ -69,6 +79,16 @@ def test_clear_match_prior_has_priority():
     matches, _, fp, idsw = clear_frame(gt_frame, pred_frame, {1: 7})
     assert matches == [(1, 7)]
     assert fp == 1 and idsw == 0
+
+
+def test_clear_match_orders_kept_and_assigned_matches_by_gt_identity():
+    # GT 2 keeps prediction 12 from the prior; GT 1 is assigned prediction
+    # 11 and switches from 13, and GT 3's prior 12 is taken: one switch.
+    gt_frame = [(1, BOX), (2, FAR), (3, BoundingBox(400, 50, 20, 40))]
+    pred_frame = [(11, BOX), (12, FAR)]
+    matches, fn, fp, idsw = clear_frame(gt_frame, pred_frame, {1: 13, 2: 12, 3: 12})
+    assert matches == [(1, 11), (2, 12)]
+    assert (fn, fp, idsw) == (1, 0, 1)
 
 
 def test_swap_counts_two_id_switches():
@@ -169,7 +189,7 @@ def test_idf1_over_300_identities():
             ious[k, 7 * ((k + shift) % 300) % 300] = 1.0
         per_frame.append((gt_ids, pred_ids, ious))
     per_frame.append((gt_ids[:150], [], np.zeros((150, 0))))
-    assert idf1(per_frame) == 2 * 600 / (2 * 600 + 300 + 450)
+    assert idf1(cells_of(per_frame)) == 2 * 600 / (2 * 600 + 300 + 450)
 
 
 # ------------------------------------------------------------------- hota
@@ -209,17 +229,19 @@ def test_hota_solves_no_one_to_one_frame(monkeypatch):
     # matching, and no frame is solved.
     gt = [GtEntry(f, i, BoundingBox(100 * i + f, 50, 20, 40))
           for f in range(1, 6) for i in range(1, 4)]
-    per_frame = _frame_overlaps(gt, gt)
+    cells = _cells(*_frame_overlaps(gt, gt))
     calls = count_solves(monkeypatch)
-    assert hota(per_frame) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert hota(cells) == (1.0, 1.0, 1.0, 1.0, 1.0)
     assert calls == []
 
 
 def test_hota_solves_a_contested_frame_once_per_matching_span(monkeypatch):
-    # Frame 1 is contested: GT 1 overlaps both predictions. Its matching
-    # (0, 0), (1, 1) holds up to IoU 0.62, then (0, 0) alone up to 0.87,
-    # then nothing: three solves, at alpha 0.05, 0.65 and 0.9 in that
-    # order. Frame 2 is one-to-one and is not solved.
+    # Frame 1 is contested: GT 1 overlaps both predictions. Its conflict
+    # value is 0.33, the second-largest cell of GT 1's row and of
+    # prediction 12's column, so only the levels alpha <= 0.33 are
+    # contested. Its matching (0, 0), (1, 1) holds through them (up to IoU
+    # 0.62): one solve, at alpha 0.05. From alpha 0.35 up each mask is its
+    # own matching. Frame 2 is one-to-one and is not solved.
     ious = np.array([[0.87, 0.33], [0.0, 0.62]])
     per_frame = [([1, 2], [11, 12], ious), ([1, 2], [11, 12], np.eye(2))]
     solve = metrics.solve_matchings
@@ -230,9 +252,9 @@ def test_hota_solves_a_contested_frame_once_per_matching_span(monkeypatch):
         return solve(cost)
 
     monkeypatch.setattr(metrics, "solve_matchings", recording)
-    assert hota(per_frame) == hota_solving_every_level(per_frame)
-    levels = [0, 12, 17]
-    assert [metrics.ALPHAS[k] for k in levels] == pytest.approx([0.05, 0.65, 0.9])
+    assert hota(cells_of(per_frame)) == hota_solving_every_level(per_frame)
+    levels = [0]
+    assert [metrics.ALPHAS[k] for k in levels] == pytest.approx([0.05])
     assert len(costs) == len(levels)
     for cost, k in zip(costs, levels):
         expected = np.where(ious >= metrics.ALPHAS[k], 1.0 - ious, INFEASIBLE)
@@ -245,11 +267,45 @@ def test_hota_keeps_a_matching_when_only_a_neighbour_overlap_drops(monkeypatch):
     # level, so each frame is still solved once.
     gt = [GtEntry(f, i, BoundingBox(8 * i + 30 * f, 0, 10, 10))
           for f in range(1, 6) for i in range(1, 3)]
-    per_frame = _frame_overlaps(gt, gt)
+    per_frame, flat = _frame_overlaps(gt, gt)
     assert per_frame[0][2][0, 1] == pytest.approx(1 / 9)
     calls = count_solves(monkeypatch)
-    assert hota(per_frame) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert hota(_cells(per_frame, flat)) == (1.0, 1.0, 1.0, 1.0, 1.0)
     assert calls == [(2, 2)] * 5
+
+
+@st.composite
+def pair_counts_and_scores(draw):
+    """(P, L) arrays of match counts up to 2**40 and HOTA-shaped scores
+    k / (n - k), 1 <= k <= n / 2; a count of 0 has score 0."""
+    n_pairs, n_levels = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    counts = np.zeros((n_pairs, n_levels), dtype=np.int64)
+    scores = np.zeros((n_pairs, n_levels))
+    for p in range(n_pairs):
+        for level in range(n_levels):
+            count = draw(st.one_of(st.integers(0, 20), st.integers(0, 2 ** 40)))
+            if count:
+                n = draw(st.integers(2, 2 ** 41))
+                k = draw(st.integers(1, n // 2))
+                counts[p, level], scores[p, level] = count, k / (n - k)
+    return counts, scores
+
+
+@settings(deadline=None, max_examples=300)
+@given(pair_counts_and_scores())
+def test_product_sums_equal_the_sum_of_repeated_scores(arrays):
+    # math.fsum of the repeated scores is the exact sum correctly rounded,
+    # which Fraction gives without the repeats; both agree where the
+    # repeats are few enough to build.
+    counts, scores = arrays
+    got = metrics._product_sums(counts, scores)
+    for level, value in enumerate(got):
+        exact = sum(Fraction(int(c)) * Fraction(float(s))
+                    for c, s in zip(counts[:, level], scores[:, level]))
+        assert bits(value) == bits(float(exact))
+        if counts[:, level].sum() <= 10 ** 4:
+            assert bits(value) == bits(math.fsum(
+                np.repeat(scores[:, level], counts[:, level]).tolist()))
 
 
 def levels_solving_every_level(per_frame):
@@ -306,7 +362,7 @@ def test_hota_resolves_when_the_minimum_cost_matching_loses_a_pair():
     assert at(0.05) == [(0, 0), (1, 2), (2, 1)]
     assert at(0.10) == [(0, 0), (1, 1), (2, 2)]
     per_frame = [([1, 2, 3], [11, 12, 13], ious), ([1, 2, 3], [11, 12, 13], np.eye(3))]
-    assert hota(per_frame) == hota_solving_every_level(per_frame)
+    assert hota(cells_of(per_frame)) == hota_solving_every_level(per_frame)
 
 
 @settings(deadline=None, max_examples=60)
@@ -316,14 +372,14 @@ def test_hota_equals_solving_every_level(seed):
     # tenths, where many matchings tie and cells drop out level by level.
     rng = np.random.default_rng(seed)
     gt, pred = random_micro_scenario(rng)
-    per_frame = _frame_overlaps(gt, pred)
-    assert hota(per_frame) == hota_solving_every_level(per_frame)
+    per_frame, flat = _frame_overlaps(gt, pred)
+    assert hota(_cells(per_frame, flat)) == hota_solving_every_level(per_frame)
     tables = []
     for _ in range(int(rng.integers(1, 5))):
         n, m = int(rng.integers(0, 6)), int(rng.integers(0, 6))
         ious = rng.integers(0, 11, (n, m)) / 10
         tables.append((list(range(1, n + 1)), list(range(11, 11 + m)), ious))
-    assert hota(tables) == hota_solving_every_level(tables)
+    assert hota(cells_of(tables)) == hota_solving_every_level(tables)
 
 
 # Cells at and around the levels, tenths, and any IoU in [0, 1].
@@ -360,10 +416,10 @@ def overlap_tables(draw):
 @settings(deadline=None, max_examples=200)
 @given(overlap_tables())
 def test_hota_levels_equal_solving_every_level(tables):
-    levels = metrics.hota_levels(tables)
+    levels = metrics.hota_levels(cells_of(tables))
     assert all(len(values) == len(metrics.ALPHAS) for values in levels)
     assert list(zip(*levels)) == levels_solving_every_level(tables)
-    assert hota(tables) == tuple(math.fsum(values) / len(metrics.ALPHAS)
+    assert hota(cells_of(tables)) == tuple(math.fsum(values) / len(metrics.ALPHAS)
                                  for values in levels)
 
 
@@ -372,34 +428,148 @@ def test_hota_levels_equal_solving_every_level(tables):
 @example([])
 @example([([], [], np.zeros((0, 0)))])
 def test_idf1_equals_the_table_oracle(tables):
-    assert idf1(tables) == idf1_table_oracle(tables)
+    assert idf1(cells_of(tables)) == idf1_table_oracle(tables)
     if not any(g_ids or p_ids for g_ids, p_ids, _ in tables):
-        assert idf1(tables) == 0.0
+        assert idf1(cells_of(tables)) == 0.0
 
 
 @settings(deadline=None, max_examples=100)
 @given(overlap_tables(), st.data())
 def test_hota_ignores_frame_order(tables, data):
     shuffled = data.draw(st.permutations(tables))
-    assert hota(shuffled) == hota(tables)
+    assert hota(cells_of(shuffled)) == hota(cells_of(tables))
 
 
 def test_evaluate_builds_one_overlap_table(monkeypatch):
-    # GT on frames 1-4 and predictions on frames 3-6: one iou_columns call
-    # for each of the six frames, shared by CLEAR, IDF1 and HOTA.
+    # GT on frames 1-4 and predictions on frames 3-6: frames 3 and 4 hold
+    # both sides, as blocks of one shape (2 GT rows, 1 predicted row), so
+    # one batched kernel call serves the six frames' table, shared by
+    # CLEAR, IDF1 and HOTA. The frames with an empty side need no call.
     gt = track_entries(1, range(1, 5)) + track_entries(2, range(1, 5), FAR)
     pred = track_entries(11, range(3, 7))
-    kernel = metrics.iou_columns
+    kernel = model._iou_of_fields
     calls = []
 
     def counting(a, b):
-        calls.append((len(a), len(b)))
-        return kernel(a, b)
+        ious = kernel(a, b)
+        calls.append(ious.shape)
+        return ious
 
-    monkeypatch.setattr(metrics, "iou_columns", counting)
+    monkeypatch.setattr(model, "_iou_of_fields", counting)
     rep = evaluate(gt, pred)
-    assert calls == [(2, 0), (2, 0), (2, 1), (2, 1), (0, 1), (0, 1)]
+    assert calls == [(2, 2, 1)]
     assert (rep.fn_count, rep.fp_count, rep.idsw_count) == (6, 2, 0)
+
+
+# Boxes on a 5 px grid, where IoUs tie and vanish, and three from the
+# iou_columns FOUND lines: against itself, the first reads inf with a
+# divide-by-zero warning, the second NaN (its overlap overflows), the
+# third 0 (its union overflows).
+OVERLAP_BOXES = st.one_of(
+    st.builds(BoundingBox, st.integers(0, 3).map(lambda k: 5 * k),
+              st.integers(0, 3).map(lambda k: 5 * k),
+              st.sampled_from([5, 10]), st.sampled_from([5, 10])),
+    st.sampled_from([BoundingBox(0, 1.8014398509481988e16, 1, 2),
+                     BoundingBox(0, 2.0 ** 53, 5e307, 3),
+                     BoundingBox(0, 0, 1e300, 1e8)]))
+# Frames and identities below, at and past int64.
+OVERLAP_FRAMES = st.sampled_from([0, 1, 2, 3, 4, 2 ** 63 - 1, 2 ** 64, 2 ** 70])
+OVERLAP_IDS = st.sampled_from([1, 2, 3, 4, 2 ** 63, 2 ** 70])
+
+
+@st.composite
+def overlap_sides(draw):
+    """One side's entries: (frame, identity) pairs unique unless `repeats`
+    is drawn, so most tables build and some raise."""
+    keys = draw(st.lists(st.tuples(OVERLAP_FRAMES, OVERLAP_IDS), max_size=24))
+    if draw(st.integers(0, 7)):
+        keys = list(dict.fromkeys(keys))
+    return [GtEntry(f, i, draw(OVERLAP_BOXES)) for f, i in keys]
+
+
+def overlap_outcome(build, gt, pred):
+    """What `build(gt, pred)` returns or raises, and the distinct numpy
+    warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = build(gt, pred)
+        except ValueError as exc:
+            result = str(exc)
+    return result, {(w.category, str(w.message)) for w in caught}
+
+
+@settings(deadline=None, max_examples=300)
+@given(overlap_sides(), overlap_sides(), st.sampled_from([1, 2, 3, 4, 6, 1 << 14]))
+def test_overlap_table_equals_the_per_frame_builder(gt, pred, cap):
+    # A small entry cap splits the blocks of one shape over many calls.
+    with mock.patch.object(model, "_OVERLAP_BATCH_ENTRIES", cap):
+        got, got_warnings = overlap_outcome(_frame_overlaps, gt, pred)
+    want, want_warnings = overlap_outcome(frame_overlaps_oracle, gt, pred)
+    assert got_warnings == want_warnings
+    if isinstance(want, str):
+        assert got == want
+        return
+    per_frame, flat = got
+    assert bits(per_frame) == bits(want)
+    assert bits(flat) == bits(np.concatenate(
+        [ious.ravel() for _, _, ious in want] + [np.empty(0)]))
+    assert all(ious.base is flat for _, _, ious in per_frame if ious.size)
+
+
+def test_overlap_table_batches_each_block_shape_up_to_the_entry_cap(monkeypatch):
+    # 300 frames of 8 GT x 8 predicted rows cross the cap of one call (256
+    # such blocks), 10 frames of 3 x 2 fit in one, and 140 x 130 exceeds
+    # it alone; calls come shape by shape, smallest first.
+    cap = model._OVERLAP_BATCH_ENTRIES
+    shapes = [(3, 2)] * 5 + [(8, 8)] * 300 + [(3, 2)] * 5 + [(140, 130), (0, 4), (2, 0)]
+    rng = np.random.default_rng(0)
+
+    def entry(frame, identity):
+        return GtEntry(frame, identity, BoundingBox(*(5 * rng.integers(0, 4, 2)).tolist(),
+                                                    *rng.choice([5, 10], 2).tolist()))
+
+    gt = [entry(f, i) for f, (r, _) in enumerate(shapes) for i in range(r)]
+    pred = [entry(f, i) for f, (_, c) in enumerate(shapes) for i in range(c)]
+    kernel, seen = model._iou_of_fields, []
+
+    def counting(a, b):
+        ious = kernel(a, b)
+        seen.append(ious.shape)
+        return ious
+
+    monkeypatch.setattr(model, "_iou_of_fields", counting)
+    per_frame, flat = _frame_overlaps(gt, pred)
+    monkeypatch.undo()
+    assert seen == [(10, 3, 2), (256, 8, 8), (44, 8, 8), (1, 140, 130)]
+    assert 256 * 64 <= cap < 257 * 64
+    assert bits(per_frame) == bits(frame_overlaps_oracle(gt, pred))
+
+
+@pytest.mark.parametrize("gt_keys, pred_keys, message", [
+    # The first frame with a repeat wins, whichever side holds it.
+    ([(1, 5), (3, 7), (3, 7)], [(2, 4), (2, 4), (3, 1)],
+     "predictions: identity 4 appears twice in frame 2"),
+    ([(1, 5), (2, 7), (2, 7)], [(3, 4), (3, 4)],
+     "ground truth: identity 7 appears twice in frame 2"),
+    # In one frame, the ground truth before the predictions, and the
+    # lowest repeated identity first.
+    ([(2, 9), (2, 9), (2, 3), (2, 3)], [(2, 1), (2, 1)],
+     "ground truth: identity 3 appears twice in frame 2"),
+    ([(2 ** 70, 2 ** 64), (2 ** 70, 2 ** 64)], [(2 ** 64, 1), (2 ** 70 + 1, 8), (2 ** 70 + 1, 8)],
+     f"ground truth: identity {2 ** 64} appears twice in frame {2 ** 70}"),
+    # A frame key equal to the one before it only in its identity is no repeat.
+    ([(1, 4), (2, 4)], [(1, 4), (3, 6), (4, 6), (4, 6)],
+     "predictions: identity 6 appears twice in frame 4"),
+])
+def test_an_identity_repeated_in_a_frame_names_the_first_frame_and_side(
+        gt_keys, pred_keys, message):
+    gt = [GtEntry(f, i, BOX) for f, i in gt_keys]
+    pred = [GtEntry(f, i, FAR) for f, i in pred_keys]
+    for build in (_frame_overlaps, frame_overlaps_oracle, evaluate):
+        with pytest.raises(ValueError) as raised:
+            build(gt, pred)
+        assert str(raised.value) == message
 
 
 def test_identities_and_frames_beyond_int64():
@@ -502,10 +672,10 @@ def test_micro_scenarios_match_brute_force_oracles(seed):
     assert rep.ass_a == assa_oracle(gt, pred)
     assert (rep.fn_count, rep.fp_count, rep.idsw_count) == clear_oracle(gt, pred)
     # evaluate shares one overlap table between CLEAR, HOTA and IDF1
-    per_frame = _frame_overlaps(gt, pred)
+    per_frame, flat = _frame_overlaps(gt, pred)
     assert (rep.hota, rep.det_a, rep.ass_a, rep.det_re, rep.det_pr) == \
-        hota(per_frame)
-    assert rep.idf1 == idf1(per_frame)
+        hota(_cells(per_frame, flat))
+    assert rep.idf1 == idf1(_cells(per_frame, flat))
     assert (rep.fn_count, rep.fp_count, rep.idsw_count, rep.frag_count) == \
         _clear_sequence(per_frame)
 

@@ -32,6 +32,8 @@ def run_script(name, *args):
       "per round         gen0  gen0 ms   gen1  gen1 ms   gen2  gen2 ms"]),
     ("step_costs.py", ["--workload", "presets", "--rounds", "1", "--tiny"],
      ["workload=presets seed=0 rounds=1", "stage          us/step"]),
+    ("eval_costs.py", ["--workload", "presets", "--rounds", "1", "--tiny"],
+     ["workload=presets seed=0 rounds=1", "part           ms/round"]),
 ])
 def test_script_runs_and_prints_its_header(name, args, header):
     done = run_script(name, *args)
