@@ -12,9 +12,10 @@ process, and times every call of `Tracker.step` and of its stages:
 * keep: `Tracker._keep_and_initiate`, the keep rule and new tracks;
 * other: the rest of `Tracker.step`.
 
-It prints the mean microseconds per step of each, over every step of the
-rounds. The timers wrap the functions from outside; nothing in `src/`
-changes. Each timed call adds a wrapper call and two clock reads, well
+Each round is timed on its own. For each stage it prints the microseconds
+per step of the fastest round, which repeats on a noisy machine, next to
+the mean over every step of the rounds. The timers wrap the functions
+from outside; nothing in `src/` changes. Each timed call adds a wrapper call and two clock reads, well
 under a microsecond, which the stages' figures include.
 
     PYTHONPATH=src python scripts/step_costs.py --workload ga --rounds 3
@@ -86,23 +87,29 @@ def main():
         parser.error("--seed must be >= 0 and --rounds >= 1")
 
     scene_list = workloads.scenes(args.workload, args.seed, args.tiny)
-    seconds, calls, patches = Counter(), Counter(), Patches()
+    rounds, patches = [], Patches()
     with tempfile.TemporaryDirectory() as root:
         _, sequences = workloads.set_up(args.workload, scene_list, root)
-        for owner, name, stage in STAGES + ((tracker.Tracker, "step", "step"),):
-            patches.wrap(owner, name, timed(seconds, calls, stage))
-        try:
-            for _ in range(args.rounds):
+        for _ in range(args.rounds):
+            seconds, calls = Counter(), Counter()
+            for owner, name, stage in STAGES + ((tracker.Tracker, "step", "step"),):
+                patches.wrap(owner, name, timed(seconds, calls, stage))
+            try:
                 run_round(args.workload, scene_list, sequences, root, args.tiny)
-        finally:
-            patches.restore()
+            finally:
+                patches.restore()
+            rounds.append((seconds, calls))
 
-    count = calls["step"]
-    seconds["other"] = seconds["step"] - sum(seconds[stage] for _, _, stage in STAGES)
+    stages = [stage for _, _, stage in STAGES]
+    for seconds, _ in rounds:
+        seconds["other"] = seconds["step"] - sum(seconds[stage] for stage in stages)
+    count = sum(calls["step"] for _, calls in rounds)
     print(f"workload={args.workload} seed={args.seed} rounds={args.rounds}")
-    print("stage          us/step")
-    for stage in [stage for _, _, stage in STAGES] + ["other", "step"]:
-        print(f"{stage:<14} {seconds[stage] * 1e6 / max(count, 1):7.1f}")
+    print("stage          min us  mean us  (per step)")
+    for stage in stages + ["other", "step"]:
+        fastest = min(seconds[stage] / max(calls["step"], 1) for seconds, calls in rounds)
+        mean = sum(seconds[stage] for seconds, _ in rounds) / max(count, 1)
+        print(f"{stage:<14} {fastest * 1e6:6.1f}  {mean * 1e6:7.1f}")
     print(f"steps {count}")
 
 

@@ -1,7 +1,7 @@
 """The per-frame tracking pipeline.
 
 Each frame: filter and NMS the detections, Kalman-predict all live tracks
-and delete those whose state is no box (`model.center_box_rows`), match
+and delete those whose state is no box (`model.box_rows`' rule), match
 confirmed tracks by pooled appearance (cascade), match the remainder by
 IoU, update the matched tracks, emit the confirmed tracks, keep the rows
 that can still match and start new tracks.
@@ -16,17 +16,23 @@ row i's Kalman state is `mean[i]` and `covariance[i]` (its 2x2 blocks,
 see `kalman`), and `tracks[i]` its id, lifecycle counters and feature
 buffer. Every stage reads rows of those arrays; rows stay in ascending
 track id.
+
+Per-row work of a few flops runs on Python floats from one `tolist()`,
+the same IEEE operations numpy does (overflow gives inf or NaN, with no
+warning), without numpy's per-call cost; per-pair work and the Kalman
+algebra stay in numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite
 
 import numpy as np
 
 from . import association
 from .kalman import KalmanModel, NumericalError
-from .model import BoundingBox, FrameDetections, TrackerConfig, center_box_rows
+from .model import BoundingBox, FrameDetections, TrackerConfig
 
 
 @dataclass
@@ -84,14 +90,15 @@ def preprocess(detections: FrameDetections, config: TrackerConfig) -> FrameDetec
     fails that test; otherwise no candidate overlaps another by more, and
     none is dropped.
     """
-    n = int(np.count_nonzero(detections.confidence >= config.min_confidence))
+    threshold, limit = config.min_confidence, config.nms_max_overlap
+    # Every row is counted, as count_nonzero does; a NaN overlap fails `<=`.
+    n = sum(c >= threshold for c in detections.confidence.tolist())
     dropped = set()
-    if n > 1 and not (detections.overlap[:n] <= config.nms_max_overlap).all():
+    if n > 1 and not all(o <= limit for o in detections.overlap[:n].tolist()):
         boxes = detections.boxes[:n]
         # Box k is dropped iff a kept box j < k overlaps it; the pairs come
         # in ascending k, so every j's fate is known when k is reached.
-        rows, cols = np.nonzero(~(association.iou_columns(boxes, boxes)
-                                  <= config.nms_max_overlap))
+        rows, cols = np.nonzero(~(association.iou_columns(boxes, boxes) <= limit))
         for k, j in zip(rows.tolist(), cols.tolist()):
             if j < k and j not in dropped:
                 dropped.add(k)
@@ -132,58 +139,77 @@ class Tracker:
         self._keep_and_initiate(detections, unmatched_det_idx)
         return result
 
-    def _predict(self) -> np.ndarray:
+    def _predict(self) -> list:
         """One Kalman predict over the stack of all live tracks, replacing
-        its arrays; rows whose state makes no BoundingBox are deleted, by
-        one `center_box_rows` pass over the predicted centers. Returns the
-        kept rows' predicted box columns."""
+        its arrays; rows whose state makes no BoundingBox by `box_rows`'
+        rule are deleted. Returns the kept rows' (left, top, right, bottom,
+        area) tuples, `BoundingBox.from_center`'s arithmetic on each
+        predicted (cx, cy, aspect, height) row."""
         stack = self.stack
         if not stack.tracks:
-            return np.zeros((0, 5))
+            return []
         stack.mean, stack.covariance = self.kalman.predict(stack.mean, stack.covariance)
-        boxes, valid = center_box_rows(stack.mean[:, :4])
-        if not valid.all():
-            self.stack = stack = stack.take(np.flatnonzero(valid).tolist())
-            boxes = boxes[valid]
+        boxes, kept = [], []
+        for i, (cx, cy, aspect, height) in enumerate(stack.mean[:, :4].tolist()):
+            width = aspect * height
+            left = cx - width / 2.0
+            top = cy - height / 2.0
+            right = left + width
+            bottom = top + height
+            area = width * height
+            # A finite sum has finite terms: right and bottom cover the rest.
+            if isfinite(right) and isfinite(bottom) and 0.0 < area < inf and height > 0.0:
+                boxes.append((left, top, right, bottom, area))
+                kept.append(i)
+        if len(kept) < len(stack.tracks):
+            self.stack = stack = stack.take(kept)
         for track in stack.tracks:
             track.time_since_update += 1
         return boxes
 
     def _update(self, detections: FrameDetections, matches) -> None:
         """One Kalman update over the stacked rows of the frame's (track,
-        detection) matches, in place.
+        detection) matches.
 
         The stacked update fails as a whole if one track's does; the
         matches are then redone one row at a time, so only a failing
         track keeps its predicted state. Every matched track gets its hit.
+        A stacked row equals its one-row call, so rows matched in order as
+        a whole (`matches` is sorted) skip the gather and scatter.
         """
         if not matches:
             return
-        stack = self.stack
-        rows = [i for i, _ in matches]
+        stack, kalman = self.stack, self.kalman
+        rows, dets = [i for i, _ in matches], [j for _, j in matches]
+        measurements = detections.measurements[
+            slice(len(dets)) if dets == list(range(len(dets))) else dets]
         try:
-            stack.mean[rows], stack.covariance[rows] = self.kalman.update(
-                stack.mean[rows], stack.covariance[rows],
-                detections.measurements[[j for _, j in matches]])
+            if len(rows) == len(stack.tracks):
+                stack.mean, stack.covariance = kalman.update(
+                    stack.mean, stack.covariance, measurements)
+            else:
+                stack.mean[rows], stack.covariance[rows] = kalman.update(
+                    stack.mean[rows], stack.covariance[rows], measurements)
         except NumericalError:
             for i, j in matches:
                 try:
-                    stack.mean[i], stack.covariance[i] = self.kalman.update(
+                    stack.mean[i], stack.covariance[i] = kalman.update(
                         stack.mean[i], stack.covariance[i],
                         detections.measurements[j])
                 except NumericalError:
                     pass
+        confidence = detections.confidence.tolist()
         for i, j in matches:
             track = stack.tracks[i]
             track.features.push(detections.embeddings[j])
             track.hits += 1
             track.time_since_update = 0
-            track.last_confidence = float(detections.confidence[j])
+            track.last_confidence = confidence[j]
 
-    def _match(self, detections: FrameDetections, boxes: np.ndarray):
+    def _match(self, detections: FrameDetections, boxes: list):
         """The frame's (track row, detection row) matches, sorted, and the
         detection rows left unmatched, in order. `boxes` are the stack's
-        predicted box columns.
+        predicted box tuples (`_predict`).
 
         The cascade matches confirmed rows by appearance; the tentative
         rows and the confirmed rows missed for one frame then compete by
@@ -193,8 +219,9 @@ class Tracker:
         stack = self.stack
         tracks = stack.tracks
         confirm_hits = self.confirm_hits
-        confirmed = [i for i, t in enumerate(tracks) if t.hits >= confirm_hits]
-        tentative = [i for i, t in enumerate(tracks) if t.hits < confirm_hits]
+        confirmed, tentative = [], []
+        for i, track in enumerate(tracks):
+            (confirmed if track.hits >= confirm_hits else tentative).append(i)
 
         cascade_matches, cascade_unmatched, unmatched_dets = \
             association.matching_cascade(
@@ -210,7 +237,7 @@ class Tracker:
             return sorted(matches), unmatched_dets
 
         cost = association.iou_cost(
-            boxes[iou_candidates], detections.boxes[unmatched_dets],
+            np.array([boxes[i] for i in iou_candidates]), detections.boxes[unmatched_dets],
             self.config.max_iou_distance)
         iou_matches, _, iou_unmatched_dets = association.solve_assignment(cost)
 
@@ -232,9 +259,10 @@ class Tracker:
         if births:
             means, covariances = self.kalman.initiate(detections.measurements[births])
             size, tracks = self.config.feature_buffer_size, []
+            confidence = detections.confidence.tolist()
             for row in births:
                 track = Track(self._next_id, association.FeatureBuffer(size),
-                              last_confidence=float(detections.confidence[row]))
+                              last_confidence=confidence[row])
                 track.features.push(detections.embeddings[row])
                 tracks.append(track)
                 self._next_id += 1
@@ -259,8 +287,10 @@ class Tracker:
                 if t.hits >= confirm_hits and t.time_since_update <= 1]
         if not rows:
             return FrameResult(frame=frame, records=())
+        centers = stack.mean[:, :4].tolist()
         records = []
-        for i, (cx, cy, aspect, height) in zip(rows, stack.mean[rows, :4].tolist()):
+        for i in rows:
+            cx, cy, aspect, height = centers[i]
             width = aspect * height
             track = stack.tracks[i]
             records.append((track.track_id,

@@ -100,6 +100,26 @@ def ltwh_from_centers(centers: np.ndarray) -> np.ndarray:
     return ltwh
 
 
+def center_box_rows_oracle(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`box_rows` of the (left, top, width, height) rows that
+    `BoundingBox.from_center` makes of (cx, cy, aspect, height) rows, in
+    one pass with the same operations in the same order: width is aspect
+    * height, left and top are cx - width / 2 and cy - height / 2. A state
+    far out of range gives inf or NaN columns and an invalid row, not a
+    numpy warning."""
+    n = len(centers)
+    sides = np.empty((n, 2))
+    boxes = np.empty((n, 5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(centers[:, 2], centers[:, 3], out=sides[:, 0])
+        sides[:, 1] = centers[:, 3]
+        np.subtract(centers[:, :2], sides / 2.0, out=boxes[:, :2])
+        np.add(boxes[:, :2], sides, out=boxes[:, 2:4])
+        np.multiply(sides[:, 0], sides[:, 1], out=boxes[:, 4])
+        valid = np.isfinite(boxes).all(axis=1) & (boxes[:, 4] > 0) & (sides[:, 1] > 0)
+    return boxes, valid
+
+
 def frame_overlap_oracle(boxes):
     """The `overlap` column of one frame's (n, 5) box columns, the frame
     alone: each row's largest `iou_columns` value with another row, the

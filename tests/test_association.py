@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from mttsort import association
 from mttsort.association import (
     FeatureBuffer, INFEASIBLE, appearance_cost, iou_columns, iou_cost,
-    matching_cascade, solve_assignment,
+    matching_cascade, solve_assignment, solve_matchings,
 )
 from mttsort.kalman import KalmanModel
 from mttsort.model import (BoundingBox, Detection, FrameDetections, TrackerConfig,
@@ -602,6 +602,32 @@ def test_an_exact_tie_goes_through_the_row_loop():
     assert matches == [(0, 1), (1, 2), (2, 0)]
     assert solves > 2
 
+
+
+@pytest.mark.parametrize("cost", [
+    [[math.nan, INFEASIBLE], [INFEASIBLE, -math.inf]],
+    [[math.nan, math.nan]],
+    [[-math.inf, -math.inf], [math.nan, INFEASIBLE]],
+], ids=["isolated", "one-row", "shared-row"])
+def test_no_finite_entry_matches_nothing(cost):
+    # Every entry that is not INFEASIBLE is NaN or -inf. The isolated ones
+    # share no row or column, so without the finiteness exit the forced
+    # path would read them off as a matching.
+    n, m = np.shape(cost)
+    assert solve_matchings(np.array(cost)) == ([], [])
+    assert solve_assignment(np.array(cost)) == ([], list(range(n)), list(range(m)))
+
+
+def test_a_nan_beside_a_finite_entry():
+    # Alone in its row and column, a NaN is read off with the forced
+    # matching; sharing a row with a finite entry, it reaches scipy, which
+    # rejects it.
+    isolated = np.array([[0.2, INFEASIBLE], [INFEASIBLE, math.nan]])
+    assert solve_matchings(isolated) == ([(0, 0), (1, 1)], [(0, 0), (1, 1)])
+    assert solve_assignment(isolated) == ([(0, 0), (1, 1)], [], [])
+    for solve in (solve_matchings, solve_assignment):
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            solve(np.array([[math.nan, 0.5]]))
 
 # ----------------------------------------------------------------- cascade
 

@@ -10,14 +10,14 @@ from mttsort.ga import load_ga_config
 from mttsort.model import (
     BoundingBox, ConfigError, DataError, Detection, DetectionTable, FrameDetections,
     TrackerConfig,
-    box_columns, box_rows, center_box_rows, format_config, load_config, load_preset,
+    box_columns, box_rows, format_config, load_config, load_preset,
     parse_config_text, parse_kv_lines, PRESETS,
 )
 from mttsort.seqio import ParseError, parse_meta
 from mttsort.synth import load_scenario
 from mttsort.tracker import run_sequence
 
-from oracles import bits, ltwh_from_centers, stream_columns_oracle
+from oracles import bits, center_box_rows_oracle, ltwh_from_centers, stream_columns_oracle
 
 
 def test_to_center_worked_examples():
@@ -441,11 +441,11 @@ center_fields = st.one_of(box_fields, st.sampled_from([1e-170, 1e-320, -2.0, -1e
 @given(st.lists(st.tuples(center_fields, center_fields, center_fields, center_fields),
                 max_size=6))
 def test_center_box_rows_is_box_rows_of_the_rows_from_centers(rows):
-    # One pass gives the columns and the validity mask of the two-step
-    # oracle bit for bit, and no numpy warning (the suite makes one an
-    # error).
+    # The one-pass oracle of the tracker's box check gives the columns and
+    # the validity mask of the two-step form bit for bit, and no numpy
+    # warning (the suite makes one an error).
     centers = np.array(rows, dtype=float).reshape(-1, 4)
-    boxes, valid = center_box_rows(centers)
+    boxes, valid = center_box_rows_oracle(centers)
     want_boxes, want_valid = box_rows(ltwh_from_centers(centers))
     assert bits(boxes) == bits(want_boxes)
     assert bits(valid) == bits(want_valid)

@@ -31,7 +31,8 @@ def run_script(name, *args):
      ["workload=big30 seed=0 rounds=2",
       "per round         gen0  gen0 ms   gen1  gen1 ms   gen2  gen2 ms"]),
     ("step_costs.py", ["--workload", "presets", "--rounds", "1", "--tiny"],
-     ["workload=presets seed=0 rounds=1", "stage          us/step"]),
+     ["workload=presets seed=0 rounds=1",
+      "stage          min us  mean us  (per step)"]),
     ("eval_costs.py", ["--workload", "presets", "--rounds", "1", "--tiny"],
      ["workload=presets seed=0 rounds=1", "part           ms/round"]),
 ])

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import warnings
 
@@ -7,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from mttsort import association, seqio, synth
 from mttsort.association import FeatureBuffer
-from mttsort.kalman import NumericalError
+from mttsort.kalman import KalmanModel, NumericalError
 from mttsort.model import BoundingBox, Detection, FrameDetections, TrackerConfig
 from mttsort.tracker import (FrameResult, Track, Tracker, TrackStack, preprocess,
                              run_sequence)
 
-from oracles import bits, box_iou, ltwh_from_centers, preprocess_oracle
+from oracles import (bits, box_iou, center_box_rows_oracle, ltwh_from_centers,
+                     preprocess_oracle)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -45,6 +48,29 @@ def test_preprocess_confidence_filter():
     kept = preprocess(
         FrameDetections.of([det(1, 0, 0, conf=0.9), det(1, 100, 0, conf=0.4)]), config)
     assert kept.confidence.tolist() == [0.9]
+
+
+def test_preprocess_keeps_a_confidence_equal_to_min_confidence():
+    config = TrackerConfig(min_confidence=0.5)
+    kept = preprocess(FrameDetections.of(
+        [det(1, 0, 0, conf=0.5), det(1, 100, 0, conf=0.4), det(1, 200, 0, conf=0.9)]),
+        config)
+    assert kept.confidence.tolist() == [0.9, 0.5]
+
+
+def test_preprocess_out_of_descending_order_counts_every_row():
+    # Rows out of the descending order that `preprocess` assumes: the
+    # count is count_nonzero's over every row, not the length of the
+    # leading block at or above min_confidence, and that many leading rows
+    # are kept (the boxes are apart, so NMS drops none).
+    columns = FrameDetections.of(
+        [det(1, 100 * k, 0, conf=c) for k, c in enumerate((0.9, 0.6, 0.3, 0.7))])
+    shuffled = columns.take([3, 0, 1, 2])
+    assert shuffled.confidence.tolist() == [0.3, 0.9, 0.7, 0.6]
+    config = TrackerConfig(min_confidence=0.5)
+    kept = preprocess(shuffled, config)
+    assert len(kept) == np.count_nonzero(shuffled.confidence >= 0.5) == 3
+    assert kept.confidence.tolist() == [0.3, 0.9, 0.7]
 
 
 def test_preprocess_nms_suppresses_duplicates():
@@ -98,23 +124,30 @@ def test_preprocess_matches_greedy_nms_oracle(raw, overlap):
     assert_kept_columns(kept, greedy_nms_oracle(detections, config))
 
 
-@pytest.mark.parametrize("layout, calls", [
-    (((0, 0.2), (0, 0.3)), []),
-    (((0, 0.9), (0, 0.3)), []),
-    (((0, 0.9), (40, 0.6)), []),
-    (((0, 0.9), (10, 0.6)), []),
-    (((0, 0.9), (0, 0.6)), [2]),
-    (((0, 0.9), (40, 0.6), (0, 0.3)), [2]),
+@pytest.mark.parametrize("layout, nan_row, calls", [
+    (((0, 0.2), (0, 0.3)), None, []),
+    (((0, 0.9), (0, 0.3)), None, []),
+    (((0, 0.9), (40, 0.6)), None, []),
+    (((0, 0.9), (10, 0.6)), None, []),
+    (((0, 0.9), (0, 0.6)), None, [2]),
+    (((0, 0.9), (40, 0.6), (0, 0.3)), None, [2]),
+    (((0, 0.9), (40, 0.6)), 1, [2]),
 ], ids=["no-candidate", "one-candidate", "two-apart", "two-at-the-threshold",
-        "two-overlapping", "overlap-with-a-row-below-min-confidence"])
+        "two-overlapping", "overlap-with-a-row-below-min-confidence",
+        "two-apart-with-a-nan-overlap"])
 def test_preprocess_calls_the_iou_kernel_only_when_a_candidate_overlap_fails(
-        monkeypatch, layout, calls):
+        monkeypatch, layout, nan_row, calls):
     # Detections are 30x60 boxes at (left, 0) with a confidence; candidates
     # are those at or above min_confidence 0.5. The kernel runs on the
     # candidates, only when two or more of them hold one whose `overlap`
-    # exceeds nms_max_overlap 0.5 (boxes 10 px apart overlap by exactly 0.5).
+    # exceeds nms_max_overlap 0.5 (boxes 10 px apart overlap by exactly 0.5)
+    # or is NaN, which fails `<=` as it does in numpy.
     detections = [det(1, left, 0, conf=c) for left, c in layout]
     columns = FrameDetections.of(detections)
+    if nan_row is not None:
+        overlap = columns.overlap.copy()
+        overlap[nan_row] = math.nan
+        columns = dataclasses.replace(columns, overlap=overlap)
     config = TrackerConfig(min_confidence=0.5, nms_max_overlap=0.5)
     kernel, seen = association.iou_columns, []
 
@@ -460,6 +493,91 @@ def test_gate_covers_tracks_past_the_last_detection():
     tracker.stack.covariance[1] = BROKEN_COVARIANCE
     with pytest.raises(NumericalError):
         tracker.step(2, FrameDetections.of([det(2, 100, 100, emb=(1, 0))]))
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["stacked", "row-by-row"])
+@pytest.mark.parametrize("unmatched", [False, True], ids=["all-rows", "some-rows"])
+@pytest.mark.parametrize("confidences", [(0.8, 0.7), (0.7, 0.8)],
+                         ids=["in-order", "permuted"])
+def test_update_equals_the_gathered_update_of_the_matched_rows(
+        confidences, unmatched, broken):
+    # Tentative tracks a and b are each matched by IoU to their own
+    # detection, whose rows run in descending confidence: in the order of
+    # the tracks' rows or swapped. With `unmatched`, a confirmed track far
+    # from every detection sits between them, so not every live row is
+    # matched. With `broken`, b's innovation variance is not positive: its
+    # row keeps its predicted state and the other rows get their one-row
+    # updates. Either way the stack's bits are those of gathering the
+    # matched rows, updating them and scattering them back.
+    a, b, far = (det(1, 100, 100, emb=(1, 0)), det(1, 400, 100, emb=(0, 1)),
+                 det(1, 900, 500, emb=(1, 1)))
+    specs = [(a, 1, 0)] + [(far, 3, 0)] * unmatched + [(b, 1, 0)]
+    tracker = tracker_holding(TrackerConfig(n_init=3), *specs)
+    kalman, stack = tracker.kalman, tracker.stack
+    if broken:
+        stack.covariance[-1] = BROKEN_COVARIANCE
+    want_mean, want_covariance = kalman.predict(stack.mean, stack.covariance)
+    detections = FrameDetections.of(
+        [det(2, 103, 101, emb=(1, 0), conf=confidences[0]),
+         det(2, 397, 99, emb=(0, 1), conf=confidences[1])])
+    matches = [(0, 0 if confidences[0] > confidences[1] else 1),
+               (len(specs) - 1, 1 if confidences[0] > confidences[1] else 0)]
+    rows, dets = [i for i, _ in matches], [j for _, j in matches]
+    if broken:
+        i, j = matches[0]
+        want_mean[i], want_covariance[i] = kalman.update(
+            want_mean[i], want_covariance[i], detections.measurements[j])
+    else:
+        want_mean[rows], want_covariance[rows] = kalman.update(
+            want_mean[rows], want_covariance[rows], detections.measurements[dets])
+
+    tracker.step(2, detections)
+    stack = tracker.stack
+    assert [t.time_since_update for t in stack.tracks] == [0] + [1] * unmatched + [0]
+    assert bits(stack.mean) == bits(want_mean)
+    assert bits(stack.covariance) == bits(want_covariance)
+    for i, j in matches:
+        assert stack.tracks[i].last_confidence == detections.confidence[j]
+
+
+class HeldKalman(KalmanModel):
+    """A filter whose predict returns the state it is given, so a drawn
+    state reaches the tracker's box check as drawn."""
+
+    def predict(self, mean, covariance):
+        return mean, covariance
+
+
+# (cx, cy, aspect, height) fields: NaN, infinities, far origins, products
+# that overflow past 1e308, subnormals, and zero or negative sides.
+state_fields = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-170, 1e-320, 1e-200, 1.0, -2.0,
+                     1e150, 1e160, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(-1e4, 1e4), st.floats())
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(st.tuples(state_fields, state_fields, state_fields, state_fields),
+                max_size=6))
+def test_predict_keeps_the_rows_and_boxes_of_the_box_check_oracle(centers):
+    # The kept rows are the oracle's mask, in order, and the returned box
+    # tuples its rows, bit for bit, with no warning.
+    tracks = [Track(k, FeatureBuffer(1)) for k in range(len(centers))]
+    mean = np.zeros((len(centers), 8))
+    mean[:, :4] = np.array(centers, dtype=float).reshape(-1, 4)
+    tracker = Tracker(TrackerConfig())
+    tracker.kalman = HeldKalman()
+    tracker.stack = TrackStack(tracks, mean, np.zeros((len(centers), 3, 4)))
+    want_boxes, valid = center_box_rows_oracle(mean[:, :4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        boxes = tracker._predict()
+    kept = valid.tolist()
+    assert tracker.stack.tracks == [t for t, keep in zip(tracks, kept) if keep]
+    assert bits(tracker.stack.mean) == bits(mean[valid])
+    assert all(type(box) is tuple and len(box) == 5 for box in boxes)
+    assert bits(np.array(boxes).reshape(-1, 5)) == bits(want_boxes[valid])
+    assert [t.time_since_update for t in tracker.stack.tracks] == [1] * sum(kept)
 
 
 @pytest.mark.parametrize("state", [
