@@ -26,6 +26,7 @@ algebra stay in numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import inf, isfinite
 
 import numpy as np
@@ -174,15 +175,15 @@ class Tracker:
         The stacked update fails as a whole if one track's does; the
         matches are then redone one row at a time, so only a failing
         track keeps its predicted state. Every matched track gets its hit.
-        A stacked row equals its one-row call, so rows matched in order as
-        a whole (`matches` is sorted) skip the gather and scatter.
+        A stacked row equals its one-row call, so when every live row is
+        matched (`matches` is sorted) the whole stack is updated, with no
+        gather and scatter.
         """
         if not matches:
             return
         stack, kalman = self.stack, self.kalman
-        rows, dets = [i for i, _ in matches], [j for _, j in matches]
-        measurements = detections.measurements[
-            slice(len(dets)) if dets == list(range(len(dets))) else dets]
+        rows = [i for i, _ in matches]
+        measurements = detections.measurements[[j for _, j in matches]]
         try:
             if len(rows) == len(stack.tracks):
                 stack.mean, stack.covariance = kalman.update(
@@ -236,9 +237,11 @@ class Tracker:
         if not iou_candidates or not unmatched_dets:
             return sorted(matches), unmatched_dets
 
+        candidate_boxes = np.fromiter(
+            chain.from_iterable([boxes[i] for i in iou_candidates]), float,
+            5 * len(iou_candidates)).reshape(-1, 5)
         cost = association.iou_cost(
-            np.array([boxes[i] for i in iou_candidates]), detections.boxes[unmatched_dets],
-            self.config.max_iou_distance)
+            candidate_boxes, detections.boxes[unmatched_dets], self.config.max_iou_distance)
         iou_matches, _, iou_unmatched_dets = association.solve_assignment(cost)
 
         matches += [(iou_candidates[r], unmatched_dets[c])
@@ -259,10 +262,9 @@ class Tracker:
         if births:
             means, covariances = self.kalman.initiate(detections.measurements[births])
             size, tracks = self.config.feature_buffer_size, []
-            confidence = detections.confidence.tolist()
             for row in births:
                 track = Track(self._next_id, association.FeatureBuffer(size),
-                              last_confidence=confidence[row])
+                              last_confidence=float(detections.confidence[row]))
                 track.features.push(detections.embeddings[row])
                 tracks.append(track)
                 self._next_id += 1
@@ -287,10 +289,8 @@ class Tracker:
                 if t.hits >= confirm_hits and t.time_since_update <= 1]
         if not rows:
             return FrameResult(frame=frame, records=())
-        centers = stack.mean[:, :4].tolist()
         records = []
-        for i in rows:
-            cx, cy, aspect, height = centers[i]
+        for i, (cx, cy, aspect, height) in zip(rows, stack.mean[rows, :4].tolist()):
             width = aspect * height
             track = stack.tracks[i]
             records.append((track.track_id,
