@@ -5,15 +5,19 @@ Sets up one workload of `mttbench.workloads`, runs N rounds of it in this
 process, and times every call of `metrics.evaluate` and of its parts:
 
 * table: `metrics._frame_overlaps`, the per-frame GT x prediction IoUs;
-* clear: `metrics._clear_sequence`, CLEAR's frame-by-frame matching;
-* cells: `metrics._cells`, the live-cell table IDF1 and HOTA read;
+* cells: `metrics._cells`, the live-cell table CLEAR, IDF1 and HOTA read;
+* clear: `metrics.clear_counts`, CLEAR's matching, walking only the
+  contested frames;
 * hota: `metrics.hota`, the 19 localization levels;
 * idf1: `metrics.idf1`, the global identity mapping;
 * other: the rest of `metrics.evaluate`.
 
-It prints the milliseconds per round of each, and the `solve_matchings`
+It prints the milliseconds per round of each, the `solve_matchings`
 calls HOTA makes per round, split into forced ones (the mask is its own
-matching, or is empty) and solved ones (the lexicographic refine runs).
+matching, or is empty) and solved ones (the lexicographic refine runs),
+and how many of the overlap tables' frames CLEAR walks with
+`clear_match` per round. The wrappers that count solves and walks add a
+call each, which the hota and clear figures include.
 Where `hota` and `idf1` build their cells themselves, their figures hold
 those `_cells` calls too, and `other` goes negative by the same amount.
 The timers wrap the functions from outside; nothing in `src/` changes.
@@ -40,8 +44,8 @@ from step_costs import run_round, timed  # noqa: E402
 
 PARTS = (
     ("_frame_overlaps", "table"),
-    ("_clear_sequence", "clear"),
     ("_cells", "cells"),
+    ("clear_counts", "clear"),
     ("hota", "hota"),
     ("idf1", "idf1"),
 )
@@ -56,6 +60,18 @@ def counting_solves(calls: Counter):
             result = fn(cost)
             calls["solved" if calls["refine"] > before else "forced"] += 1
             return result
+        return wrapper
+    return make
+
+
+def counting_frames(calls: Counter):
+    """Wrapper factory for `_frame_overlaps`: adds each table's frames to
+    calls["frames"]."""
+    def make(fn):
+        def wrapper(gt, pred):
+            table = fn(gt, pred)
+            calls["frames"] += len(table.rows)
+            return table
         return wrapper
     return make
 
@@ -79,6 +95,8 @@ def main():
         patches.wrap(association, "_refine_lexicographic",
                      timed(Counter(), calls, "refine"))
         patches.wrap(metrics, "solve_matchings", counting_solves(calls))
+        patches.wrap(metrics, "clear_match", timed(Counter(), calls, "walks"))
+        patches.wrap(metrics, "_frame_overlaps", counting_frames(calls))
         try:
             for _ in range(args.rounds):
                 run_round(args.workload, scene_list, sequences, root, args.tiny)
@@ -93,6 +111,8 @@ def main():
     print(f"evaluate calls {calls['evaluate'] / args.rounds:g} a round")
     print(f"hota solves    forced {calls['forced'] / args.rounds:g}, "
           f"solved {calls['solved'] / args.rounds:g} a round")
+    print(f"clear walks    {calls['walks'] / args.rounds:g} of "
+          f"{calls['frames'] / args.rounds:g} frames a round")
 
 
 if __name__ == "__main__":

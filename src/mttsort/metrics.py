@@ -3,12 +3,21 @@ fragmentations, and the scalar fitness score used by the optimizer.
 
 `evaluate` reads its `GtEntry` lists once, into one overlap table built
 from box columns: for each frame with a GT or predicted box, the GT and
-the predicted identities in ascending order and their IoU matrix. The
-matrices are views of one flat array, filled by one batched kernel call
-per block shape. CLEAR walks that table frame by frame. `_cells` turns
-the flat array once into one table of its live cells with every identity
-as a dense int64 rank, and IDF1 and HOTA both read it. IDF1 is one
-`np.bincount` of rank pairs and one assignment.
+the predicted identities in ascending order and their IoU matrix, held as
+columns over the frames and one flat array of every matrix, filled by one
+batched kernel call per block shape. A frame's matrix is a view made only
+where a frame is walked or solved. `_cells` turns the flat array once
+into one table of its live cells with every identity as a dense int64
+rank, and CLEAR, IDF1 and HOTA all read it. IDF1 is one `np.bincount` of
+rank pairs and one assignment.
+
+CLEAR walks only its contested frames, those where some GT or predicted
+entry holds two cells with IoU >= 0.5. In any other frame those cells are
+one-to-one, and they are the frame's matches whatever the prior
+correspondence: a kept correspondence is one of them, and the rest are
+forced. The prior decides only which matches are identity switches, and
+those are counted over all matches at once, each against the previous
+match of its GT identity.
 
 HOTA solves a frame only at its contested levels, those whose mask holds
 two cells in one row or one column, and there once per span of levels
@@ -82,121 +91,176 @@ def clear_match(g_ids, p_ids, ious, prior_correspondence):
 
     `g_ids` and `p_ids` are the frame's GT and predicted identities in
     ascending order, each distinct, and `ious` their overlap matrix, one
-    entry of `_frame_overlaps`; the prior correspondence maps each GT
+    frame of `_frame_overlaps`; the prior correspondence maps each GT
     identity to the predicted id it was most recently matched with.
     Correspondences still overlapping with IoU >= 0.5 are kept; the
     remainder is matched by minimum (1 - IoU) assignment subject to the
-    same threshold.
+    same threshold. Only the cells of the prior correspondences are read
+    one by one.
 
-    Returns (matches, fn, fp, idsw) where matches is a list of
-    (gt_identity, pred_identity) sorted by GT identity and idsw counts
-    matches whose predicted id differs from the prior one. A kept match
-    never does, so only the assigned ones are checked.
+    Returns (matches, fn, fp, idsw) where matches is a list of (row,
+    column) positions in `ious` sorted by row, that is by GT identity, and
+    idsw counts matches whose predicted id differs from the prior one. A
+    kept match never does, so only the assigned ones are checked.
     """
     pred_index = {pid: j for j, pid in enumerate(p_ids)}
-    rows = ious.tolist()
 
     matches: list[tuple[int, int]] = []
-    used_preds: set[int] = set()
+    used_cols: set[int] = set()
     remaining_gt = []
     for i, gid in enumerate(g_ids):
-        pid = prior_correspondence.get(gid)
-        j = pred_index.get(pid)
-        if j is not None and pid not in used_preds and rows[i][j] >= MATCH_IOU:
-            matches.append((gid, pid))
-            used_preds.add(pid)
+        j = pred_index.get(prior_correspondence.get(gid))
+        if j is not None and j not in used_cols and ious.item(i, j) >= MATCH_IOU:
+            matches.append((i, j))
+            used_cols.add(j)
         else:
             remaining_gt.append(i)
-    remaining_pred = [j for j, pid in enumerate(p_ids) if pid not in used_preds]
+    remaining_pred = [j for j in range(len(p_ids)) if j not in used_cols]
 
     idsw = 0
     if remaining_gt and remaining_pred:
         overlaps = ious[np.ix_(remaining_gt, remaining_pred)]
         cost = np.where(overlaps >= MATCH_IOU, 1.0 - overlaps, INFEASIBLE)
         assigned, _, _ = solve_assignment(cost)
-        for i, j in assigned:
-            gid, pid = g_ids[remaining_gt[i]], p_ids[remaining_pred[j]]
-            matches.append((gid, pid))
-            idsw += prior_correspondence.get(gid) not in (None, pid)
-        # The kept matches are in GT order already.
+        for a, b in assigned:
+            i, j = remaining_gt[a], remaining_pred[b]
+            matches.append((i, j))
+            idsw += prior_correspondence.get(g_ids[i]) not in (None, p_ids[j])
+        # The kept matches are in row order already.
         matches.sort()
     # Each identity is matched at most once.
     return matches, len(g_ids) - len(matches), len(p_ids) - len(matches), idsw
 
 
-def _clear_sequence(per_frame):
-    """Accumulate CLEAR counts and fragmentations over a whole sequence.
+class _Overlaps(NamedTuple):
+    """The overlap table (`_frame_overlaps`), as columns over its frames.
 
-    `per_frame` is the table of `_frame_overlaps(gt, pred)`.
+    g_ids and p_ids are every frame's GT and predicted identities, frame
+    after frame and ascending within a frame, as Python integers; frame k
+    holds rows[k] GT entries from g_first[k] and cols[k] predicted entries
+    from p_first[k]; and flat holds each frame's IoU matrix in row-major
+    order from starts[k].
     """
-    prior: dict[int, int] = {}
-    fn = fp = idsw = frag = 0
-    ever_matched: set[int] = set()
-    gap_open: set[int] = set()
-    for g_ids, p_ids, ious in per_frame:
-        matches, fn_f, fp_f, idsw_f = clear_match(g_ids, p_ids, ious, prior)
-        fn += fn_f
-        fp += fp_f
-        idsw += idsw_f
-        matched = {g for g, _ in matches}
-        for gid, pid in matches:
-            prior[gid] = pid
-        for gid in g_ids:
-            if gid in matched:
-                if gid in gap_open:
-                    frag += 1
-                    gap_open.discard(gid)
-                ever_matched.add(gid)
-            elif gid in ever_matched:
-                gap_open.add(gid)
-    return fn, fp, idsw, frag
+
+    g_ids: list
+    p_ids: list
+    rows: np.ndarray
+    cols: np.ndarray
+    g_first: np.ndarray
+    p_first: np.ndarray
+    starts: np.ndarray
+    flat: np.ndarray
+
+    def views(self, frames):
+        """For each frame index of the int64 array `frames`, in order: its
+        first GT and first predicted entry, its GT and predicted ids, and
+        its IoU matrix, a view of `flat`."""
+        g_ids, p_ids, flat = self.g_ids, self.p_ids, self.flat
+        for ga, r, pa, c, s in zip(*(column[frames].tolist() for column in (
+                self.g_first, self.rows, self.p_first, self.cols, self.starts))):
+            yield (ga, pa, g_ids[ga:ga + r], p_ids[pa:pa + c],
+                   flat[s:s + r * c].reshape(r, c))
 
 
 class _Cells(NamedTuple):
-    """The table IDF1 and HOTA read (`_cells`).
+    """The table CLEAR, IDF1 and HOTA read (`_cells`).
 
     Entries are numbered in table order (frame by frame, ids ascending).
-    g_rank and p_rank are each GT and predicted entry's identity as a
-    dense int64 rank in order of first appearance, so identities stay any
-    Python integers; g_first and p_first each frame's first GT and first
-    predicted entry; matrices each frame's IoU matrix; and iou, frame,
-    entry_g and entry_p the IoU, frame, GT entry and predicted entry of
-    each live cell (IoU >= ALPHAS[0]), in table order.
+    table is the overlap table; g_rank and p_rank each GT and predicted
+    entry's identity as a dense int64 rank in order of first appearance,
+    so identities stay any Python integers; and iou, frame, entry_g and
+    entry_p the IoU, frame, GT entry and predicted entry of each live cell
+    (IoU >= ALPHAS[0]), in table order.
     """
 
+    table: _Overlaps
     g_rank: np.ndarray
     p_rank: np.ndarray
-    g_first: np.ndarray
-    p_first: np.ndarray
-    matrices: list
     iou: np.ndarray
     frame: np.ndarray
     entry_g: np.ndarray
     entry_p: np.ndarray
 
 
-def _cells(per_frame, flat) -> _Cells:
-    """The `_Cells` of an overlap table: `per_frame` and `flat` as
-    `_frame_overlaps` returns them, `flat` holding each frame's matrix
-    in row-major order, frame after frame."""
+def _cells(table: _Overlaps) -> _Cells:
+    """The `_Cells` of an overlap table."""
     ranks = []
-    for side in (0, 1):
+    for ids in (table.g_ids, table.p_ids):
         rank = {}
-        ranks.append(np.array([rank.setdefault(i, len(rank))
-                               for table in per_frame for i in table[side]],
-                              dtype=np.int64))
-    g_rank, p_rank = ranks
-    rows = np.array([len(g_ids) for g_ids, _, _ in per_frame], dtype=np.int64)
-    cols = np.array([len(p_ids) for _, p_ids, _ in per_frame], dtype=np.int64)
-    g_first, p_first = np.cumsum(rows) - rows, np.cumsum(cols) - cols
-    starts = np.cumsum(rows * cols) - rows * cols
-    live = np.flatnonzero(flat >= ALPHAS[0])
+        ranks.append(np.array([rank.setdefault(i, len(rank)) for i in ids], dtype=np.int64))
+    cols, starts = table.cols, table.starts
+    live = np.flatnonzero(table.flat >= ALPHAS[0])
     frame = np.searchsorted(starts, live, side="right") - 1
     local = live - starts[frame]
-    entry_g = g_first[frame] + local // cols[frame]
-    entry_p = p_first[frame] + local % cols[frame]
-    return _Cells(g_rank, p_rank, g_first, p_first, [m for _, _, m in per_frame],
-                  flat[live], frame, entry_g, entry_p)
+    entry_g = table.g_first[frame] + local // cols[frame]
+    entry_p = table.p_first[frame] + local % cols[frame]
+    return _Cells(table, *ranks, table.flat[live], frame, entry_g, entry_p)
+
+
+def clear_counts(cells: _Cells):
+    """CLEAR counts and fragmentations over a whole sequence: (fn, fp,
+    idsw, frag). `cells` is the `_cells` table of the overlap table.
+
+    A frame is contested when some GT or predicted entry holds two hit
+    cells (IoU >= 0.5); the other frames' matches are their hit cells. The
+    contested frames are walked in order with `clear_match`, against one
+    prior correspondence that takes in every match of the frames before.
+    A frame with an infinite hit cell is walked too: the solve reads its
+    cost, -inf, as no cell when no finite cost is left beside it.
+
+    FN and FP are the entries left unmatched. Taking each GT identity's
+    entries in frame order, a match is an identity switch when the
+    previous match has another predicted identity, and a fragmentation
+    when it starts a run of matched entries after the first such run.
+    """
+    table, g_rank, p_rank = cells.table, cells.g_rank, cells.p_rank
+    hit = cells.iou >= MATCH_IOU
+    hit_g, hit_p, hit_frame = cells.entry_g[hit], cells.entry_p[hit], cells.frame[hit]
+
+    contested = np.zeros(len(table.rows), dtype=bool)
+    for entry, n in ((hit_g, len(g_rank)), (hit_p, len(p_rank))):
+        contested[hit_frame[np.bincount(entry, minlength=n)[entry] > 1]] = True
+    contested[hit_frame[np.isinf(cells.iou[hit])]] = True
+    walked = np.flatnonzero(contested)
+    # A hit cell of an uncontested frame is alone in its row and column.
+    lone = ~contested[hit_frame]
+    lone_g, lone_p = hit_g[lone], hit_p[lone]
+
+    # Before each walked frame, the prior takes in the uncontested matches
+    # of the frames since the one walked before it, then that frame's.
+    bounds = np.searchsorted(hit_frame[lone], walked).tolist()
+    g_ids, p_ids = table.g_ids, table.p_ids
+    lone_ids = zip(map(g_ids.__getitem__, lone_g.tolist()),
+                   map(p_ids.__getitem__, lone_p.tolist()))
+    prior: dict[int, int] = {}
+    walked_g, walked_p = [], []
+    done = 0
+    for bound, (ga, pa, frame_g, frame_p, ious) in zip(bounds, table.views(walked)):
+        prior.update(islice(lone_ids, bound - done))
+        done = bound
+        for i, j in clear_match(frame_g, frame_p, ious, prior)[0]:
+            prior[frame_g[i]] = frame_p[j]
+            walked_g.append(ga + i)
+            walked_p.append(pa + j)
+
+    match = np.full(len(g_rank), -1, dtype=np.int64)
+    match[lone_g] = lone_p
+    match[walked_g] = walked_p
+    matched = match >= 0
+    n_matches = int(np.count_nonzero(matched))
+
+    # Each GT identity's entries, in frame order.
+    order = np.argsort(g_rank, kind="stable")
+    ranks, is_match = g_rank[order], matched[order]
+    follows_match = np.zeros(len(order), dtype=bool)
+    follows_match[1:] = is_match[:-1] & (ranks[1:] == ranks[:-1])
+    runs = np.count_nonzero(is_match & ~follows_match)
+    frag = runs - np.count_nonzero(np.bincount(ranks[is_match]))
+
+    in_order = order[is_match]
+    match_g, match_p = g_rank[in_order], p_rank[match[in_order]]
+    idsw = np.count_nonzero((match_g[1:] == match_g[:-1]) & (match_p[1:] != match_p[:-1]))
+    return len(g_rank) - n_matches, len(p_rank) - n_matches, int(idsw), int(frag)
 
 
 def idf1(cells: _Cells) -> float:
@@ -246,11 +310,11 @@ def _first_repeat(frames, ids):
     return None
 
 
-def _frame_overlaps(gt, pred):
+def _frame_overlaps(gt, pred) -> _Overlaps:
     """The overlap table of `gt` against `pred`, shared by CLEAR, IDF1 and
-    the HOTA sweep: per-frame (gt_ids, pred_ids, iou matrix) over every
-    frame with a GT or predicted box, in frame order and with ids
-    ascending, and the flat array whose views the matrices are.
+    the HOTA sweep: the GT and predicted ids and IoU matrix of every frame
+    with a GT or predicted box, in frame order and with ids ascending, as
+    the columns of an `_Overlaps`.
 
     Each side's entries are sorted and their box columns built once. Each
     frame with boxes on both sides is one block of `model.block_ious`,
@@ -288,10 +352,7 @@ def _frame_overlaps(gt, pred):
     if repeat:
         side, frame, identity = repeat
         raise ValueError(f"{side}: identity {identity} appears twice in frame {frame}")
-    per_frame = [(g_ids[ga:ga + r], p_ids[pa:pa + c], flat[s:s + r * c].reshape(r, c))
-                 for ga, r, pa, c, s in zip(*(column.tolist() for column in (
-                     g_first, rows, p_first, cols, starts)))]
-    return per_frame, flat
+    return _Overlaps(g_ids, p_ids, rows, cols, g_first, p_first, starts, flat)
 
 
 def _split(a):
@@ -356,12 +417,12 @@ def hota_levels(cells: _Cells):
     Returns the per-level lists (hota, det_a, ass_a, det_re, det_pr).
     """
     n_levels = len(ALPHAS)
-    g_rank, p_rank, g_first, p_first, matrices, iou, frame, entry_g, entry_p = cells
+    table, g_rank, p_rank, iou, frame, entry_g, entry_p = cells
 
     # free[f]: the levels alpha <= frame f's conflict value, the largest
     # IoU that is not the largest of its row or of its column. Sorting a
     # side's cells by entry, then IoU, puts each entry's largest last.
-    free = np.zeros(len(matrices), dtype=np.int64)
+    free = np.zeros(len(table.rows), dtype=np.int64)
     for entry in (entry_g, entry_p):
         order = np.lexsort((iou, entry))
         below = entry[order[1:]] == entry[order[:-1]]
@@ -373,10 +434,8 @@ def hota_levels(cells: _Cells):
     # predicted entry, low and high; the pair is matched at the levels
     # [low, high).
     span_g, span_p, lows, highs = [], [], [], []
-    frees = free.tolist()
-    for k in np.flatnonzero(free).tolist():
-        ious, stop = matrices[k], frees[k]
-        g0, p0 = int(g_first[k]), int(p_first[k])
+    solved = np.flatnonzero(free)
+    for stop, (g0, p0, _, _, ious) in zip(free[solved].tolist(), table.views(solved)):
         level = 0
         while level < stop:
             matches, optimal = solve_matchings(
@@ -443,13 +502,12 @@ def evaluate(gt, pred) -> EvalReport:
 
     MOTA is 1 - (FN + FP + IDSW) / |GT|; `frag_count` is how often a GT
     trajectory's coverage is interrupted and resumed. One overlap table
-    feeds CLEAR, and one `_cells` table of it feeds HOTA and IDF1.
+    and one `_cells` table of it feed CLEAR, HOTA and IDF1.
     """
     if not gt:
         raise ValueError("evaluation requires at least one ground-truth box")
-    per_frame, flat = _frame_overlaps(gt, pred)
-    fn, fp, idsw, frag = _clear_sequence(per_frame)
-    cells = _cells(per_frame, flat)
+    cells = _cells(_frame_overlaps(gt, pred))
+    fn, fp, idsw, frag = clear_counts(cells)
     hota_value, det_a, ass_a, det_re, det_pr = hota(cells)
     return EvalReport(
         hota=hota_value,

@@ -331,12 +331,17 @@ def assa_oracle(gt, pred):
 
 
 def clear_oracle(gt, pred):
-    """CLEAR counts (fn, fp, idsw) by literal per-frame bookkeeping."""
+    """CLEAR counts and fragmentations (fn, fp, idsw, frag) by literal
+    per-frame bookkeeping. A fragmentation is a GT identity matched again
+    after a frame where it was present and unmatched, following a match."""
     gt_frames = _frames_sorted(gt)
     pred_frames = _frames_sorted(pred)
     frames = sorted(set(gt_frames) | set(pred_frames))
     prior = {}
-    fn = fp = idsw = 0
+    fn = fp = idsw = frag = 0
+    # GT identities matched at least once, and those among them present
+    # and unmatched since their last match.
+    ever_matched, in_gap = set(), set()
     for f in frames:
         gt_items = gt_frames.get(f, [])
         pred_items = pred_frames.get(f, [])
@@ -363,7 +368,43 @@ def clear_oracle(gt, pred):
             if prior.get(g) not in (None, p):
                 idsw += 1
             prior[g] = p
-    return fn, fp, idsw
+        for g, _ in gt_items:
+            if g in matched_g:
+                frag += g in in_gap
+                in_gap.discard(g)
+                ever_matched.add(g)
+            elif g in ever_matched:
+                in_gap.add(g)
+    return fn, fp, idsw, frag
+
+
+def clear_sequence_oracle(frames):
+    """CLEAR counts and fragmentations (fn, fp, idsw, frag) of per-frame
+    (gt_ids, pred_ids, ious) tables, with `metrics.clear_match` run on
+    every frame in order."""
+    from mttsort.metrics import clear_match
+
+    prior = {}
+    fn = fp = idsw = frag = 0
+    ever_matched = set()
+    gap_open = set()
+    for g_ids, p_ids, ious in frames:
+        matches, fn_f, fp_f, idsw_f = clear_match(g_ids, p_ids, ious, prior)
+        fn += fn_f
+        fp += fp_f
+        idsw += idsw_f
+        matched = {g_ids[i] for i, _ in matches}
+        for i, j in matches:
+            prior[g_ids[i]] = p_ids[j]
+        for gid in g_ids:
+            if gid in matched:
+                if gid in gap_open:
+                    frag += 1
+                    gap_open.discard(gid)
+                ever_matched.add(gid)
+            elif gid in ever_matched:
+                gap_open.add(gid)
+    return fn, fp, idsw, frag
 
 
 def random_micro_scenario(rng):

@@ -80,8 +80,8 @@ def test_metric_oracles_on_micro_scenarios():
         report = metrics.evaluate(gt, pred)
         assert report.idf1 == idf1_oracle(gt, pred)
         assert report.ass_a == assa_oracle(gt, pred)
-        assert (report.fn_count, report.fp_count, report.idsw_count) == \
-            clear_oracle(gt, pred)
+        assert (report.fn_count, report.fp_count, report.idsw_count,
+                report.frag_count) == clear_oracle(gt, pred)
 
     # hand-computed CLEAR checks
     box = BoundingBox(10, 10, 20, 40)

@@ -11,14 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 from mttsort import metrics, model, synth
 from mttsort.association import INFEASIBLE, iou_columns, solve_assignment
 from mttsort.metrics import (
-    EvalReport, GtEntry, _cells, _clear_sequence, _frame_overlaps, average_reports,
+    EvalReport, GtEntry, _cells, _frame_overlaps, average_reports, clear_counts,
     clear_match, evaluate, hota, idf1, score,
 )
 from mttsort.model import BoundingBox, box_columns
 
 from oracles import (
-    assa_oracle, bits, clear_oracle, entry_columns_oracle, frame_overlaps_oracle, idf1_oracle,
-    idf1_table_oracle, random_micro_scenario,
+    assa_oracle, bits, clear_oracle, clear_sequence_oracle, entry_columns_oracle,
+    frame_overlaps_oracle, idf1_oracle, idf1_table_oracle, random_micro_scenario,
 )
 
 BOX = BoundingBox(10, 10, 20, 40)
@@ -29,11 +29,27 @@ def track_entries(identity, frames, box=BOX):
     return [GtEntry(f, identity, box) for f in frames]
 
 
-def cells_of(per_frame):
-    """The `_cells` table of a per-frame (gt_ids, pred_ids, ious) table,
-    its matrices laid out frame after frame as `_frame_overlaps` does."""
+def table_of(per_frame):
+    """The overlap table of a per-frame (gt_ids, pred_ids, ious) list, its
+    matrices laid out frame after frame as `_frame_overlaps` does."""
+    rows = np.array([len(g_ids) for g_ids, _, _ in per_frame], dtype=np.int64)
+    cols = np.array([len(p_ids) for _, p_ids, _ in per_frame], dtype=np.int64)
+    sizes = rows * cols
     flat = np.concatenate([ious.ravel() for _, _, ious in per_frame] + [np.empty(0)])
-    return _cells(per_frame, flat)
+    return metrics._Overlaps(
+        [g for g_ids, _, _ in per_frame for g in g_ids],
+        [p for _, p_ids, _ in per_frame for p in p_ids], rows, cols,
+        np.cumsum(rows) - rows, np.cumsum(cols) - cols, np.cumsum(sizes) - sizes, flat)
+
+
+def cells_of(per_frame):
+    """The `_cells` table of a per-frame (gt_ids, pred_ids, ious) list."""
+    return _cells(table_of(per_frame))
+
+
+def frames_of(table):
+    """The per-frame (gt_ids, pred_ids, ious) list of an overlap table."""
+    return [view[2:] for view in table.views(np.arange(len(table.rows)))]
 
 
 def report(**overrides):
@@ -52,11 +68,13 @@ def columns_of(boxes):
 
 
 def clear_frame(gt_frame, pred_frame, prior):
-    """clear_match on one frame given as (identity, box) lists."""
+    """clear_match on one frame given as (identity, box) lists, its
+    matches as (gt_identity, pred_identity) pairs."""
     ious = iou_columns(columns_of([b for _, b in gt_frame]),
                        columns_of([b for _, b in pred_frame]))
-    return clear_match([g for g, _ in gt_frame], [p for p, _ in pred_frame],
-                       ious, prior)
+    g_ids, p_ids = [g for g, _ in gt_frame], [p for p, _ in pred_frame]
+    matches, fn, fp, idsw = clear_match(g_ids, p_ids, ious, prior)
+    return [(g_ids[i], p_ids[j]) for i, j in matches], fn, fp, idsw
 
 
 def test_clear_match_identical():
@@ -103,6 +121,86 @@ def test_swap_counts_two_id_switches():
     rep = evaluate(gt, pred)
     assert (rep.fn_count, rep.fp_count, rep.idsw_count) == (0, 0, 2)
     assert rep.mota == 1.0 - 2 / 12
+
+
+# Three lanes 100 px apart hold 10 x 10 boxes; a prediction shifted by
+# 0, 1, 3 or 5 px overlaps its lane's GT with IoU 1, 9/11, 7/13 or 1/3,
+# so two predictions in one lane contest its GT when both shifts are <= 3.
+LANE_SHIFTS = [0, 1, 3, 5]
+
+
+def lane_box(lane, shift=0):
+    return BoundingBox(100 * lane + shift, 0, 10, 10)
+
+
+@st.composite
+def clear_scenes(draw):
+    """GT and predicted entries over up to 8 frames: GT identity k + 1
+    stays in lane k, predictions 11-14 move between lanes, so frames are
+    contested or not, GT-only or prediction-only, and identities switch
+    both inside runs of uncontested frames and across contested ones."""
+    gt, pred = [], []
+    for f in range(1, draw(st.integers(1, 8)) + 1):
+        for lane in draw(st.lists(st.integers(0, 2), unique=True, max_size=3)):
+            gt.append(GtEntry(f, lane + 1, lane_box(lane)))
+        pids = draw(st.permutations([11, 12, 13, 14]))
+        for pid in pids[:draw(st.integers(0, 4))]:
+            lane, shift = draw(st.integers(0, 2)), draw(st.sampled_from(LANE_SHIFTS))
+            pred.append(GtEntry(f, pid, lane_box(lane, shift)))
+    return gt, pred
+
+
+def lanes(frames):
+    """GT and predicted entries from per-frame ([gt lanes], [(pid, lane,
+    shift)]) lists, frames numbered from 1."""
+    gt = [GtEntry(f, lane + 1, lane_box(lane))
+          for f, (gt_lanes, _) in enumerate(frames, 1) for lane in gt_lanes]
+    pred = [GtEntry(f, pid, lane_box(lane, shift))
+            for f, (_, preds) in enumerate(frames, 1) for pid, lane, shift in preds]
+    return gt, pred
+
+
+# GT 1 switches from 11 to 13 in an uncontested run (frames 1-2), and
+# back to 11 in frame 7; frame 3 is GT-only and frame 4 prediction-only;
+# frame 5 is contested, where the prior keeps 13 though 11 overlaps more.
+# GT 1 and 2 are unmatched in frame 3 and matched again in frame 5, and
+# GT 2 again in frames 6 and 7: three fragmentations. GT 3 is unmatched
+# in frame 1 before its first match, which is no fragmentation.
+MIXED_SCENE = lanes([
+    ([0, 1, 2], [(11, 0, 0), (12, 1, 0)]),
+    ([0, 1, 2], [(13, 0, 0), (12, 1, 1), (14, 2, 0)]),
+    ([0, 1], []),
+    ([], [(11, 0, 0)]),
+    ([0, 1], [(13, 0, 1), (11, 0, 0), (12, 1, 0)]),
+    ([0, 1], [(13, 0, 0), (12, 2, 0)]),
+    ([0, 1], [(11, 0, 0), (12, 1, 3)]),
+])
+
+
+@settings(deadline=None, max_examples=300)
+@given(clear_scenes())
+@example(MIXED_SCENE)
+def test_clear_counts_equal_the_oracles_on_mixed_scenes(scene):
+    gt, pred = scene
+    table = _frame_overlaps(gt, pred)
+    counts = clear_counts(_cells(table))
+    assert counts == clear_oracle(gt, pred)
+    assert counts == clear_sequence_oracle(frames_of(table))
+
+
+def test_clear_walks_only_the_contested_frames(monkeypatch):
+    gt, pred = MIXED_SCENE
+    match, walked = metrics.clear_match, []
+
+    def recording(g_ids, p_ids, ious, prior):
+        walked.append((g_ids, p_ids, dict(prior)))
+        return match(g_ids, p_ids, ious, prior)
+
+    monkeypatch.setattr(metrics, "clear_match", recording)
+    rep = evaluate(gt, pred)
+    # Frame 5 alone, with the matches of frames 1-4 in its prior.
+    assert walked == [([1, 2], [11, 12, 13], {1: 13, 2: 12, 3: 14})]
+    assert (rep.fn_count, rep.fp_count, rep.idsw_count, rep.frag_count) == (4, 3, 2, 3)
 
 
 # ------------------------------------------------------------------- mota
@@ -229,7 +327,7 @@ def test_hota_solves_no_one_to_one_frame(monkeypatch):
     # matching, and no frame is solved.
     gt = [GtEntry(f, i, BoundingBox(100 * i + f, 50, 20, 40))
           for f in range(1, 6) for i in range(1, 4)]
-    cells = _cells(*_frame_overlaps(gt, gt))
+    cells = _cells(_frame_overlaps(gt, gt))
     calls = count_solves(monkeypatch)
     assert hota(cells) == (1.0, 1.0, 1.0, 1.0, 1.0)
     assert calls == []
@@ -267,10 +365,10 @@ def test_hota_keeps_a_matching_when_only_a_neighbour_overlap_drops(monkeypatch):
     # level, so each frame is still solved once.
     gt = [GtEntry(f, i, BoundingBox(8 * i + 30 * f, 0, 10, 10))
           for f in range(1, 6) for i in range(1, 3)]
-    per_frame, flat = _frame_overlaps(gt, gt)
-    assert per_frame[0][2][0, 1] == pytest.approx(1 / 9)
+    table = _frame_overlaps(gt, gt)
+    assert frames_of(table)[0][2][0, 1] == pytest.approx(1 / 9)
     calls = count_solves(monkeypatch)
-    assert hota(_cells(per_frame, flat)) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert hota(_cells(table)) == (1.0, 1.0, 1.0, 1.0, 1.0)
     assert calls == [(2, 2)] * 5
 
 
@@ -372,8 +470,8 @@ def test_hota_equals_solving_every_level(seed):
     # tenths, where many matchings tie and cells drop out level by level.
     rng = np.random.default_rng(seed)
     gt, pred = random_micro_scenario(rng)
-    per_frame, flat = _frame_overlaps(gt, pred)
-    assert hota(_cells(per_frame, flat)) == hota_solving_every_level(per_frame)
+    table = _frame_overlaps(gt, pred)
+    assert hota(_cells(table)) == hota_solving_every_level(frames_of(table))
     tables = []
     for _ in range(int(rng.integers(1, 5))):
         n, m = int(rng.integers(0, 6)), int(rng.integers(0, 6))
@@ -438,6 +536,16 @@ def test_idf1_equals_the_table_oracle(tables):
 def test_hota_ignores_frame_order(tables, data):
     shuffled = data.draw(st.permutations(tables))
     assert hota(cells_of(shuffled)) == hota(cells_of(tables))
+
+
+@settings(deadline=None, max_examples=200)
+@given(overlap_tables())
+@example([([1], [11], np.ones((1, 1))), ([1], [12], np.full((1, 1), np.inf))])
+@example([([1, 2], [11, 12], np.array([[np.inf, 0.0], [0.0, 0.7]]))])
+def test_clear_counts_equal_walking_every_frame(tables):
+    # Identities past int64, contested frames drawn cell by cell, and
+    # infinite IoUs, which the solve reads as no cell when alone.
+    assert clear_counts(cells_of(tables)) == clear_sequence_oracle(tables)
 
 
 def test_evaluate_builds_one_overlap_table(monkeypatch):
@@ -510,11 +618,11 @@ def test_overlap_table_equals_the_per_frame_builder(gt, pred, cap):
     if isinstance(want, str):
         assert got == want
         return
-    per_frame, flat = got
+    per_frame = frames_of(got)
     assert bits(per_frame) == bits(want)
-    assert bits(flat) == bits(np.concatenate(
+    assert bits(got.flat) == bits(np.concatenate(
         [ious.ravel() for _, _, ious in want] + [np.empty(0)]))
-    assert all(ious.base is flat for _, _, ious in per_frame if ious.size)
+    assert all(ious.base is got.flat for _, _, ious in per_frame if ious.size)
 
 
 def test_overlap_table_batches_each_block_shape_up_to_the_entry_cap(monkeypatch):
@@ -539,11 +647,11 @@ def test_overlap_table_batches_each_block_shape_up_to_the_entry_cap(monkeypatch)
         return ious
 
     monkeypatch.setattr(model, "_iou_of_fields", counting)
-    per_frame, flat = _frame_overlaps(gt, pred)
+    table = _frame_overlaps(gt, pred)
     monkeypatch.undo()
     assert seen == [(10, 3, 2), (256, 8, 8), (44, 8, 8), (1, 140, 130)]
     assert 256 * 64 <= cap < 257 * 64
-    assert bits(per_frame) == bits(frame_overlaps_oracle(gt, pred))
+    assert bits(frames_of(table)) == bits(frame_overlaps_oracle(gt, pred))
 
 
 @pytest.mark.parametrize("gt_keys, pred_keys, message", [
@@ -670,14 +778,14 @@ def test_micro_scenarios_match_brute_force_oracles(seed):
     rep = evaluate(gt, pred)
     assert rep.idf1 == idf1_oracle(gt, pred)
     assert rep.ass_a == assa_oracle(gt, pred)
-    assert (rep.fn_count, rep.fp_count, rep.idsw_count) == clear_oracle(gt, pred)
+    counts = (rep.fn_count, rep.fp_count, rep.idsw_count, rep.frag_count)
+    assert counts == clear_oracle(gt, pred)
     # evaluate shares one overlap table between CLEAR, HOTA and IDF1
-    per_frame, flat = _frame_overlaps(gt, pred)
+    table = _frame_overlaps(gt, pred)
     assert (rep.hota, rep.det_a, rep.ass_a, rep.det_re, rep.det_pr) == \
-        hota(_cells(per_frame, flat))
-    assert rep.idf1 == idf1(_cells(per_frame, flat))
-    assert (rep.fn_count, rep.fp_count, rep.idsw_count, rep.frag_count) == \
-        _clear_sequence(per_frame)
+        hota(_cells(table))
+    assert rep.idf1 == idf1(_cells(table))
+    assert counts == clear_counts(_cells(table)) == clear_sequence_oracle(frames_of(table))
 
 
 # Identities below 0, at 0 and past 2**64, so that no int64 view orders them.

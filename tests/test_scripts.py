@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts in `scripts/`: each runs as a
 separate process on a tiny setting, exits 0 and prints its header."""
 
+import json
 import os
 import subprocess
 import sys
@@ -41,3 +42,25 @@ def test_script_runs_and_prints_its_header(name, args, header):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[:len(header)] == header
+
+
+def test_anchor_pairs_runs_the_tree_against_itself():
+    # The working tree as its own anchor directory: one presets pair.
+    done = run_script("anchor_pairs.py", "--anchor", str(ROOT), "--workload", "presets",
+                      "--pairs", "1", "--seconds", "0")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:2] == [f"anchor={ROOT} workload=presets pairs=1 seconds=0",
+                         "metric          anchor median  tree median   ratio  tree won"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert [line.split()[0] for line in lines[2:-1]] == \
+        [metric["name"] for metric in spec["end_to_end"]]
+    assert lines[-1] == "sha256 lines equal at seeds 0-0"
+
+
+def test_anchor_pairs_rejects_an_anchor_it_cannot_unpack():
+    done = run_script("anchor_pairs.py", "--anchor", "no-such-commit", "--workload",
+                      "presets", "--pairs", "1")
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: cannot unpack no-such-commit")
+    assert done.stdout == ""
