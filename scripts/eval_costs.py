@@ -17,10 +17,8 @@ calls HOTA makes per round, split into forced ones (the mask is its own
 matching, or is empty) and solved ones (the lexicographic refine runs),
 and how many of the overlap tables' frames CLEAR walks with
 `clear_match` per round. The wrappers that count solves and walks add a
-call each, which the hota and clear figures include.
-Where `hota` and `idf1` build their cells themselves, their figures hold
-those `_cells` calls too, and `other` goes negative by the same amount.
-The timers wrap the functions from outside; nothing in `src/` changes.
+call each, which the hota and clear figures include. The timers wrap the
+functions from outside; nothing in `src/` changes.
 
     PYTHONPATH=src python scripts/eval_costs.py --workload presets --rounds 3
 
