@@ -15,8 +15,10 @@ process, and times every call of `metrics.evaluate` and of its parts:
 It prints the milliseconds per round of each, the `solve_matchings`
 calls HOTA makes per round, split into forced ones (the mask is its own
 matching, or is empty) and solved ones (the lexicographic refine runs),
-and how many of the overlap tables' frames CLEAR walks with
-`clear_match` per round. The wrappers that count solves and walks add a
+how many of HOTA's frames per round are read off their masks (no level
+is contested), certified (one side's best cells are the matching at
+every contested level) or walked with those solves, and how many of the
+overlap tables' frames CLEAR walks with `clear_match` per round. The wrappers that count solves and walks add a
 call each, which the hota and clear figures include. The timers wrap the
 functions from outside; nothing in `src/` changes.
 
@@ -74,6 +76,21 @@ def counting_frames(calls: Counter):
     return make
 
 
+def counting_hota_frames(calls: Counter):
+    """Wrapper factory for `metrics._contested_levels`: adds each table's
+    frames to calls["read off"], calls["certified"] or calls["walked"]."""
+    def make(fn):
+        def wrapper(cells):
+            free, read, walked = fn(cells)
+            contested = int((free > 0).sum())
+            calls["read off"] += len(free) - contested
+            calls["certified"] += contested - len(walked)
+            calls["walked"] += len(walked)
+            return free, read, walked
+        return wrapper
+    return make
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=workloads.WORKLOADS, default="presets")
@@ -93,6 +110,7 @@ def main():
         patches.wrap(association, "_refine_lexicographic",
                      timed(Counter(), calls, "refine"))
         patches.wrap(metrics, "solve_matchings", counting_solves(calls))
+        patches.wrap(metrics, "_contested_levels", counting_hota_frames(calls))
         patches.wrap(metrics, "clear_match", timed(Counter(), calls, "walks"))
         patches.wrap(metrics, "_frame_overlaps", counting_frames(calls))
         try:
@@ -109,6 +127,9 @@ def main():
     print(f"evaluate calls {calls['evaluate'] / args.rounds:g} a round")
     print(f"hota solves    forced {calls['forced'] / args.rounds:g}, "
           f"solved {calls['solved'] / args.rounds:g} a round")
+    print(f"hota frames    read off {calls['read off'] / args.rounds:g}, "
+          f"certified {calls['certified'] / args.rounds:g}, "
+          f"walked {calls['walked'] / args.rounds:g} a round")
     print(f"clear walks    {calls['walks'] / args.rounds:g} of "
           f"{calls['frames'] / args.rounds:g} frames a round")
 

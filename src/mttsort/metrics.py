@@ -19,12 +19,18 @@ forced. The prior decides only which matches are identity switches, and
 those are counted over all matches at once, each against the previous
 match of its GT identity.
 
-HOTA solves a frame only at its contested levels, those whose mask holds
-two cells in one row or one column, and there once per span of levels
-its matching holds; at every other level a frame's matching is its mask.
-The matches accumulate as integer counts per (GT rank, predicted rank)
-pair and level, which `hota_levels` reports level by level and `hota`
-averages.
+HOTA's matching at a frame's uncontested levels, those whose mask holds
+no two cells in one row or one column, is its mask. A contested frame is
+read off too when one side certifies it: each of that side's entries has
+its best cell (highest IoU) apart from the other entries' bests, every
+other cell of the entry costs more than 3 tie windows above that best,
+and no IoU exceeds 1. Its matching at each contested level is then the
+best cells in the mask, alone in `solve_matchings`' tie window with a
+margin for the refine's check (`hota_levels` gives the proof). Only a
+frame that neither side certifies is solved, at its contested levels,
+once per span of levels its matching holds. The matches accumulate as
+integer counts per (GT rank, predicted rank) pair and level, which
+`hota_levels` reports level by level and `hota` averages.
 
 All final ratios are built from integer event counts, and sums use
 math.fsum over exact terms, so results are bit-reproducible and safe to
@@ -44,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .association import INFEASIBLE, solve_assignment, solve_matchings
+from .association import _TIE_RTOL, INFEASIBLE, solve_assignment, solve_matchings
 from .model import BoundingBox, block_ious, box_columns
 
 # Per-frame GT/prediction overlap threshold for CLEAR and identity metrics.
@@ -383,6 +389,61 @@ def _product_sums(counts, scores):
     return [math.fsum(terms) for terms in np.concatenate([hi, lo]).T.tolist()]
 
 
+def _contested_levels(cells: _Cells):
+    """Which of the table's frames `hota_levels` solves, and where: (free,
+    read, walked).
+
+    free[f] counts frame f's contested levels, the levels alpha <= its
+    conflict value, the largest IoU that is not the largest of its row or
+    of its column. read marks the live cells read off a certificate, each
+    the best cell of its certifying side's entry. walked holds, ascending,
+    the frames with contested levels that neither side certifies.
+
+    A side, say the GT rows, certifies its frame when each row's best live
+    cell lies in a column of its own, every other live cell of the row
+    costs (1 - IoU) more than 3 * tol above it, where tol = _TIE_RTOL *
+    max(1, sum of the best cells' costs) is the tie window
+    `solve_matchings` takes at the first level, and no live IoU of the
+    frame exceeds 1. The rows are asked first, then the columns.
+    """
+    table, _, _, iou, frame, entry_g, entry_p = cells
+    n_frames = len(table.rows)
+    # A live IoU above 1 is a negative cost, for which the tie window can
+    # grow as cells drop: such a frame is walked, and its costs are
+    # clipped here only to keep them finite.
+    in_range = np.bincount(frame[iou > 1.0], minlength=n_frames) == 0
+    cost = 1.0 - np.minimum(iou, 1.0)
+
+    # Sorting a side's cells by entry, then IoU, puts each entry's best
+    # cell last, with the runner-up of its row or column just before it.
+    free = np.zeros(n_frames, dtype=np.int64)
+    bests, certified = [], []
+    for entry, other in ((entry_g, entry_p), (entry_p, entry_g)):
+        order = np.lexsort((iou, entry))
+        below = entry[order[1:]] == entry[order[:-1]]
+        shadowed = order[:-1][below]
+        np.maximum.at(free, frame[shadowed],
+                      np.searchsorted(_ALPHA_ARRAY, iou[shadowed], side="right"))
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = ~below
+        best = order[last]
+        runner_up = below & last[1:]
+        lead, second = order[1:][runner_up], order[:-1][runner_up]
+        tol = _TIE_RTOL * np.maximum(
+            1.0, np.bincount(frame[best], weights=cost[best], minlength=n_frames))
+        sure = in_range.copy()
+        sure[frame[lead][cost[second] - cost[lead] <= 3.0 * tol[frame[lead]]]] = False
+        sure[frame[best][np.bincount(other[best])[other[best]] > 1]] = False
+        bests.append(best)
+        certified.append(sure)
+
+    read = np.zeros(len(iou), dtype=bool)
+    (g_best, p_best), (g_sure, p_sure) = bests, certified
+    read[g_best[g_sure[frame[g_best]]]] = True
+    read[p_best[(p_sure & ~g_sure)[frame[p_best]]]] = True
+    return free, read, np.flatnonzero((free > 0) & ~g_sure & ~p_sure)
+
+
 def hota_levels(cells: _Cells):
     """HOTA and its components at each of the 19 localization levels.
 
@@ -399,15 +460,31 @@ def hota_levels(cells: _Cells):
     contested levels are a prefix [0, free) of the levels: free counts
     the levels alpha <= the largest second-largest live IoU of any of the
     frame's rows or columns, one vectorized pass over every frame's
-    cells. From free up, each mask is one-to-one and is its own matching,
-    as `solve_matchings` would read it off: a cell is matched at the
-    levels from free up to the last alpha <= its IoU, with no solve.
+    cells (`_contested_levels`). From free up, each mask is one-to-one and
+    is its own matching, as `solve_matchings` would read it off: a cell is
+    matched at the levels from free up to the last alpha <= its IoU, with
+    no solve.
 
-    A frame with contested levels walks them once. It keeps its matching
-    M up to its floor, the lowest IoU over the pairs of M and of the
-    minimum-cost matching `solve_matchings` returns with it (which says
-    why M stands while both are feasible), and is solved again only at
-    the first level above that floor, until it reaches free.
+    Most contested frames are certified by one side, as
+    `_contested_levels` says, and read off with no solve: at each
+    contested level the matching is that side's best cells with IoU >=
+    alpha, so each best cell is matched at every level alpha <= its IoU.
+    Say the rows certify. The mask's nonempty rows are those whose best
+    cell is in it, and those cells, in distinct columns, match every one
+    of them: the maximum count. Another matching of that count moves some
+    d >= 1 rows off their best cells, each by more than 3 * tol, so it
+    costs more than 3 * tol * d above; it is outside the tie window, and
+    even after the refine's check raises each best cell by 2 * tol it
+    stays more than tol * d above. So this matching is the one
+    `solve_matchings` returns, and its own certificate. A higher level
+    only drops rows and cells, and with costs in [0, 1) the total, so tol
+    with it, only falls. Rounding in these sums is far below the margin.
+
+    Any other frame with contested levels walks them once. It keeps its
+    matching M up to its floor, the lowest IoU over the pairs of M and of
+    the minimum-cost matching `solve_matchings` returns with it (which
+    says why M stands while both are feasible), and is solved again only
+    at the first level above that floor, until it reaches free.
 
     Each pair's span of levels goes into a difference array of integer
     counts per (GT id, predicted id) pair and level. A level's AssA sums
@@ -418,24 +495,13 @@ def hota_levels(cells: _Cells):
     """
     n_levels = len(ALPHAS)
     table, g_rank, p_rank, iou, frame, entry_g, entry_p = cells
-
-    # free[f]: the levels alpha <= frame f's conflict value, the largest
-    # IoU that is not the largest of its row or of its column. Sorting a
-    # side's cells by entry, then IoU, puts each entry's largest last.
-    free = np.zeros(len(table.rows), dtype=np.int64)
-    for entry in (entry_g, entry_p):
-        order = np.lexsort((iou, entry))
-        below = entry[order[1:]] == entry[order[:-1]]
-        shadowed = order[:-1][below]
-        np.maximum.at(free, frame[shadowed],
-                      np.searchsorted(_ALPHA_ARRAY, iou[shadowed], side="right"))
+    free, read, walked = _contested_levels(cells)
 
     # Spans of contested levels, one entry in each list: GT entry,
     # predicted entry, low and high; the pair is matched at the levels
     # [low, high).
     span_g, span_p, lows, highs = [], [], [], []
-    solved = np.flatnonzero(free)
-    for stop, (g0, p0, _, _, ious) in zip(free[solved].tolist(), table.views(solved)):
+    for stop, (g0, p0, _, _, ious) in zip(free[walked].tolist(), table.views(walked)):
         level = 0
         while level < stop:
             matches, optimal = solve_matchings(
@@ -449,10 +515,12 @@ def hota_levels(cells: _Cells):
             lows += [level] * len(matches)
             highs += [top] * len(matches)
             level = top
-    # From its frame's free level up, a cell is matched at the levels
-    # alpha <= its IoU.
+    # From its frame's free level up, or from the first level when it is
+    # read off a certificate, a cell is matched at the levels alpha <= its
+    # IoU.
     tops = np.searchsorted(_ALPHA_ARRAY, iou, side="right")
     bottoms = free[frame]
+    bottoms[read] = 0
     tail = tops > bottoms
     span_g = np.concatenate([entry_g[tail], np.array(span_g, dtype=np.int64)])
     span_p = np.concatenate([entry_p[tail], np.array(span_p, dtype=np.int64)])

@@ -333,15 +333,8 @@ def test_hota_solves_no_one_to_one_frame(monkeypatch):
     assert calls == []
 
 
-def test_hota_solves_a_contested_frame_once_per_matching_span(monkeypatch):
-    # Frame 1 is contested: GT 1 overlaps both predictions. Its conflict
-    # value is 0.33, the second-largest cell of GT 1's row and of
-    # prediction 12's column, so only the levels alpha <= 0.33 are
-    # contested. Its matching (0, 0), (1, 1) holds through them (up to IoU
-    # 0.62): one solve, at alpha 0.05. From alpha 0.35 up each mask is its
-    # own matching. Frame 2 is one-to-one and is not solved.
-    ious = np.array([[0.87, 0.33], [0.0, 0.62]])
-    per_frame = [([1, 2], [11, 12], ious), ([1, 2], [11, 12], np.eye(2))]
+def recorded_solves(monkeypatch):
+    """Record the cost matrix of every `solve_matchings` call HOTA makes."""
     solve = metrics.solve_matchings
     costs = []
 
@@ -350,26 +343,94 @@ def test_hota_solves_a_contested_frame_once_per_matching_span(monkeypatch):
         return solve(cost)
 
     monkeypatch.setattr(metrics, "solve_matchings", recording)
-    assert hota(cells_of(per_frame)) == hota_solving_every_level(per_frame)
-    levels = [0]
-    assert [metrics.ALPHAS[k] for k in levels] == pytest.approx([0.05])
+    return costs
+
+
+def assert_solved_at(costs, ious, levels):
+    """Each of `costs` is the mask of `ious` at the matching level."""
     assert len(costs) == len(levels)
     for cost, k in zip(costs, levels):
         expected = np.where(ious >= metrics.ALPHAS[k], 1.0 - ious, INFEASIBLE)
         assert np.array_equal(cost, expected)
 
 
+def test_hota_solves_a_contested_frame_once_per_matching_span(monkeypatch):
+    # Frame 1 is contested: GT 1 overlaps both predictions, so the levels
+    # alpha <= 0.33 are contested. But each GT row's best cell lies in its
+    # own column, and the rest of the row costs far more than the tie
+    # window above it: the rows certify the frame, whose matching at each
+    # contested level is those best cells, read off with no solve. Frame 2
+    # is one-to-one.
+    ious = np.array([[0.87, 0.33], [0.0, 0.62]])
+    per_frame = [([1, 2], [11, 12], ious), ([1, 2], [11, 12], np.eye(2))]
+    costs = recorded_solves(monkeypatch)
+    assert hota(cells_of(per_frame)) == hota_solving_every_level(per_frame)
+    assert costs == []
+
+
+def test_hota_solves_a_frame_whose_bests_share_a_prediction_once_per_matching_span(
+        monkeypatch):
+    # Both GT rows have their best cell in prediction 11's column, and that
+    # column's bests hold GT 1's row twice over, so neither side certifies
+    # frame 1: it is walked. Its matching (0, 1), (1, 0) holds up to IoU
+    # 0.32 (alpha 0.30), and one more solve at alpha 0.35 matches (0, 0)
+    # up to the frame's conflict value 0.62 (alpha 0.60). Frame 2 is
+    # one-to-one and is not solved.
+    ious = np.array([[0.9, 0.32], [0.62, 0.0]])
+    per_frame = [([1, 2], [11, 12], ious), ([1, 2], [11, 12], np.eye(2))]
+    costs = recorded_solves(monkeypatch)
+    assert hota(cells_of(per_frame)) == hota_solving_every_level(per_frame)
+    levels = [0, 6]
+    assert [metrics.ALPHAS[k] for k in levels] == pytest.approx([0.05, 0.35])
+    assert_solved_at(costs, ious, levels)
+
+
 def test_hota_keeps_a_matching_when_only_a_neighbour_overlap_drops(monkeypatch):
-    # Neighbours 8 px apart overlap with IoU 20/180: the mask loses those
-    # cells at alpha 0.15, but the matched pairs (IoU 1) hold at every
-    # level, so each frame is still solved once.
+    # Neighbours 8 px apart overlap with IoU 20/180, which the mask loses at
+    # alpha 0.15, while the matched pairs (IoU 1) hold at every level. Each
+    # frame's rows certify it, so no frame is solved.
     gt = [GtEntry(f, i, BoundingBox(8 * i + 30 * f, 0, 10, 10))
           for f in range(1, 6) for i in range(1, 3)]
     table = _frame_overlaps(gt, gt)
     assert frames_of(table)[0][2][0, 1] == pytest.approx(1 / 9)
     calls = count_solves(monkeypatch)
     assert hota(_cells(table)) == (1.0, 1.0, 1.0, 1.0, 1.0)
-    assert calls == [(2, 2)] * 5
+    assert calls == []
+
+
+@pytest.mark.parametrize("gap, levels", [(2.5, [0, 14]), (3.5, [])])
+def test_hota_walks_a_near_tie_inside_three_tie_windows(monkeypatch, gap, levels):
+    # GT 1's runner-up cell is `gap` tie windows (1e-9 here, as the best
+    # costs sum to 0.45) above its best, and prediction 12's column holds
+    # GT 1's row as its best too, so only the rows could certify frame 1.
+    # Inside 3 windows they do not: the frame is walked, solved at alpha
+    # 0.05 for the matching (0, 0), (1, 1), which holds while the
+    # neighbour cell 0.12 drops at alpha 0.15, up to IoU 0.72 (alpha 0.70),
+    # and once more at alpha 0.75. Outside them it is read off.
+    t = 1e-9
+    ious = np.array([[0.83, 0.83 - gap * t], [0.12, 0.72]])
+    per_frame = [([1, 2], [11, 12], ious), ([1, 2], [12, 11], np.eye(2))]
+    costs = recorded_solves(monkeypatch)
+    assert hota(cells_of(per_frame)) == hota_solving_every_level(per_frame)
+    assert [metrics.ALPHAS[k] for k in levels] == pytest.approx([0.05, 0.75][:len(levels)])
+    assert_solved_at(costs, ious, levels)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_hota_reads_a_frame_off_the_side_that_certifies_it(monkeypatch, transpose):
+    # The rows certify frame 1 (bests (0, 0) and (1, 1), far apart from
+    # the rest of their rows), while both column bests lie in GT 1's row.
+    # Transposed, only the columns certify it. Either way the frame is
+    # read off its certifying side's bests with no solve; the other side's
+    # bests are not a matching. Frame 2 ties the identities across frames.
+    ious = np.array([[0.9, 0.8], [0.0, 0.3]])
+    if transpose:
+        ious = ious.T
+    per_frame = [([1, 2], [11, 12], ious), ([1, 2], [12, 11], np.eye(2))]
+    costs = recorded_solves(monkeypatch)
+    assert list(zip(*metrics.hota_levels(cells_of(per_frame)))) == \
+        levels_solving_every_level(per_frame)
+    assert costs == []
 
 
 @st.composite
@@ -519,6 +580,76 @@ def test_hota_levels_equal_solving_every_level(tables):
     assert list(zip(*levels)) == levels_solving_every_level(tables)
     assert hota(cells_of(tables)) == tuple(math.fsum(values) / len(metrics.ALPHAS)
                                  for values in levels)
+
+
+# A runner-up cell's distance below its row's best cell, in tie windows:
+# near ties on both sides of the certificate's margin of 3.
+TIE_GAPS = st.sampled_from([0.0, 0.5, 0.9, 2.5, 2.9, 3.1, 3.5, 6.0])
+# Degenerate boxes' IoUs: above 1, or infinite.
+ABOVE_ONE = st.sampled_from([2.85, 4.0, np.inf])
+
+
+@st.composite
+def certificate_frames(draw):
+    """One (gt_ids, pred_ids, ious) frame built around a certificate: each
+    GT row's best cell in its own column, and the row's other cells dead,
+    anywhere below it, or a drawn number of tie windows below it. Some
+    frames are transposed, so the columns certify them instead; some give
+    two rows one best column; and some hold an IoU above 1 or infinite,
+    the infinite one beside another live cell of its row."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if n > m:
+        n, m = m, n
+    best_cols = draw(st.permutations(range(m)))[:n]
+    if n > 1 and draw(st.booleans()):
+        best_cols[1] = best_cols[0]
+    bests = [draw(st.floats(0.05, 1.0)) for _ in range(n)]
+    tol = 1e-9 * max(1.0, math.fsum(1.0 - b for b in bests))
+    ious = np.zeros((n, m))
+    for i, (j, best) in enumerate(zip(best_cols, bests)):
+        if draw(st.booleans()):
+            for k in range(m):
+                ious[i, k] = draw(st.one_of(
+                    st.just(0.0), st.floats(0.0, best),
+                    TIE_GAPS.map(lambda gap, best=best: best - gap * tol)))
+        ious[i, j] = best
+    if draw(st.integers(0, 3)) == 0:
+        value = draw(ABOVE_ONE)
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+        if np.isfinite(value) or np.count_nonzero(ious[i] >= metrics.ALPHAS[0]) > 1:
+            ious[i, j] = value
+    g_ids, p_ids = list(range(1, n + 1)), list(range(11, m + 11))
+    if draw(st.booleans()):
+        return p_ids, g_ids, ious.T.copy()
+    return g_ids, p_ids, ious
+
+
+@st.composite
+def certificate_tables(draw):
+    """Tables mixing `certificate_frames` with the frames of
+    `overlap_tables`."""
+    frames = draw(st.lists(certificate_frames(), max_size=5))
+    frames += draw(overlap_tables())
+    return draw(st.permutations(frames))
+
+
+@settings(deadline=None, max_examples=300)
+@given(certificate_tables())
+def test_hota_levels_of_certified_frames_equal_solving_every_level(tables):
+    # Row-certified, column-only-certified and uncertified frames, with
+    # near ties on both sides of 3 tie windows and single-cell rows, give
+    # the levels of solving every frame at every level, bit for bit. A
+    # contested frame with an infinite IoU is walked, and the solve raises
+    # on it there as it does in the oracle. (Alone in its row and column,
+    # such a cell is read differently by the oracle, whose solve treats a
+    # matrix with no finite cost as empty, so it is drawn beside another.)
+    try:
+        expected = levels_solving_every_level(tables)
+    except ValueError:
+        with pytest.raises(ValueError):
+            metrics.hota_levels(cells_of(tables))
+        return
+    assert list(zip(*metrics.hota_levels(cells_of(tables)))) == expected
 
 
 @settings(deadline=None, max_examples=200)

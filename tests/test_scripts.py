@@ -3,6 +3,7 @@ separate process on a tiny setting, exits 0 and prints its header."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,20 @@ def test_script_runs_and_prints_its_header(name, args, header):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[:len(header)] == header
+
+
+def test_eval_costs_splits_hota_frames_three_ways():
+    # The tiny big30 scene's 12 frames are each read off the mask,
+    # certified or walked, and its crowd certifies some of them.
+    done = run_script("eval_costs.py", "--workload", "big30", "--rounds", "1", "--tiny")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    counts = [re.fullmatch(r"hota frames    read off (\S+), certified (\S+), "
+                           r"walked (\S+) a round", line) for line in lines]
+    read_off, certified, walked = map(float, next(filter(None, counts)).groups())
+    assert read_off + certified + walked == 12
+    assert certified > 0
+    assert lines[-1] == "clear walks    0 of 12 frames a round"
 
 
 def test_anchor_pairs_runs_the_tree_against_itself():
