@@ -18,9 +18,10 @@ matching, or is empty) and solved ones (the lexicographic refine runs),
 how many of HOTA's frames per round are read off their masks (no level
 is contested), certified (one side's best cells are the matching at
 every contested level) or walked with those solves, and how many of the
-overlap tables' frames CLEAR walks with `clear_match` per round. The wrappers that count solves and walks add a
-call each, which the hota and clear figures include. The timers wrap the
-functions from outside; nothing in `src/` changes.
+overlap tables' frames CLEAR walks with `clear_match` per round. The
+wrappers that count solves, frames and walks add a call each, which the
+hota and clear figures include. The timers wrap the functions from
+outside; nothing in `src/` changes.
 
     PYTHONPATH=src python scripts/eval_costs.py --workload presets --rounds 3
 

@@ -476,7 +476,7 @@ def hota_levels(cells: _Cells):
     costs more than 3 * tol * d above; it is outside the tie window, and
     even after the refine's check raises each best cell by 2 * tol it
     stays more than tol * d above. So this matching is the one
-    `solve_matchings` returns, and its own certificate. A higher level
+    `solve_matchings` returns, as both of its matchings. A higher level
     only drops rows and cells, and with costs in [0, 1) the total, so tol
     with it, only falls. Rounding in these sums is far below the margin.
 

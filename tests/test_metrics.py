@@ -308,31 +308,6 @@ def test_hota_split_track():
     assert rep.hota == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
 
-def count_solves(monkeypatch):
-    """Record the cost shape of every `solve_matchings` call HOTA makes."""
-    solve = metrics.solve_matchings
-    calls = []
-
-    def counting(cost):
-        calls.append(cost.shape)
-        return solve(cost)
-
-    monkeypatch.setattr(metrics, "solve_matchings", counting)
-    return calls
-
-
-def test_hota_solves_no_one_to_one_frame(monkeypatch):
-    # Identities never overlap, so each frame's mask IoU >= alpha is the
-    # same diagonal at all 19 levels: a one-to-one mask is its own
-    # matching, and no frame is solved.
-    gt = [GtEntry(f, i, BoundingBox(100 * i + f, 50, 20, 40))
-          for f in range(1, 6) for i in range(1, 4)]
-    cells = _cells(_frame_overlaps(gt, gt))
-    calls = count_solves(monkeypatch)
-    assert hota(cells) == (1.0, 1.0, 1.0, 1.0, 1.0)
-    assert calls == []
-
-
 def recorded_solves(monkeypatch):
     """Record the cost matrix of every `solve_matchings` call HOTA makes."""
     solve = metrics.solve_matchings
@@ -344,6 +319,18 @@ def recorded_solves(monkeypatch):
 
     monkeypatch.setattr(metrics, "solve_matchings", recording)
     return costs
+
+
+def test_hota_solves_no_one_to_one_frame(monkeypatch):
+    # Identities never overlap, so each frame's mask IoU >= alpha is the
+    # same diagonal at all 19 levels: a one-to-one mask is its own
+    # matching, and no frame is solved.
+    gt = [GtEntry(f, i, BoundingBox(100 * i + f, 50, 20, 40))
+          for f in range(1, 6) for i in range(1, 4)]
+    cells = _cells(_frame_overlaps(gt, gt))
+    calls = recorded_solves(monkeypatch)
+    assert hota(cells) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert calls == []
 
 
 def assert_solved_at(costs, ious, levels):
@@ -393,7 +380,7 @@ def test_hota_keeps_a_matching_when_only_a_neighbour_overlap_drops(monkeypatch):
           for f in range(1, 6) for i in range(1, 3)]
     table = _frame_overlaps(gt, gt)
     assert frames_of(table)[0][2][0, 1] == pytest.approx(1 / 9)
-    calls = count_solves(monkeypatch)
+    calls = recorded_solves(monkeypatch)
     assert hota(_cells(table)) == (1.0, 1.0, 1.0, 1.0, 1.0)
     assert calls == []
 
