@@ -12,7 +12,7 @@ from .model import (
     load_preset,
     PRESETS,
 )
-from .kalman import KalmanModel, NumericalError, CHI2_GATE_4DOF
+from .kalman import KalmanModel, CHI2_GATE_4DOF
 from .association import FeatureBuffer, INFEASIBLE, iou_columns, solve_assignment
 from .tracker import FrameResult, Track, Tracker, preprocess, run_sequence
 from .metrics import EvalReport, GtEntry, evaluate, score, average_reports
@@ -23,7 +23,7 @@ from .seqio import Sequence, load_sequence, write_results, parse_results
 __all__ = [
     "BoundingBox", "ConfigError", "DataError", "Detection", "FrameDetections",
     "TrackerConfig", "load_preset", "PRESETS",
-    "KalmanModel", "NumericalError", "CHI2_GATE_4DOF",
+    "KalmanModel", "CHI2_GATE_4DOF",
     "FeatureBuffer", "INFEASIBLE", "iou_columns", "solve_assignment",
     "FrameResult", "Track", "Tracker", "preprocess", "run_sequence",
     "EvalReport", "GtEntry", "evaluate", "score", "average_reports",

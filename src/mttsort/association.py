@@ -119,8 +119,8 @@ def appearance_cost(tracks, detections, kalman, max_dist: float) -> np.ndarray:
 
     cost[i, j] = 1 - <pooled(track_i), embedding_j>, clamped to [0, 2].
     Entries above `max_dist` or failing the Mahalanobis gate are
-    INFEASIBLE. The gate runs once over the stacked track states, so a
-    track whose innovation variance is not positive raises NumericalError.
+    INFEASIBLE. The gate runs once over the stacked track states, all in
+    the filter's domain (`kalman.in_domain`; predict deletes the rest).
 
     Each entry depends only on its own pair. numpy's matmul makes one BLAS
     dot for each (1, D) @ (D, 1) item of the stacked product below, so a

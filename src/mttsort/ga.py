@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import metrics
-from .kalman import NumericalError
 from .model import ConfigError, TrackerConfig, build_settings, parse_kv_lines
 from .tracker import run_sequence
 
@@ -138,19 +137,15 @@ def evaluate_fitness(config: TrackerConfig, sequences) -> float:
     """Score a config over the evaluation sub-scenes.
 
     Each sub-scene is tracked and evaluated against its ground truth; the
-    reports are averaged and scored. A numerical failure of the filter
-    makes the individual score -inf rather than aborting the search; data
-    errors and program faults propagate.
+    reports are averaged and scored. Data errors and program faults
+    propagate.
     """
     reports = []
-    try:
-        for seq in sequences:
-            results = run_sequence(seq.detections, config, seq.frame_count)
-            reports.append(
-                metrics.evaluate(seq.gt, metrics.results_to_entries(results)))
-        return metrics.score(metrics.average_reports(reports))
-    except NumericalError:
-        return float("-inf")
+    for seq in sequences:
+        results = run_sequence(seq.detections, config, seq.frame_count)
+        reports.append(
+            metrics.evaluate(seq.gt, metrics.results_to_entries(results)))
+    return metrics.score(metrics.average_reports(reports))
 
 
 def select_parents(state: GAState, rng: np.random.Generator):

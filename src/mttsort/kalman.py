@@ -19,6 +19,8 @@ covariance) and v (velocity variance), one column per coordinate.
 
 from __future__ import annotations
 
+from math import inf
+
 import numpy as np
 
 # 0.95 quantile of the chi-square distribution with 4 degrees of freedom.
@@ -41,11 +43,8 @@ _INNOVATION_FIXED = np.array([0, 0, 1e-1, 0])
 # Rows of the flattened outer product (kp, kv) s (kp, kv) that are the p, c
 # and v terms of K S K^T, and of its transpose.
 _TERMS, _TRANSPOSED_TERMS = np.array([0, 1, 3]), np.array([0, 2, 3])
-
-
-class NumericalError(RuntimeError):
-    """Raised when a filter step fails numerically (an innovation variance
-    that is not positive)."""
+# The innovation's (relative, fixed) pairs as Python floats.
+_INNOVATION_NOISE = tuple(zip(_INNOVATION_RELATIVE.tolist(), _INNOVATION_FIXED.tolist()))
 
 
 class KalmanModel:
@@ -108,9 +107,8 @@ class KalmanModel:
         `(4,)` row per state: gains kp = (p r) r and kv = (c r) r with
         r = 1 / sqrt(s), and P' = 0.5 (X + X^T) with X = P - K S K^T.
 
-        Raises NumericalError if any innovation variance s of the stack is
-        not positive (or is NaN); callers are expected to keep the
-        predicted state of that track.
+        Raises ValueError if a state of the stack is outside the filter's
+        domain (`in_domain`).
         """
         mean = np.asarray(mean, dtype=float)
         covariance = np.asarray(covariance, dtype=float)
@@ -133,8 +131,8 @@ class KalmanModel:
 
         `measurements` is an Mx4 array; the result has length M for one
         state and shape (N, M) for a stack of N. Compare against
-        CHI2_GATE_4DOF to decide feasibility. Raises NumericalError if any
-        innovation variance of the stack is not positive (or is NaN).
+        CHI2_GATE_4DOF to decide feasibility. Raises ValueError if a state
+        of the stack is outside the filter's domain (`in_domain`).
         """
         measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
         mean = np.asarray(mean, dtype=float)
@@ -149,11 +147,25 @@ def _variance(height, relative, fixed) -> np.ndarray:
     return np.square(height * relative + fixed)
 
 
+def in_domain(heights, position_variances) -> list:
+    """Per state, whether it is in the filter's domain, as its update and
+    gate need: every innovation variance s = p + R² positive and finite.
+    Takes the box heights h and covariance p rows as Python floats, with
+    `_innovation`'s IEEE operations and no warning on overflow."""
+    (r0, f0), (r1, f1), (r2, f2), (r3, f3) = _INNOVATION_NOISE
+    inside = []
+    for h, (p0, p1, p2, p3) in zip(heights, position_variances):
+        sd0, sd1, sd2, sd3 = h * r0 + f0, h * r1 + f1, h * r2 + f2, h * r3 + f3
+        inside.append(0.0 < p0 + sd0 * sd0 < inf and 0.0 < p1 + sd1 * sd1 < inf
+                      and 0.0 < p2 + sd2 * sd2 < inf and 0.0 < p3 + sd3 * sd3 < inf)
+    return inside
+
+
 def _innovation(mean, covariance) -> tuple[np.ndarray, np.ndarray]:
-    """Innovation variances s = p + R² and 1 / sqrt(s); NumericalError
-    unless every s is positive (so NaN fails too)."""
+    """Innovation variances s = p + R² and 1 / sqrt(s); ValueError unless
+    every state is in the domain (`in_domain`'s test, elementwise)."""
     s = covariance[..., 0, :] + _variance(
         mean[..., 3, None], _INNOVATION_RELATIVE, _INNOVATION_FIXED)
-    if not (s > 0).all():
-        raise NumericalError(f"innovation variance is not positive: {s.min()}")
+    if not ((0.0 < s) & (s < inf)).all():
+        raise ValueError(f"innovation variance is not positive and finite: {s}")
     return s, 1.0 / np.sqrt(s)

@@ -1,10 +1,11 @@
 """The per-frame tracking pipeline.
 
 Each frame: filter and NMS the detections, Kalman-predict all live tracks
-and delete those whose state is no box (`model.box_rows`' rule), match
-confirmed tracks by pooled appearance (cascade), match the remainder by
-IoU, update the matched tracks, emit the confirmed tracks, keep the rows
-that can still match and start new tracks.
+and delete those whose state is no box (`model.box_rows`' rule) or is
+outside the filter's domain (`kalman.in_domain`), match confirmed tracks
+by pooled appearance (cascade), match the remainder by IoU, update the
+matched tracks, emit the confirmed tracks, keep the rows that can still
+match and start new tracks.
 
 A track is confirmed once it holds `confirm_hits = max(2, n_init)` hits
 (a newborn holds one). A tentative track ends on its first miss, a
@@ -32,7 +33,7 @@ from math import inf, isfinite
 import numpy as np
 
 from . import association
-from .kalman import KalmanModel, NumericalError
+from .kalman import KalmanModel, in_domain
 from .model import BoundingBox, FrameDetections, TrackerConfig
 
 
@@ -143,13 +144,14 @@ class Tracker:
     def _predict(self) -> list:
         """One Kalman predict over the stack of all live tracks, replacing
         its arrays; rows whose state makes no BoundingBox by `box_rows`'
-        rule are deleted. Returns the kept rows' (left, top, right, bottom,
-        area) tuples, `BoundingBox.from_center`'s arithmetic on each
-        predicted (cx, cy, aspect, height) row."""
+        rule or is outside the filter's domain are deleted. Returns the
+        kept rows' (left, top, right, bottom, area) tuples,
+        `BoundingBox.from_center`'s arithmetic on each predicted row."""
         stack = self.stack
         if not stack.tracks:
             return []
         stack.mean, stack.covariance = self.kalman.predict(stack.mean, stack.covariance)
+        inside = in_domain(stack.mean[:, 3].tolist(), stack.covariance[:, 0].tolist())
         boxes, kept = [], []
         for i, (cx, cy, aspect, height) in enumerate(stack.mean[:, :4].tolist()):
             width = aspect * height
@@ -159,7 +161,8 @@ class Tracker:
             bottom = top + height
             area = width * height
             # A finite sum has finite terms: right and bottom cover the rest.
-            if isfinite(right) and isfinite(bottom) and 0.0 < area < inf and height > 0.0:
+            if (isfinite(right) and isfinite(bottom) and 0.0 < area < inf and height > 0.0
+                    and inside[i]):
                 boxes.append((left, top, right, bottom, area))
                 kept.append(i)
         if len(kept) < len(stack.tracks):
@@ -172,33 +175,22 @@ class Tracker:
         """One Kalman update over the stacked rows of the frame's (track,
         detection) matches.
 
-        The stacked update fails as a whole if one track's does; the
-        matches are then redone one row at a time, so only a failing
-        track keeps its predicted state. Every matched track gets its hit.
-        A stacked row equals its one-row call, so when every live row is
-        matched (`matches` is sorted) the whole stack is updated, with no
-        gather and scatter.
+        Every live row is in the filter's domain (`_predict`), so the update
+        cannot fail. A stacked row equals its one-row call, so when every
+        live row is matched (`matches` is sorted) the whole stack is
+        updated, with no gather and scatter.
         """
         if not matches:
             return
         stack, kalman = self.stack, self.kalman
         rows = [i for i, _ in matches]
         measurements = detections.measurements[[j for _, j in matches]]
-        try:
-            if len(rows) == len(stack.tracks):
-                stack.mean, stack.covariance = kalman.update(
-                    stack.mean, stack.covariance, measurements)
-            else:
-                stack.mean[rows], stack.covariance[rows] = kalman.update(
-                    stack.mean[rows], stack.covariance[rows], measurements)
-        except NumericalError:
-            for i, j in matches:
-                try:
-                    stack.mean[i], stack.covariance[i] = kalman.update(
-                        stack.mean[i], stack.covariance[i],
-                        detections.measurements[j])
-                except NumericalError:
-                    pass
+        if len(rows) == len(stack.tracks):
+            stack.mean, stack.covariance = kalman.update(
+                stack.mean, stack.covariance, measurements)
+        else:
+            stack.mean[rows], stack.covariance[rows] = kalman.update(
+                stack.mean[rows], stack.covariance[rows], measurements)
         confidence = detections.confidence.tolist()
         for i, j in matches:
             track = stack.tracks[i]

@@ -668,9 +668,8 @@ class DenseKalmanModel:
         """Run the correction step against (cx, cy, a, h) measurements, one
         `(4,)` row per state.
 
-        Raises NumericalError if any innovation covariance of the stack
-        cannot be factorized; callers are expected to keep the predicted
-        state of that track.
+        Raises ValueError if any innovation covariance of the stack cannot
+        be factorized.
         """
         mean = np.asarray(mean, dtype=float)
         covariance = np.asarray(covariance, dtype=float)
@@ -692,7 +691,7 @@ class DenseKalmanModel:
 
         `measurements` is an Mx4 array; the result has length M for one
         state and shape (N, M) for a stack of N. Compare against
-        CHI2_GATE_4DOF to decide feasibility. Raises NumericalError if any
+        CHI2_GATE_4DOF to decide feasibility. Raises ValueError if any
         projected covariance of the stack is not positive definite.
         """
         measurements = np.atleast_2d(np.asarray(measurements, dtype=float))
@@ -722,14 +721,12 @@ def _diagonal_noise(height, relative, fixed):
 
 
 def _cholesky(projected_cov):
-    """Lower Cholesky factor of a projected covariance; NumericalError if
-    it is not positive definite."""
-    from mttsort.kalman import NumericalError
-
+    """Lower Cholesky factor of a projected covariance; ValueError if it is
+    not positive definite."""
     try:
         return np.linalg.cholesky(projected_cov)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
+        raise ValueError(
             f"projected covariance is not positive definite: {exc}") from exc
 
 
@@ -747,6 +744,17 @@ def dense(covariance):
     out[..., i, i + 4] = out[..., i + 4, i] = covariance[..., 1, :]
     out[..., i + 4, i + 4] = covariance[..., 2, :]
     return out
+
+
+def domain_rows_oracle(mean, covariance):
+    """Per state of a stack of `(8,)` means and `(3, 4)` covariance blocks:
+    whether the dense filter's projected covariance H P H^T + R has a
+    positive, finite diagonal, the innovation variances its update and gate
+    divide by. Overflow and NaN give no warning."""
+    with np.errstate(all="ignore"):
+        _, projected = dense_kalman_oracle.project(mean, dense(covariance))
+        diagonal = np.diagonal(projected, axis1=-2, axis2=-1)
+        return ((diagonal > 0) & np.isfinite(diagonal)).all(axis=-1)
 
 
 # ------------------------------------------------------- row-by-row parsers

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import pytest
 
@@ -232,6 +233,24 @@ def test_track_then_evaluate_a_box_below_the_written_precision(tmp_path, capsys)
     assert pred.read_text().splitlines()[0] == "3,1,10.00,10.00,0.01,10.00,0.90,-1,-1,-1"
     assert cli(["evaluate", "--seq", str(seq), "--pred", str(pred)]) == 0
     assert "hota = " in capsys.readouterr().out
+
+
+def test_track_a_box_whose_filter_noise_underflows(tmp_path):
+    # Height 1e-300 and aspect 1e290: a box of area 1e-310, but (h / 20)²
+    # underflows to 0 in the new track's variances and its innovation
+    # variances, so its state is outside the filter's domain. The track is
+    # deleted at its first predict, with no traceback and no warning.
+    seq, pred = tmp_path / "tiny", tmp_path / "pred.txt"
+    seq.mkdir()
+    (seq / "meta.txt").write_text(
+        "name = tiny\nframe_count = 6\nwidth = 64\nheight = 48\nembedding_dim = 2\n")
+    (seq / "det.txt").write_text(
+        "".join(f"{f},-1,0,0,1e-10,1e-300,0.9,1,0\n" for f in range(1, 7)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(["track", "--seq", str(seq), "--preset", "config1",
+                    "--out", str(pred)]) == 0
+    assert parse_results(pred, frame_count=6) == []
 
 
 def test_track_rejects_a_detection_box_without_an_area(tmp_path, capsys):

@@ -11,7 +11,6 @@ from mttsort.ga import (
     evaluate_fitness, format_history, initialize_population, mutate,
     parse_ga_config_text, run_ga, select_parents,
 )
-from mttsort.kalman import NumericalError
 from mttsort.model import ConfigError, TrackerConfig
 from mttsort.seqio import Sequence
 
@@ -248,9 +247,9 @@ class BadSeq:
     frame_count = 3
 
 
-def test_evaluate_fitness_failure_is_minus_inf():
-    # Only a numerical filter failure scores -inf (see the tests below); an
-    # empty ground truth is a data error and propagates.
+def test_evaluate_fitness_data_error_propagates():
+    # An empty ground truth is a data error: it propagates, and no score
+    # stands in for it.
     with pytest.raises(ValueError, match="ground-truth"):
         evaluate_fitness(TrackerConfig(), [BadSeq()])
 
@@ -263,14 +262,6 @@ def test_evaluate_fitness_propagates_program_faults(monkeypatch, error):
     monkeypatch.setattr(ga, "run_sequence", failing)
     with pytest.raises(type(error), match="fault"):
         evaluate_fitness(TrackerConfig(), [BadSeq()])
-
-
-def test_evaluate_fitness_numerical_error_is_minus_inf(monkeypatch):
-    def failing(*args):
-        raise NumericalError("projected covariance is not positive definite")
-
-    monkeypatch.setattr(ga, "run_sequence", failing)
-    assert evaluate_fitness(TrackerConfig(), [BadSeq()]) == float("-inf")
 
 
 def test_evaluate_fitness_tracks_and_evaluates_each_sub_scene_once(monkeypatch):

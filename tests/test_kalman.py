@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mttsort.kalman import CHI2_GATE_4DOF, KalmanModel, NumericalError
+from mttsort.kalman import CHI2_GATE_4DOF, KalmanModel, in_domain
 
-from oracles import dense, dense_kalman_oracle, initiate_oracle
+from oracles import dense, dense_kalman_oracle, domain_rows_oracle, initiate_oracle
 
 
 @pytest.fixture
@@ -193,24 +195,60 @@ def test_stacked_calls_equal_row_by_row_calls(n, m, seed):
             gate[i], kf.gating_distance(means[i], covariances[i], measurements))
 
 
-def test_non_positive_definite_covariance_raises_numerical_error(kf):
-    # A negative or NaN position variance makes that innovation variance
-    # negative or NaN, so both steps fail in their shared check, for one
-    # state and for a stack that holds it. (The dense filter's Cholesky
+def test_state_outside_the_domain_raises_value_error(kf):
+    # A negative, NaN or infinite position variance makes that innovation
+    # variance negative, NaN or infinite, so the state is outside the
+    # domain and both steps fail in their shared check, for one state and
+    # for a stack that holds it. (The dense filter's Cholesky
     # factorization let a NaN through.)
-    for variance in (-1e6, np.nan):
+    for variance in (-1e6, np.nan, np.inf):
         mean, covariance = kf.initiate([10, 20, 0.5, 40])
         covariance[0, 1] = variance
-        with pytest.raises(NumericalError, match="innovation variance is not positive"):
+        assert in_domain([mean[3]], [covariance[0].tolist()]) == [False]
+        with pytest.raises(ValueError, match="innovation variance is not positive and finite"):
             kf.update(mean, covariance, mean[:4])
-        with pytest.raises(NumericalError):
+        with pytest.raises(ValueError):
             kf.gating_distance(mean, covariance, [mean[:4]])
         means, covariances = kf.initiate([[10, 20, 0.5, 40]] * 3)
         covariances[1] = covariance
-        with pytest.raises(NumericalError):
+        with pytest.raises(ValueError):
             kf.update(means, covariances, means[:, :4])
-        with pytest.raises(NumericalError):
+        with pytest.raises(ValueError):
             kf.gating_distance(means, covariances, means[:, :4])
+
+
+# Heights and position variances: ordinary values, zeros, values whose
+# noise underflows or overflows, NaN and infinities.
+domain_fields = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-170, 1.0, -1.0, 1e154, 2.68e155,
+                     1e300, 1.7e308, np.inf, -np.inf, np.nan]),
+    st.floats(-1e4, 1e4), st.floats())
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(st.tuples(domain_fields, st.tuples(*[domain_fields] * 4)),
+                min_size=1, max_size=6))
+def test_in_domain_is_the_dense_filters_rule_and_the_update_raise(states):
+    # `in_domain` of each (height, position-variance row) equals the dense
+    # filter's rule, with no warning; the update and the gate of the stack
+    # raise ValueError exactly when a state is outside the domain.
+    mean = np.zeros((len(states), 8))
+    mean[:, 3] = [height for height, _ in states]
+    covariance = np.zeros((len(states), 3, 4))
+    covariance[:, 0] = [p for _, p in states]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = in_domain([height for height, _ in states], [p for _, p in states])
+    assert inside == domain_rows_oracle(mean, covariance).tolist()
+    kf = KalmanModel()
+    with np.errstate(all="ignore"):
+        for step in (lambda: kf.update(mean, covariance, mean[:, :4]),
+                     lambda: kf.gating_distance(mean, covariance, mean[:, :4])):
+            if all(inside):
+                step()
+            else:
+                with pytest.raises(ValueError, match="not positive and finite"):
+                    step()
 
 
 def test_gate_threshold_constant():

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from mttsort import association, seqio, synth
 from mttsort.association import FeatureBuffer
-from mttsort.kalman import KalmanModel, NumericalError
+from mttsort.kalman import KalmanModel
 from mttsort.model import BoundingBox, Detection, FrameDetections, TrackerConfig
 from mttsort.tracker import (FrameResult, Track, Tracker, TrackStack, preprocess,
                              run_sequence)
 
-from oracles import (bits, box_iou, center_box_rows_oracle, ltwh_from_centers,
-                     preprocess_oracle)
+from oracles import (bits, box_iou, center_box_rows_oracle, domain_rows_oracle,
+                     ltwh_from_centers, preprocess_oracle)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -388,9 +388,10 @@ def test_track_with_non_physical_prediction_is_deleted():
     assert emitted == [(2, 1), (3, 1), (4, 1), (5, 1)]
 
 
-# ------------------------------------------------ numerical failures
+# ------------------------------------------------ the filter's domain
 
-# A negative position variance; its innovation variances are negative.
+# A negative position variance; its innovation variances are negative, so
+# a state holding it is outside the filter's domain.
 BROKEN_COVARIANCE = np.array([[-1e6] * 4, [0.0] * 4, [1.0] * 4])
 
 
@@ -455,47 +456,27 @@ def test_emit_equals_the_numpy_emit(rows, n_init):
     assert result_or_error(tracker._emit, 7) == result_or_error(numpy_emit, tracker, 7)
 
 
-def test_failed_update_keeps_only_that_track_predicted():
-    # Two tentative tracks, each matched by IoU to its own box; the stacked
-    # update fails on the broken one and is redone row by row.
-    a, b = det(1, 100, 100, emb=(1, 0)), det(1, 400, 100, emb=(0, 1))
-    tracker = tracker_holding(TrackerConfig(n_init=3), (a, 1, 0), (b, 1, 0))
-    stack = tracker.stack
-    stack.covariance[1] = BROKEN_COVARIANCE
-    kalman = tracker.kalman
-    want = kalman.update(*kalman.predict(stack.mean[0], stack.covariance[0]),
-                         a.box.to_center())
-    predicted = kalman.predict(stack.mean[1], stack.covariance[1])
-
-    detections = [det(2, 100, 100, emb=(1, 0), conf=0.8),
-                  det(2, 400, 100, emb=(0, 1), conf=0.7)]
-    tracker.step(2, FrameDetections.of(detections))
-    stack = tracker.stack
-    assert np.array_equal(stack.mean[0], want[0])
-    assert np.array_equal(stack.covariance[0], want[1])
-    assert np.array_equal(stack.mean[1], predicted[0])
-    assert np.array_equal(stack.covariance[1], predicted[1])
-    # Both matched tracks, the failed one too, get the hit bookkeeping.
-    for track, detection in zip(stack.tracks, detections):
-        assert track.hits == 2 and track.time_since_update == 0
-        assert track.last_confidence == detection.confidence
-        assert len(track.features) == 2
-        assert np.array_equal(track.features.entries[-1], detection.embedding)
-
-
-def test_gate_covers_tracks_past_the_last_detection():
-    # The one detection goes to the depth-1 track. The cascade's cost
-    # matrix still gates the depth-2 track, whose broken covariance then
-    # raises; a per-depth loop would have stopped before reaching it. Both
-    # tracks hold the 3 hits that confirm at n_init 3.
+def test_gate_covers_tracks_past_the_last_detection(monkeypatch):
+    # The one detection goes to the depth-1 track. The cascade's one gated
+    # matrix still covers the depth-2 track; a per-depth loop would have
+    # stopped before reaching it. Both tracks hold the 3 hits that confirm
+    # at n_init 3.
     a, b = det(1, 100, 100, emb=(1, 0)), det(1, 400, 100, emb=(0, 1))
     tracker = tracker_holding(TrackerConfig(n_init=3), (a, 3, 0), (b, 3, 1))
-    tracker.stack.covariance[1] = BROKEN_COVARIANCE
-    with pytest.raises(NumericalError):
-        tracker.step(2, FrameDetections.of([det(2, 100, 100, emb=(1, 0))]))
+    gated = []
+    gating_distance = tracker.kalman.gating_distance
+
+    def spy(mean, covariance, measurements):
+        gated.append(len(mean))
+        return gating_distance(mean, covariance, measurements)
+
+    monkeypatch.setattr(tracker.kalman, "gating_distance", spy)
+    result = tracker.step(2, FrameDetections.of([det(2, 100, 100, emb=(1, 0))]))
+    assert gated == [2]
+    assert [track_id for track_id, _, _ in result.records] == [1]
 
 
-@pytest.mark.parametrize("broken", [False, True], ids=["stacked", "row-by-row"])
+@pytest.mark.parametrize("broken", [False, True], ids=["stacked", "deleted"])
 @pytest.mark.parametrize("unmatched", [False, True], ids=["all-rows", "some-rows"])
 @pytest.mark.parametrize("confidences", [(0.8, 0.7), (0.7, 0.8)],
                          ids=["in-order", "permuted"])
@@ -505,10 +486,10 @@ def test_update_equals_the_gathered_update_of_the_matched_rows(
     # detection, whose rows run in descending confidence: in the order of
     # the tracks' rows or swapped. With `unmatched`, a confirmed track far
     # from every detection sits between them, so not every live row is
-    # matched. With `broken`, b's innovation variance is not positive: its
-    # row keeps its predicted state and the other rows get their one-row
-    # updates. Either way the stack's bits are those of gathering the
-    # matched rows, updating them and scattering them back.
+    # matched. With `broken`, b's state is outside the filter's domain: its
+    # row is deleted at predict, and its detection starts a new track.
+    # Either way the stack's bits are those of gathering the matched rows,
+    # updating them and scattering them back.
     a, b, far = (det(1, 100, 100, emb=(1, 0)), det(1, 400, 100, emb=(0, 1)),
                  det(1, 900, 500, emb=(1, 1)))
     specs = [(a, 1, 0)] + [(far, 3, 0)] * unmatched + [(b, 1, 0)]
@@ -522,20 +503,21 @@ def test_update_equals_the_gathered_update_of_the_matched_rows(
          det(2, 397, 99, emb=(0, 1), conf=confidences[1])])
     matches = [(0, 0 if confidences[0] > confidences[1] else 1),
                (len(specs) - 1, 1 if confidences[0] > confidences[1] else 0)]
-    rows, dets = [i for i, _ in matches], [j for _, j in matches]
     if broken:
-        i, j = matches[0]
-        want_mean[i], want_covariance[i] = kalman.update(
-            want_mean[i], want_covariance[i], detections.measurements[j])
-    else:
-        want_mean[rows], want_covariance[rows] = kalman.update(
-            want_mean[rows], want_covariance[rows], detections.measurements[dets])
+        matches, kept = matches[:1], len(specs) - 1
+        want_mean, want_covariance = want_mean[:kept], want_covariance[:kept]
+    rows, dets = [i for i, _ in matches], [j for _, j in matches]
+    want_mean[rows], want_covariance[rows] = kalman.update(
+        want_mean[rows], want_covariance[rows], detections.measurements[dets])
 
     tracker.step(2, detections)
     stack = tracker.stack
-    assert [t.time_since_update for t in stack.tracks] == [0] + [1] * unmatched + [0]
-    assert bits(stack.mean) == bits(want_mean)
-    assert bits(stack.covariance) == bits(want_covariance)
+    assert [t.track_id for t in stack.tracks] == list(range(1, len(specs))) + [len(specs) + broken]
+    kept = len(want_mean)
+    assert [t.time_since_update for t in stack.tracks[:kept]] == \
+        [0] + [1] * unmatched + [0] * (not broken)
+    assert bits(stack.mean[:kept]) == bits(want_mean)
+    assert bits(stack.covariance[:kept]) == bits(want_covariance)
     for i, j in matches:
         assert stack.tracks[i].last_confidence == detections.confidence[j]
 
@@ -557,43 +539,63 @@ state_fields = st.one_of(
 
 
 @settings(deadline=None, max_examples=500)
-@given(st.lists(st.tuples(state_fields, state_fields, state_fields, state_fields),
+@given(st.lists(st.tuples(st.tuples(state_fields, state_fields, state_fields, state_fields),
+                          st.tuples(state_fields, state_fields, state_fields, state_fields)),
                 max_size=6))
-def test_predict_keeps_the_rows_and_boxes_of_the_box_check_oracle(centers):
-    # The kept rows are the oracle's mask, in order, and the returned box
-    # tuples its rows, bit for bit, with no warning.
-    tracks = [Track(k, FeatureBuffer(1)) for k in range(len(centers))]
-    mean = np.zeros((len(centers), 8))
-    mean[:, :4] = np.array(centers, dtype=float).reshape(-1, 4)
+def test_predict_keeps_the_rows_and_boxes_of_the_box_check_oracle(states):
+    # Each drawn (cx, cy, aspect, height) row has a drawn position-variance
+    # row. The kept rows are the box check oracle's mask and the dense
+    # filter's domain rule, in order, and the returned box tuples the box
+    # oracle's rows, bit for bit, with no warning.
+    tracks = [Track(k, FeatureBuffer(1)) for k in range(len(states))]
+    mean = np.zeros((len(states), 8))
+    mean[:, :4] = np.array([center for center, _ in states], dtype=float).reshape(-1, 4)
+    covariance = np.zeros((len(states), 3, 4))
+    covariance[:, 0] = np.array([p for _, p in states], dtype=float).reshape(-1, 4)
     tracker = Tracker(TrackerConfig())
     tracker.kalman = HeldKalman()
-    tracker.stack = TrackStack(tracks, mean, np.zeros((len(centers), 3, 4)))
+    tracker.stack = TrackStack(tracks, mean, covariance)
     want_boxes, valid = center_box_rows_oracle(mean[:, :4])
+    valid &= domain_rows_oracle(mean, covariance)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         boxes = tracker._predict()
     kept = valid.tolist()
     assert tracker.stack.tracks == [t for t, keep in zip(tracks, kept) if keep]
     assert bits(tracker.stack.mean) == bits(mean[valid])
+    assert bits(tracker.stack.covariance) == bits(covariance[valid])
     assert all(type(box) is tuple and len(box) == 5 for box in boxes)
     assert bits(np.array(boxes).reshape(-1, 5)) == bits(want_boxes[valid])
     assert [t.time_since_update for t in tracker.stack.tracks] == [1] * sum(kept)
 
 
-@pytest.mark.parametrize("state", [
-    [100.0, 100.0, 1e-200, 1e-200, 0, 0, 0, 0],     # the width underflows
+@pytest.mark.parametrize("state, variance", [
+    ([100.0, 100.0, 1e-200, 1e-200, 0, 0, 0, 0], None),     # the width underflows
     # The area overflows; the height stays small enough for the noise.
-    [100.0, 100.0, 1e150, 1e100, 0, 0, 0, 0],
-    [100.0, 100.0, np.nan, 60.0, 0, 0, 0, 0],
-    [100.0, 100.0, 0.5, -60.0, 0, 0, 0, 0],
-], ids=["width-underflow", "area-overflow", "nan-aspect", "negative-height"])
+    ([100.0, 100.0, 1e150, 1e100, 0, 0, 0, 0], None),
+    ([100.0, 100.0, np.nan, 60.0, 0, 0, 0, 0], None),
+    ([100.0, 100.0, 0.5, -60.0, 0, 0, 0, 0], None),
+    # A box whose state is outside the filter's domain: a position variance
+    # that is negative, NaN or infinite, or a height whose noise (h / 20)²
+    # underflows to 0 in the state's variances and the innovation's.
+    ([100.0, 100.0, 0.5, 60.0, 0, 0, 0, 0], -1e6),
+    ([100.0, 100.0, 0.5, 60.0, 0, 0, 0, 0], np.nan),
+    ([100.0, 100.0, 0.5, 60.0, 0, 0, 0, 0], np.inf),
+    ([0.0, 0.0, 1e290, 1e-300, 0, 0, 0, 0], "initiate"),
+], ids=["width-underflow", "area-overflow", "nan-aspect", "negative-height",
+        "negative-variance", "nan-variance", "inf-variance", "noise-underflow"])
 @pytest.mark.parametrize("hits", [1, 3])
-def test_track_whose_predicted_state_is_no_box_is_deleted_at_predict(state, hits):
+def test_track_whose_predicted_state_is_no_box_is_deleted_at_predict(state, variance, hits):
     # Tentative (1 hit) or confirmed (3 hits at n_init 3): either way the
     # track is deleted at predict, with no record, no error and no warning,
     # and the frame's detection starts a new track.
     tracker = tracker_holding(TrackerConfig(n_init=3), (det(1, 100, 100), hits, 0))
-    tracker.stack.mean[0] = state
+    stack = tracker.stack
+    stack.mean[0] = state
+    if variance == "initiate":
+        stack.covariance[0] = tracker.kalman.initiate(state[:4])[1]
+    elif variance is not None:
+        stack.covariance[0, 0, 1] = variance
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = tracker.step(2, FrameDetections.of([det(2, 100, 100)]))
