@@ -24,7 +24,6 @@ scenes.
 
 import argparse
 import gc
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from mttbench import workloads  # noqa: E402
 from mttbench.layertrace import Patches  # noqa: E402
 from mttsort import ga, metrics, seqio, tracker  # noqa: E402
+from step_costs import run_round  # noqa: E402
 
 STAGES = ("load", "track", "write+parse", "evaluate", "rest")
 STAGE_CALLS = (
@@ -77,18 +77,6 @@ class Collections:
                     self.stage = outer
             return staged
         return make
-
-
-def run_round(workload, scene_list, sequences, root, tiny) -> None:
-    if workload == "ga":
-        workloads.ga_round(sequences, tiny)
-        return
-    for scene in scene_list:
-        try:
-            workloads.file_pass(scene, os.path.join(root, scene.name))
-        except ValueError as exc:
-            if not workloads.is_known_fault(scene, exc):
-                raise
 
 
 def main():

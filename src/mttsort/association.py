@@ -3,8 +3,9 @@
 Appearance costs are cosine distances between a detection embedding and a
 track's pooled buffer feature; motion feasibility is enforced with a
 chi-square Mahalanobis gate; spatial matching uses IoU cost. Infeasible
-cost entries are marked with the INFEASIBLE sentinel and are never selected
-by the assignment solver.
+cost entries are marked with the INFEASIBLE sentinel. The assignment solver
+reads every cost matrix by one rule: an entry is feasible if and only if it
+is finite, so INFEASIBLE, NaN and -inf are never matched.
 """
 
 from __future__ import annotations
@@ -152,12 +153,12 @@ def iou_cost(track_boxes, detection_boxes, max_iou_distance: float) -> np.ndarra
     return cost
 
 
-def _refine_lexicographic(cost: np.ndarray):
+def _refine_lexicographic(cost: np.ndarray, feasible: np.ndarray):
     """Lexicographically smallest optimal assignment of `cost`, and the
     feasible pairs of the first solve, a minimum-cost matching of maximum
-    cardinality.
+    cardinality. `feasible` is the mask of the finite entries.
 
-    INFEASIBLE entries are replaced by a finite penalty dominating any
+    Infeasible entries are replaced by a finite penalty dominating any
     feasible total, negative costs included, so one full
     linear_sum_assignment solve of the masked matrix maximizes the feasible
     pair count first and minimizes feasible cost second. Its assignment is
@@ -180,7 +181,6 @@ def _refine_lexicographic(cost: np.ndarray):
     makes that solve's assignment the incumbent of the rows still free.
     """
     n, m = cost.shape
-    feasible = cost != INFEASIBLE
     values = cost[feasible]
     hi, lo = float(values.max()), float(values.min())
     # Equal to (hi + 1) * (min(n, m) + 1) when no cost is negative.
@@ -189,8 +189,8 @@ def _refine_lexicographic(cost: np.ndarray):
     masked[~feasible] = penalty
     rows, cols = linear_sum_assignment(masked)
     optimum = float(masked[rows, cols].sum())
-    # Ties are judged against the feasible total: the INFEASIBLE penalties
-    # in `optimum` must not widen the window.
+    # Ties are judged against the feasible total: the penalties in
+    # `optimum` must not widen the window.
     kept = feasible[rows, cols]
     kr, kc = rows[kept], cols[kept]
     feasible_total = float(cost[kr, kc].sum())
@@ -209,14 +209,14 @@ def _refine_lexicographic(cost: np.ndarray):
 
     for i in range(n):
         chosen = incumbent.get(i)
-        if chosen is not None and cost[i, chosen] == INFEASIBLE:
+        if chosen is not None and not feasible[i, chosen]:
             chosen = None
         limit = m if chosen is None else chosen
         rows_left = [r for r in free_rows if r != i]
         for j in free_cols:
             if j >= limit:
                 break
-            if cost[i, j] == INFEASIBLE:
+            if not feasible[i, j]:
                 continue
             cols_left = [c for c in free_cols if c != j]
             rest, r, c = 0.0, (), ()
@@ -241,15 +241,17 @@ def solve_matchings(cost: np.ndarray):
     of maximum cardinality that certifies it.
 
     Returns ``(matches, optimal)``, both lists of (row, column) sorted by
-    row. `matches` has maximum feasible cardinality and, among those,
-    minimum total cost; totals within _TIE_RTOL of each other tie, and ties
-    resolve to the lowest (row, column) indices. `optimal` has the same
-    cardinality and the minimum total: the feasible pairs of the
-    refine's first scipy solve, or `matches` itself when the matrix is
-    forced.
+    row. An entry is feasible if and only if it is finite: INFEASIBLE, NaN
+    and -inf are never matched. `matches` has maximum feasible cardinality
+    and, among those, minimum total cost; totals within _TIE_RTOL of each
+    other tie, and ties resolve to the lowest (row, column) indices.
+    `optimal` has the same cardinality and the minimum total: the feasible
+    pairs of the refine's first scipy solve, or `matches` itself when the
+    matrix is forced.
 
     When no two feasible entries share a row or a column, the only such
-    matching is all of them, read off the mask without a solve. Any other
+    matching is all of them, read off the mask without a solve; an empty
+    matrix, or one with no finite entry, reads off as no match. Any other
     matrix goes through `_refine_lexicographic`: one scipy solve, one more
     that checks whether that solution is alone in the tie window, and the
     row-by-row refine only when it is not.
@@ -260,14 +262,12 @@ def solve_matchings(cost: np.ndarray):
     still in it and still its lowest member.
     """
     cost = np.asarray(cost, dtype=float)
-    n, m = cost.shape
-    if n == 0 or m == 0 or not np.isfinite(cost).any():
-        return [], []
-    rows, cols = (index.tolist() for index in np.nonzero(cost != INFEASIBLE))
+    feasible = np.isfinite(cost)
+    rows, cols = (index.tolist() for index in np.nonzero(feasible))
     if len(set(rows)) == len(rows) and len(set(cols)) == len(cols):
         matches = list(zip(rows, cols))
         return matches, matches
-    return _refine_lexicographic(cost)
+    return _refine_lexicographic(cost, feasible)
 
 
 def solve_assignment(cost: np.ndarray):

@@ -99,7 +99,7 @@ def clear_match(g_ids, p_ids, ious, prior_correspondence):
     ascending order, each distinct, and `ious` their overlap matrix, one
     frame of `_frame_overlaps`; the prior correspondence maps each GT
     identity to the predicted id it was most recently matched with.
-    Correspondences still overlapping with IoU >= 0.5 are kept; the
+    Correspondences still overlapping with a finite IoU >= 0.5 are kept; the
     remainder is matched by minimum (1 - IoU) assignment subject to the
     same threshold. Only the cells of the prior correspondences are read
     one by one.
@@ -116,7 +116,7 @@ def clear_match(g_ids, p_ids, ious, prior_correspondence):
     remaining_gt = []
     for i, gid in enumerate(g_ids):
         j = pred_index.get(prior_correspondence.get(gid))
-        if j is not None and j not in used_cols and ious.item(i, j) >= MATCH_IOU:
+        if j is not None and j not in used_cols and MATCH_IOU <= ious.item(i, j) < math.inf:
             matches.append((i, j))
             used_cols.add(j)
         else:
@@ -176,7 +176,7 @@ class _Cells(NamedTuple):
     entry's identity as a dense int64 rank in order of first appearance,
     so identities stay any Python integers; and iou, frame, entry_g and
     entry_p the IoU, frame, GT entry and predicted entry of each live cell
-    (IoU >= ALPHAS[0]), in table order.
+    (ALPHAS[0] <= IoU < inf), in table order.
     """
 
     table: _Overlaps
@@ -195,7 +195,7 @@ def _cells(table: _Overlaps) -> _Cells:
         rank = {}
         ranks.append(np.array([rank.setdefault(i, len(rank)) for i in ids], dtype=np.int64))
     cols, starts = table.cols, table.starts
-    live = np.flatnonzero(table.flat >= ALPHAS[0])
+    live = np.flatnonzero((table.flat >= ALPHAS[0]) & (table.flat < np.inf))
     frame = np.searchsorted(starts, live, side="right") - 1
     local = live - starts[frame]
     entry_g = table.g_first[frame] + local // cols[frame]
@@ -211,8 +211,6 @@ def clear_counts(cells: _Cells):
     cells (IoU >= 0.5); the other frames' matches are their hit cells. The
     contested frames are walked in order with `clear_match`, against one
     prior correspondence that takes in every match of the frames before.
-    A frame with an infinite hit cell is walked too: the solve reads its
-    cost, -inf, as no cell when no finite cost is left beside it.
 
     FN and FP are the entries left unmatched. Taking each GT identity's
     entries in frame order, a match is an identity switch when the
@@ -226,7 +224,6 @@ def clear_counts(cells: _Cells):
     contested = np.zeros(len(table.rows), dtype=bool)
     for entry, n in ((hit_g, len(g_rank)), (hit_p, len(p_rank))):
         contested[hit_frame[np.bincount(entry, minlength=n)[entry] > 1]] = True
-    contested[hit_frame[np.isinf(cells.iou[hit])]] = True
     walked = np.flatnonzero(contested)
     # A hit cell of an uncontested frame is alone in its row and column.
     lone = ~contested[hit_frame]

@@ -611,19 +611,30 @@ def test_an_exact_tie_goes_through_the_row_loop():
 ], ids=["isolated", "one-row", "shared-row"])
 def test_no_finite_entry_matches_nothing(cost):
     # Every entry that is not INFEASIBLE is NaN or -inf. The isolated ones
-    # share no row or column, so without the finiteness exit the forced
-    # path would read them off as a matching.
+    # share no row or column; the forced read-off takes only finite
+    # entries, so it reads off no matching, with no separate exit.
     n, m = np.shape(cost)
     assert solve_matchings(np.array(cost)) == ([], [])
     assert solve_assignment(np.array(cost)) == ([], list(range(n)), list(range(m)))
 
 
-def test_a_nan_beside_a_finite_entry_is_rejected():
-    # Sharing a row with a finite entry, a NaN reaches the solver, which
-    # rejects the matrix.
-    for solve in (solve_matchings, solve_assignment):
-        with pytest.raises(ValueError):
-            solve(np.array([[math.nan, 0.5]]))
+# Tenths from -0.2 to 1, where totals tie, and the three non-finite costs.
+COST_ENTRIES = st.one_of(st.integers(-2, 10).map(lambda k: k / 10),
+                         st.sampled_from([INFEASIBLE, math.nan, -math.inf]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.lists(COST_ENTRIES, min_size=m, max_size=m), min_size=1, max_size=6)))
+@example([[math.nan, 0.5]])
+@example([[0.2, INFEASIBLE], [INFEASIBLE, math.nan]])
+def test_nan_and_minus_inf_costs_solve_as_infeasible(cost):
+    # An entry is feasible iff it is finite: a NaN or -inf entry, alone in
+    # its row and column or beside finite ones, reads as INFEASIBLE on the
+    # forced path and in the refine alike.
+    cost = np.array(cost)
+    as_infeasible = np.where(np.isfinite(cost), cost, INFEASIBLE)
+    assert solve_matchings(cost) == solve_matchings(as_infeasible)
 
 # ----------------------------------------------------------------- cascade
 

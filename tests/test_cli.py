@@ -253,6 +253,26 @@ def test_track_a_box_whose_filter_noise_underflows(tmp_path):
     assert parse_results(pred, frame_count=6) == []
 
 
+def test_track_a_nan_iou_cost_beside_a_finite_one(tmp_path):
+    # Two boxes 2**53 px down, 5e307 and 5e306 wide: an IoU of the wider
+    # one overflows to NaN (with numpy warnings), so config5's IoU stage
+    # solves a cost matrix with a NaN beside finite costs. The NaN entry
+    # is infeasible, like INFEASIBLE, and the scene tracks.
+    seq, pred = tmp_path / "huge", tmp_path / "pred.txt"
+    seq.mkdir()
+    (seq / "meta.txt").write_text(
+        "name = huge\nframe_count = 3\nwidth = 64\nheight = 48\nembedding_dim = 2\n")
+    (seq / "det.txt").write_text("".join(
+        f"{f},-1,0,9007199254740992,5e307,3,0.9,1,0\n"
+        f"{f},-1,0,9007199254740992,5e306,3,0.9,0,1\n" for f in range(1, 4)))
+    with pytest.warns(RuntimeWarning):
+        assert cli(["track", "--seq", str(seq), "--preset", "config5",
+                    "--out", str(pred)]) == 0
+    # Both tracks are confirmed at frame 3 and read back.
+    assert [(res.frame, len(res.records))
+            for res in parse_results(pred, frame_count=3)] == [(3, 2)]
+
+
 def test_track_rejects_a_detection_box_without_an_area(tmp_path, capsys):
     # 5e-324 * 0.25 underflows to 0. Accepted, such boxes make NaN IoU
     # costs, which never match: this stream would track to an empty result
