@@ -15,8 +15,9 @@ process, and times every call of `Tracker.step` and of its stages:
 Each round is timed on its own. For each stage it prints the microseconds
 per step of the fastest round, which repeats on a noisy machine, next to
 the mean over every step of the rounds. The timers wrap the functions
-from outside; nothing in `src/` changes. Each timed call adds a wrapper call and two clock reads, well
-under a microsecond, which the stages' figures include.
+from outside; nothing in `src/` changes. Each timed call adds a wrapper
+call and two clock reads, well under a microsecond, which the stages'
+figures include.
 
     PYTHONPATH=src python scripts/step_costs.py --workload ga --rounds 3
 

@@ -82,28 +82,18 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ConfigError(
-                f"population_size must be >= 2, got {self.population_size}")
-        if self.max_generations < 1:
-            raise ConfigError(
-                f"max_generations must be >= 1, got {self.max_generations}")
+        for name, low in (("population_size", 2), ("max_generations", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         for name in ("mutation_rate", "crossover_rate"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ConfigError(f"{name} must be within [0, 1], got {value}")
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass
-class GAState:
-    generation: int
-    population: list
-    scores: list
-    best_ever: tuple  # (TrackerConfig, score)
 
 
 @dataclass(frozen=True)
@@ -148,15 +138,14 @@ def evaluate_fitness(config: TrackerConfig, sequences) -> float:
     return metrics.score(metrics.average_reports(reports))
 
 
-def select_parents(state: GAState, rng: np.random.Generator):
+def select_parents(population, scores, rng: np.random.Generator):
     """Tournament selection (size 2, with replacement) of parent pairs."""
-    n = len(state.population)
+    n = len(population)
 
     def tournament():
         i = int(rng.integers(n))
         j = int(rng.integers(n))
-        return state.population[i] if state.scores[i] >= state.scores[j] \
-            else state.population[j]
+        return population[i] if scores[i] >= scores[j] else population[j]
 
     n_pairs = (n + 1) // 2
     return [(tournament(), tournament()) for _ in range(n_pairs)]
@@ -192,10 +181,12 @@ def run_ga(gene_specs, ga: GAConfig, sequences=None, *, fitness_fn=None):
     """Run the generational loop and return (best, best_score, history).
 
     Terminates when the population score standard deviation drops to the
-    tolerance or the generation budget is exhausted. `fitness_fn` overrides
-    the default sub-scene evaluation (useful for synthetic objectives);
-    fitness values are cached per config since populations converge onto
-    repeated individuals.
+    tolerance or the generation budget is exhausted. The best config is
+    the earliest one to reach the highest score seen. `fitness_fn`
+    overrides the default sub-scene evaluation (useful for synthetic
+    objectives); fitness values are cached per config since populations
+    converge onto repeated individuals. A score must be a finite number:
+    any other value raises ValueError naming the config.
     """
     if fitness_fn is None:
         if sequences is None:
@@ -206,60 +197,33 @@ def run_ga(gene_specs, ga: GAConfig, sequences=None, *, fitness_fn=None):
 
     def fitness(config):
         if config not in cache:
-            cache[config] = fitness_fn(config)
+            score = fitness_fn(config)
+            if not math.isfinite(score):
+                raise ValueError(f"fitness of {config!r} is {score!r}, not a finite number")
+            cache[config] = score
         return cache[config]
 
     rng = np.random.default_rng(ga.seed)
     population = initialize_population(gene_specs, ga, rng)
-    scores = [fitness(c) for c in population]
-    state = GAState(generation=1, population=population, scores=scores,
-                    best_ever=_best_of(population, scores))
-    history = [_stats(state)]
-
-    while (not _converged(state.scores, ga.tolerance)
-           and state.generation < ga.max_generations):
+    history = []
+    best_config, best_score = None, -math.inf
+    for generation in range(1, ga.max_generations + 1):
+        scores = [fitness(c) for c in population]
+        top, std = max(scores), float(np.std(scores))
+        history.append(GenerationStats(generation, top, float(np.mean(scores)), std))
+        if top > best_score:
+            best_config, best_score = population[scores.index(top)], top
+        if std <= ga.tolerance or generation == ga.max_generations:
+            break
         offspring: list[TrackerConfig] = []
-        for parent_a, parent_b in select_parents(state, rng):
+        for parent_a, parent_b in select_parents(population, scores, rng):
             child_a, child_b = crossover(
                 parent_a, parent_b, ga.crossover_rate, gene_specs, rng)
             offspring.append(mutate(child_a, ga.mutation_rate, gene_specs, rng))
             offspring.append(mutate(child_b, ga.mutation_rate, gene_specs, rng))
         population = offspring[:ga.population_size]
-        scores = [fitness(c) for c in population]
-        state.generation += 1
-        state.population = population
-        state.scores = scores
-        candidate = _best_of(population, scores)
-        if candidate[1] > state.best_ever[1]:
-            state.best_ever = candidate
-        history.append(_stats(state))
 
-    best_config, best_score = state.best_ever
     return best_config, best_score, history
-
-
-def _best_of(population, scores):
-    best_idx = max(range(len(scores)), key=lambda i: scores[i])
-    return population[best_idx], scores[best_idx]
-
-
-def _converged(scores, tolerance: float) -> bool:
-    finite = [s for s in scores if math.isfinite(s)]
-    if len(finite) < len(scores):
-        return False
-    return float(np.std(finite)) <= tolerance
-
-
-def _stats(state: GAState) -> GenerationStats:
-    finite = [s for s in state.scores if math.isfinite(s)]
-    mean = float(np.mean(finite)) if finite else float("-inf")
-    std = float(np.std(finite)) if finite else float("inf")
-    return GenerationStats(
-        generation=state.generation,
-        best=max(state.scores),
-        mean=mean,
-        std=std,
-    )
 
 
 def format_history(history) -> str:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mttsort import ga, metrics, synth
 from mttsort.ga import (
-    DEFAULT_GENE_SPECS, GAConfig, GAState, GeneSpec, crossover,
+    DEFAULT_GENE_SPECS, GAConfig, GeneSpec, crossover,
     evaluate_fitness, format_history, initialize_population, mutate,
     parse_ga_config_text, run_ga, select_parents,
 )
@@ -65,6 +66,13 @@ def test_ga_config_validation():
         GAConfig(tolerance=0.0)
 
 
+@pytest.mark.parametrize("name", ["population_size", "max_generations", "seed"])
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
+def test_ga_config_integer_fields_take_only_integers(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
+        GAConfig(**{name: value})
+
+
 def test_ga_defaults_match_documented_run():
     cfg = GAConfig()
     assert cfg.max_generations == 50
@@ -116,10 +124,8 @@ def test_samples_always_in_range(seed):
 def test_dominant_individual_wins_every_tournament():
     population = [TrackerConfig(max_dist=0.1 * k) for k in range(1, 6)]
     scores = [0.0, 0.0, 5.0, 0.0, 0.0]
-    state = GAState(generation=1, population=population, scores=scores,
-                    best_ever=(population[2], 5.0))
     rng = np.random.default_rng(0)
-    for a, b in select_parents(state, rng):
+    for a, b in select_parents(population, scores, rng):
         for parent in (a, b):
             assert parent in population
             if parent is not population[2]:
@@ -129,9 +135,7 @@ def test_dominant_individual_wins_every_tournament():
 
 def test_selection_stays_in_population():
     population = [TrackerConfig(max_dist=0.1 * k) for k in range(1, 5)]
-    state = GAState(generation=1, population=population,
-                    scores=[1.0, 1.0, 1.0, 1.0], best_ever=(population[0], 1.0))
-    pairs = select_parents(state, np.random.default_rng(3))
+    pairs = select_parents(population, [1.0, 1.0, 1.0, 1.0], np.random.default_rng(3))
     assert len(pairs) == 2
     for a, b in pairs:
         assert a in population and b in population
@@ -214,11 +218,32 @@ def test_every_evaluated_individual_in_bounds():
 
 def test_best_ever_is_max_over_history():
     _, best_score, history = run_ga([GENE], toy_ga(2), fitness_fn=toy_fitness)
-    assert best_score == pytest.approx(max(h.best for h in history))
-    running = float("-inf")
-    for h in history:
-        running = max(running, h.best)
-        assert best_score >= h.best or best_score == pytest.approx(running)
+    assert best_score == max(h.best for h in history)
+
+
+def test_best_ever_is_the_earliest_config_at_the_best_score():
+    # A step objective: every generation after the first reaches the best
+    # score again, with other configs. The first config to reach it, in
+    # the order the run scores them, is returned.
+    seen = []
+
+    def step(config):
+        score = float(config.max_dist > 0.5)
+        seen.append((config, score))
+        return score
+
+    best, best_score, history = run_ga([GENE], toy_ga(2), fitness_fn=step)
+    assert best_score == max(h.best for h in history) == 1.0
+    assert len(history) > 1 and all(h.best == 1.0 for h in history)
+    at_best = [config for config, score in seen if score == best_score]
+    assert best == at_best[0]
+
+
+@pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
+def test_a_non_finite_fitness_is_an_error_naming_the_config(bad):
+    first = initialize_population([GENE], toy_ga(0), np.random.default_rng(0))[0]
+    with pytest.raises(ValueError, match=f"fitness of {re.escape(repr(first))} is {bad!r}"):
+        run_ga([GENE], toy_ga(0), fitness_fn=lambda config: bad)
 
 
 def test_termination_within_budget():
